@@ -3,8 +3,7 @@
  * Sweep-engine throughput: wall time for the full Table 1 grid
  * (every kernel x every variant x the five Table 1 models) evaluated
  *  - serially (one runExperiment per cell, no cache),
- *  - pooled (SweepRunner on the hardware's threads, no cache),
- *  - pooled + memo cache, re-run with a warm cache.
+ *  - pooled (SweepRunner on the hardware's threads, no cache).
  *
  * Cells use one profiled unit so an iteration stays benchmark-sized;
  * the relative speedups are what matters. The pooled pass also
@@ -13,8 +12,8 @@
  * is in tests/test_sweep.cc).
  *
  * `--json [FILE]` switches to a single-shot measurement that writes a
- * machine-readable summary (default BENCH_sweep.json): cold / warm /
- * disk-warm wall time, cells per second, and cache hit rates. The
+ * machine-readable summary (default BENCH_sweep.json): cold and
+ * disk-warm wall time, cells per second, and the disk hit rate. The
  * disk-warm pass uses a throwaway cache directory and a fresh
  * in-memory cache, so it measures exactly the persistent layer.
  * `--ledger [FILE]` additionally appends the same measurements as a
@@ -121,27 +120,6 @@ BM_Table1SweepPooled(benchmark::State &state)
 }
 BENCHMARK(BM_Table1SweepPooled)->Unit(benchmark::kMillisecond);
 
-void
-BM_Table1SweepPooledCachedRerun(benchmark::State &state)
-{
-    const auto &grid = table1Grid();
-    ExperimentCache cache;
-    SweepOptions opts;
-    opts.cache = &cache;
-    SweepRunner runner(opts);
-    runner.run(grid); // warm the cache; the timed runs are re-runs.
-    std::vector<ExperimentResult> results;
-    for (auto _ : state)
-        results = runner.run(grid);
-
-    ExperimentCacheStats stats = cache.stats();
-    state.counters["cells"] = static_cast<double>(grid.size());
-    state.counters["result_hits"] =
-        static_cast<double>(stats.resultHits);
-}
-BENCHMARK(BM_Table1SweepPooledCachedRerun)
-    ->Unit(benchmark::kMillisecond);
-
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
 {
@@ -153,8 +131,7 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 /** Ledger manifest for one --json measurement (see file comment). */
 bool
 appendBenchManifest(const std::string &ledger_path, size_t cells,
-                    int threads, double cold_s, double warm_s,
-                    double disk_s)
+                    int threads, double cold_s, double disk_s)
 {
     obs::RunManifest m;
     m.unixTime = static_cast<int64_t>(std::time(nullptr));
@@ -163,13 +140,11 @@ appendBenchManifest(const std::string &ledger_path, size_t cells,
         m.machines.emplace_back(cfg.name, canonicalMachineKey(cfg));
     m.threads = threads;
     m.diskCache = false; // the disk-warm pass uses a throwaway dir.
-    m.wallUs = static_cast<uint64_t>((cold_s + warm_s + disk_s) * 1e6);
+    m.wallUs = static_cast<uint64_t>((cold_s + disk_s) * 1e6);
     double n = static_cast<double>(cells);
     m.metrics.emplace_back("cells", n);
     m.metrics.emplace_back("cold_wall_s", cold_s);
     m.metrics.emplace_back("cold_cells_per_s", n / cold_s);
-    m.metrics.emplace_back("warm_wall_s", warm_s);
-    m.metrics.emplace_back("warm_cells_per_s", n / warm_s);
     m.metrics.emplace_back("disk_warm_wall_s", disk_s);
     m.metrics.emplace_back("disk_warm_cells_per_s", n / disk_s);
     return obs::appendToLedger(ledger_path, m);
@@ -191,27 +166,6 @@ runJsonMode(const std::string &out_path,
     auto t0 = std::chrono::steady_clock::now();
     runner.run(grid);
     double cold_s = secondsSince(t0);
-    ExperimentCacheStats cold_stats = cold_cache.stats();
-    // A cold sweep of distinct cells must not hit the memo cache; a
-    // hit here means the result key lost a dimension and two cells
-    // collided (the historical 0.5 "hit rate" was this snapshot taken
-    // after the warm pass, cumulatively counting its hits).
-    if (cold_stats.resultHits != 0) {
-        std::fprintf(stderr,
-                     "cold sweep took %llu memo hits (key collision?)\n",
-                     static_cast<unsigned long long>(
-                         cold_stats.resultHits));
-        return 1;
-    }
-
-    // Warm: same runner, memo cache now holds every cell. Hit rate is
-    // computed over this pass only (delta vs the cold snapshot).
-    t0 = std::chrono::steady_clock::now();
-    runner.run(grid);
-    double warm_s = secondsSince(t0);
-    ExperimentCacheStats warm_stats = cold_cache.stats();
-    warm_stats.resultHits -= cold_stats.resultHits;
-    warm_stats.resultMisses -= cold_stats.resultMisses;
 
     // Disk-warm: populate a throwaway directory, then rerun against
     // it with an empty in-memory cache.
@@ -238,8 +192,6 @@ runJsonMode(const std::string &out_path,
     ExperimentCacheStats disk_stats = disk_only.stats();
     std::filesystem::remove_all(dir);
 
-    double lookups = static_cast<double>(warm_stats.resultHits +
-                                         warm_stats.resultMisses);
     double disk_lookups = static_cast<double>(
         disk_stats.diskHits + disk_stats.diskMisses);
     std::FILE *f = std::fopen(out_path.c_str(), "w");
@@ -253,24 +205,18 @@ runJsonMode(const std::string &out_path,
         "  \"cells\": %zu,\n"
         "  \"cold_wall_s\": %.6f,\n"
         "  \"cold_cells_per_s\": %.3f,\n"
-        "  \"warm_wall_s\": %.6f,\n"
-        "  \"warm_cells_per_s\": %.3f,\n"
-        "  \"memo_hit_rate\": %.6f,\n"
         "  \"disk_warm_wall_s\": %.6f,\n"
         "  \"disk_warm_cells_per_s\": %.3f,\n"
         "  \"disk_hit_rate\": %.6f\n"
         "}\n",
-        grid.size(), cold_s, cells / cold_s, warm_s, cells / warm_s,
-        lookups > 0 ? warm_stats.resultHits / lookups : 0.0, disk_s,
-        cells / disk_s,
+        grid.size(), cold_s, cells / cold_s, disk_s, cells / disk_s,
         disk_lookups > 0 ? disk_stats.diskHits / disk_lookups : 0.0);
     std::fclose(f);
-    std::printf("wrote %s (cold %.2fs, warm %.2fs, disk-warm %.2fs "
-                "for %zu cells)\n",
-                out_path.c_str(), cold_s, warm_s, disk_s, grid.size());
+    std::printf("wrote %s (cold %.2fs, disk-warm %.2fs for %zu cells)\n",
+                out_path.c_str(), cold_s, disk_s, grid.size());
     if (!ledger_path.empty()) {
         if (!appendBenchManifest(ledger_path, grid.size(),
-                                 runner.threadCount(), cold_s, warm_s,
+                                 runner.threadCount(), cold_s,
                                  disk_s)) {
             std::fprintf(stderr, "cannot append to ledger %s\n",
                          ledger_path.c_str());

@@ -5,13 +5,13 @@
  *
  *   vvsp fsck [--cache-dir=DIR] [--ledger[=FILE]] [--no-quarantine]
  *
- * Scans every .entry/.blob file in the cache directory, verifying
- * magic, schema version, full-body structure, and that the filename
- * matches the FNV-1a hash of the embedded key; sweeps orphan temp
- * files; and validates the ledger line-by-line, detecting a torn
- * final line. In the default repair mode damaged cache files move to
- * `<dir>/quarantine/` and the ledger is rewritten without its
- * malformed lines.
+ * Scans every .entry file in the cache directory, verifying magic,
+ * schema version, full-body structure, and that the filename matches
+ * the FNV-1a hash of the embedded key; sweeps orphan temp files and
+ * the .blob files older builds wrote; and validates the ledger
+ * line-by-line, detecting a torn final line. In the default repair
+ * mode damaged entries move to `<dir>/quarantine/` and the ledger is
+ * rewritten without its malformed lines.
  *
  * Exit codes: 0 when the stores are clean or all damage was
  * repaired/quarantined (warnings on stdout), 1 when damage remains
@@ -53,10 +53,9 @@ cmdFsck(const DriverOptions &opts)
     std::printf("fsck: %s (%s)\n", dir.c_str(),
                 repair ? "repair mode"
                        : "check only (--no-quarantine)");
-    std::printf("  entries ok: %llu\n  blobs ok:   %llu\n"
+    std::printf("  entries ok: %llu\n"
                 "  ledger ok:  %llu line(s) (%s)\n",
                 static_cast<unsigned long long>(report.entriesOk),
-                static_cast<unsigned long long>(report.blobsOk),
                 static_cast<unsigned long long>(report.ledgerOk),
                 ledger.c_str());
     for (const FsckFinding &f : report.findings) {

@@ -146,7 +146,7 @@ encodeKernelModule(const KernelSpec &kernel, const VariantSpec &variant,
 
     Composer composer(machine, variant.mode);
     IsaModule module;
-    composer.compose(fn, avg, nullptr, &module);
+    composer.compose(fn, avg, &module);
     return module;
 }
 

@@ -4,7 +4,7 @@
  * kernel sections on an arbitrary machine set. Machines come from
  * the model registry or from JSON machine files (arch/config_json),
  * and flow through the identical pipeline as the registered models —
- * sweep engine, memo cache, and the content-addressed disk cache
+ * sweep engine, profile memo, and the content-addressed disk cache
  * keyed on the canonical serialized form, so a warm rerun of a
  * JSON-only machine hits the persistent cache. Paper columns are
  * matched by model name and print "-" for machines the paper never

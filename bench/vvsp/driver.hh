@@ -52,7 +52,7 @@ struct DriverOptions
     /** Worker threads; 0 = flag absent = hardware concurrency. */
     int threads = 0;
     bool cache = true;
-    bool diskCache = true;  ///< persistent layer under the memo cache.
+    bool diskCache = true;  ///< persistent result layer of the cache.
     std::string cacheDir;   ///< "" = DiskCache::defaultDir().
     bool stats = false;     ///< print the stats registry after runs.
     bool statsJson = false; ///< ... in JSON form.
@@ -146,10 +146,10 @@ class Observability
 };
 
 /**
- * Attaches the persistent disk layer to the process-global memo
- * cache for the attachment's lifetime. No-op when either cache layer
- * is disabled, so --no-cache / --no-disk-cache behave exactly like
- * the in-memory-only harness.
+ * Attaches the persistent disk layer to the process-global cache for
+ * the attachment's lifetime. No-op when either cache layer is
+ * disabled: --no-disk-cache keeps only the in-memory profile memo,
+ * and --no-cache turns off both.
  */
 class DiskCacheAttachment
 {

@@ -73,39 +73,34 @@ fsckCacheDir(const std::string &dir, bool repair)
         std::string name = p.filename().string();
         std::string path = p.string();
 
-        // Orphan temp files: a writer died between creating its
-        // unique temp and the publishing rename. Never read by
-        // anyone; repair deletes them.
-        if (name.find(".tmp.") != std::string::npos) {
-            if (repair) {
+        // Files no reader opens: orphan temp files (a writer died
+        // between creating its unique temp and the publishing
+        // rename) and .blob files (encoded ISA modules that older
+        // builds stored beside the entries). Repair deletes them.
+        const char *unread =
+            name.find(".tmp.") != std::string::npos
+                ? "orphan temp file"
+                : p.extension() == ".blob" ? "retired .blob file"
+                                           : nullptr;
+        if (unread) {
+            if (repair)
                 fs::remove(p, ec);
-                addFinding(report, path, "orphan temp file",
-                           ec ? "none" : "removed", !ec);
-            } else {
-                addFinding(report, path, "orphan temp file", "none",
-                           false);
-            }
+            bool removed = repair && !ec;
+            addFinding(report, path, unread,
+                       removed ? "removed" : "none", removed);
             continue;
         }
-
-        std::string why, seed;
-        bool ok;
-        if (p.extension() == ".entry") {
-            ok = DiskCache::validateEntryFile(path, &seed, &why);
-        } else if (p.extension() == ".blob") {
-            std::string hash_seed;
-            ok = DiskCache::validateBlobFile(path, &hash_seed, &why);
-            seed = hash_seed;
-        } else {
+        if (p.extension() != ".entry")
             continue; // ledger and friends; not cache records.
-        }
-        if (ok && p.stem().string() != DiskCache::hashedStem(seed)) {
+
+        std::string why, key;
+        bool ok = DiskCache::validateEntryFile(path, &key, &why);
+        if (ok && p.stem().string() != DiskCache::hashedStem(key)) {
             ok = false;
             why = "filename does not match key hash";
         }
         if (ok) {
-            (p.extension() == ".entry" ? report.entriesOk
-                                       : report.blobsOk)++;
+            report.entriesOk++;
             continue;
         }
         if (repair) {

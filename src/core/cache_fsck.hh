@@ -7,16 +7,18 @@
  * neither can tear — but power loss, full disks, kill -9 mid-store,
  * or foreign writers can still leave damage behind: orphan temp
  * files that never got renamed, torn entries from fsync-less
- * crashes, blobs from older schema versions, files whose name no
+ * crashes, entries from older schema versions, files whose name no
  * longer matches the FNV-1a hash of the key inside them, and a
- * ledger whose final line was cut mid-append.
+ * ledger whose final line was cut mid-append. Older builds also
+ * stored .blob files (encoded ISA modules) that no build reads now.
  *
  * fsckCacheDir() scans one cache directory, classifies every file,
  * and (in repair mode) moves damaged files into `<dir>/quarantine/`
- * and sweeps orphan temp files; fsckLedger() validates a ledger
- * line-by-line and (in repair mode) truncates a torn final line and
- * rewrites the file dropping interior malformed lines. Both are
- * read-only when `repair` is false.
+ * and deletes orphan temp files and retired .blob files;
+ * fsckLedger() validates a ledger line-by-line and (in repair mode)
+ * truncates a torn final line and rewrites the file dropping
+ * interior malformed lines. Both are read-only when `repair` is
+ * false.
  *
  * The readers already treat damaged files as misses, so fsck is
  * about visibility and reclamation, not correctness: a dirty cache
@@ -46,7 +48,6 @@ struct FsckFinding
 struct FsckReport
 {
     uint64_t entriesOk = 0;    ///< healthy .entry files.
-    uint64_t blobsOk = 0;      ///< healthy .blob files.
     uint64_t ledgerOk = 0;     ///< well-formed ledger lines.
     std::vector<FsckFinding> findings;
 
@@ -58,10 +59,10 @@ struct FsckReport
 /**
  * Scan every .entry/.blob/temp file directly inside `dir`
  * (non-recursive; the quarantine subdirectory is skipped). With
- * `repair`, damaged files move to `dir`/quarantine/ (keeping their
- * names, a numeric suffix on collision) and orphan temp files are
- * deleted; without it, findings are only reported and count as
- * unrepaired.
+ * `repair`, damaged entries move to `dir`/quarantine/ (keeping their
+ * names, a numeric suffix on collision) and orphan temp files and
+ * retired .blob files are deleted; without it, findings are only
+ * reported and count as unrepaired.
  */
 FsckReport fsckCacheDir(const std::string &dir, bool repair);
 

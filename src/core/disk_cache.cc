@@ -28,9 +28,6 @@ namespace
  *  codeBytes/nopSlots, RegionCost codeBytes/nopSlots). */
 constexpr int kSchemaVersion = 2;
 constexpr const char *kMagic = "vvsp-experiment-cache";
-/** Blob records (encoded ISA modules) version their own layout. */
-constexpr int kBlobVersion = 1;
-constexpr const char *kBlobMagic = "vvsp-blob";
 
 uint64_t
 fnv1a64(const std::string &s)
@@ -276,43 +273,6 @@ deserialize(std::istream &is, const std::string &key,
     return readEntryBody(rd, out);
 }
 
-/**
- * Parse a whole blob file without comparing against an expected
- * (kind, key) — the caller compares (loadBlob) or records (fsck).
- */
-DiskLoadOutcome
-readBlobFile(std::istream &is, std::string &kind, std::string &key,
-             std::vector<uint8_t> &out)
-{
-    Reader rd(is);
-    std::istringstream header(rd.rawLine());
-    std::string magic;
-    int version = -1;
-    header >> magic >> version >> kind;
-    if (!rd.ok() || magic != kBlobMagic || version != kBlobVersion)
-        return DiskLoadOutcome::Corrupt;
-    key = rd.str();
-    if (!rd.ok())
-        return DiskLoadOutcome::Corrupt;
-    int64_t size = rd.i64();
-    if (!rd.ok() || size < 0 || size > (1 << 28))
-        return DiskLoadOutcome::Corrupt;
-    std::vector<uint8_t> bytes(static_cast<size_t>(size));
-    is.read(reinterpret_cast<char *>(bytes.data()),
-            static_cast<std::streamsize>(size));
-    if (!is)
-        return DiskLoadOutcome::Corrupt;
-    char nl = 0;
-    is.get(nl);
-    if (!is || nl != '\n')
-        return DiskLoadOutcome::Corrupt;
-    Reader trailer(is);
-    if (trailer.rawLine() != "end")
-        return DiskLoadOutcome::Corrupt;
-    out = std::move(bytes);
-    return DiskLoadOutcome::Hit;
-}
-
 const char *
 outcomeName(DiskLoadOutcome outcome)
 {
@@ -362,44 +322,43 @@ openTempWithRetry(std::ofstream &os, const std::string &path,
 
 /**
  * Write `body` to `tmp_path` and atomically publish it at
- * `final_path`. Shared by entry and blob stores so every fault path
- * (transient open, write failure, short write, failed rename, crash
- * in the publish window) is handled once. `prefix` namespaces the
- * failpoint sites ("disk_cache/store" or "disk_cache/blob_store")
- * and `fail_counter`/`stats` the failure accounting.
+ * `final_path`, handling every fault path (transient open, write
+ * failure, short write, failed rename, crash in the publish window)
+ * and counting each failure as "disk_cache/store_fail".
  *
- * Fault semantics:
- *   <prefix>_open        transient open; retried with backoff.
- *   <prefix>_enospc      write fails cleanly (disk full); tmp removed.
- *   <prefix>_short_write only half the body reaches the final file —
- *                        a torn entry IS published, as after a
- *                        fsync-less power cut; readers must classify
- *                        it Corrupt and fsck must quarantine it.
- *   <prefix>_rename      the publishing rename fails; tmp removed.
- *   <prefix>_publish     evaluated between write and rename — the
- *                        crash-stress suite fires it with ",crash" to
- *                        die with a complete orphan temp file.
+ * Fault semantics, by failpoint site:
+ *   disk_cache/store_open        transient open; retried with backoff.
+ *   disk_cache/store_enospc      write fails cleanly (disk full); tmp
+ *                                removed.
+ *   disk_cache/store_short_write only half the body reaches the final
+ *                                file — a torn entry IS published, as
+ *                                after a fsync-less power cut;
+ *                                readers must classify it Corrupt and
+ *                                fsck must quarantine it.
+ *   disk_cache/store_rename      the publishing rename fails; tmp
+ *                                removed.
+ *   disk_cache/store_publish     evaluated between write and rename —
+ *                                the crash-stress suite fires it with
+ *                                ",crash" to die with a complete
+ *                                orphan temp file.
  */
 bool
 publishAtomically(const std::string &body,
                   const std::string &tmp_path,
-                  const std::string &final_path, const char *prefix,
-                  const char *fail_counter,
+                  const std::string &final_path,
                   const obs::StatsScope &stats)
 {
-    std::string p(prefix);
-    bool torn =
-        failpoint::evaluate((p + "_short_write").c_str());
+    bool torn = failpoint::evaluate("disk_cache/store_short_write");
     {
         std::ofstream os;
         if (!openTempWithRetry(os, tmp_path,
-                               (p + "_open").c_str())) {
-            stats.bump(fail_counter);
+                               "disk_cache/store_open")) {
+            stats.bump("store_fail");
             return false;
         }
-        if (failpoint::evaluate((p + "_enospc").c_str())) {
+        if (failpoint::evaluate("disk_cache/store_enospc")) {
             std::remove(tmp_path.c_str());
-            stats.bump(fail_counter);
+            stats.bump("store_fail");
             return false;
         }
         size_t n = torn ? body.size() / 2 : body.size();
@@ -407,26 +366,26 @@ publishAtomically(const std::string &body,
         os.flush();
         if (!os) {
             std::remove(tmp_path.c_str());
-            stats.bump(fail_counter);
+            stats.bump("store_fail");
             return false;
         }
     }
-    if (failpoint::evaluate((p + "_publish").c_str())) {
+    if (failpoint::evaluate("disk_cache/store_publish")) {
         // Fail action: abandon the complete temp file without
         // renaming, as a crash here would. fsck sweeps orphans.
-        stats.bump(fail_counter);
+        stats.bump("store_fail");
         return false;
     }
-    if (failpoint::evaluate((p + "_rename").c_str()) ||
+    if (failpoint::evaluate("disk_cache/store_rename") ||
         std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
         std::remove(tmp_path.c_str());
-        stats.bump(fail_counter);
+        stats.bump("store_fail");
         return false;
     }
     if (torn) {
         // The torn entry is now live; report the store as failed so
         // callers don't trust it.
-        stats.bump(fail_counter);
+        stats.bump("store_fail");
         return false;
     }
     return true;
@@ -447,10 +406,7 @@ DiskCache::DiskCache(std::string dir) : dir_(std::move(dir))
 std::string
 DiskCache::entryPath(const std::string &key) const
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(key)));
-    return dir_ + "/" + buf + ".entry";
+    return dir_ + "/" + hashedStem(key) + ".entry";
 }
 
 bool
@@ -510,77 +466,13 @@ DiskCache::store(const std::string &key,
     std::string tmp_path = final_path + ".tmp." +
                            std::to_string(::getpid()) + "." +
                            std::to_string(seq.fetch_add(1));
-    if (!publishAtomically(body.str(), tmp_path, final_path,
-                           "disk_cache/store", "store_fail", stats))
+    if (!publishAtomically(body.str(), tmp_path, final_path, stats))
         return false;
     if (stats.enabled()) {
         stats.bump("store");
         stats.sample("store_us", usSince(t0));
     }
     return true;
-}
-
-std::string
-DiskCache::blobPath(const std::string &kind,
-                    const std::string &key) const
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(kind + "\n" + key)));
-    return dir_ + "/" + buf + ".blob";
-}
-
-bool
-DiskCache::storeBlob(const std::string &kind, const std::string &key,
-                     const std::vector<uint8_t> &bytes) const
-{
-    obs::StatsScope stats = obs::globalScope("disk_cache");
-    std::ostringstream body;
-    body << kBlobMagic << ' ' << kBlobVersion << ' ' << kind << '\n';
-    putStr(body, key);
-    putI64(body, static_cast<int64_t>(bytes.size()));
-    body.write(reinterpret_cast<const char *>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-    body << "\nend\n";
-
-    static std::atomic<uint64_t> seq{0};
-    std::string final_path = blobPath(kind, key);
-    std::string tmp_path = final_path + ".tmp." +
-                           std::to_string(::getpid()) + "." +
-                           std::to_string(seq.fetch_add(1));
-    if (!publishAtomically(body.str(), tmp_path, final_path,
-                           "disk_cache/blob_store", "blob_store_fail",
-                           stats))
-        return false;
-    stats.bump("blob_store");
-    return true;
-}
-
-DiskLoadOutcome
-DiskCache::loadBlob(const std::string &kind, const std::string &key,
-                    std::vector<uint8_t> &out) const
-{
-    obs::StatsScope stats = obs::globalScope("disk_cache");
-    DiskLoadOutcome outcome = [&] {
-        if (failpoint::evaluate("disk_cache/blob_load_io"))
-            return DiskLoadOutcome::Corrupt; // simulated EIO.
-        std::ifstream is(blobPath(kind, key), std::ios::binary);
-        if (!is)
-            return DiskLoadOutcome::Miss;
-        std::string stored_kind, stored_key;
-        std::vector<uint8_t> bytes;
-        DiskLoadOutcome o =
-            readBlobFile(is, stored_kind, stored_key, bytes);
-        if (o != DiskLoadOutcome::Hit)
-            return o;
-        if (stored_kind != kind || stored_key != key)
-            return DiskLoadOutcome::Collision;
-        out = std::move(bytes);
-        return DiskLoadOutcome::Hit;
-    }();
-    stats.bump(std::string("blob_") + outcomeName(outcome));
-    return outcome;
 }
 
 bool
@@ -608,33 +500,12 @@ DiskCache::validateEntryFile(const std::string &path,
     return true;
 }
 
-bool
-DiskCache::validateBlobFile(const std::string &path,
-                            std::string *hash_seed, std::string *why)
-{
-    auto fail = [why](const char *reason) {
-        if (why)
-            *why = reason;
-        return false;
-    };
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return fail("unreadable");
-    std::string kind, key;
-    std::vector<uint8_t> bytes;
-    if (readBlobFile(is, kind, key, bytes) != DiskLoadOutcome::Hit)
-        return fail("truncated or malformed blob");
-    if (hash_seed)
-        *hash_seed = kind + "\n" + key;
-    return true;
-}
-
 std::string
-DiskCache::hashedStem(const std::string &seed)
+DiskCache::hashedStem(const std::string &key)
 {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(seed)));
+                  static_cast<unsigned long long>(fnv1a64(key)));
     return buf;
 }
 

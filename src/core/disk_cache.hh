@@ -2,13 +2,12 @@
  * @file
  * Persistent on-disk experiment cache.
  *
- * Layered under the in-memory ExperimentCache: a finished cell is
- * serialized to one file in the cache directory, keyed by the same
- * content key (ExperimentCache::resultKey) that drives the memo maps,
- * so a later process re-running any table bench skips the whole
- * lower/validate/compose pipeline for cells it has seen before -
- * across processes and across differently-named models with the same
- * parameters.
+ * The result level of ExperimentCache: a finished cell is serialized
+ * to one file in the cache directory, keyed by its content key
+ * (ExperimentCache::resultKey), so a later process re-running any
+ * table bench skips the whole lower/validate/compose pipeline for
+ * cells it has seen before - across processes and across
+ * differently-named models with the same parameters.
  *
  * Entry format (text): a schema-version header, the full content key
  * echoed verbatim (the filename is only a 64-bit FNV-1a hash of the
@@ -27,9 +26,7 @@
 #ifndef VVSP_CORE_DISK_CACHE_HH
 #define VVSP_CORE_DISK_CACHE_HH
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/experiment.hh"
 
@@ -77,32 +74,10 @@ class DiskCache
     bool store(const std::string &key,
                const ExperimentResult &res) const;
 
-    /**
-     * Atomically publish a raw binary blob under a (kind, key) pair
-     * — a second record namespace beside the result entries, used
-     * for encoded ISA modules. Same discipline as store(): unique
-     * temp file, atomic rename, failures non-fatal.
-     */
-    bool storeBlob(const std::string &kind, const std::string &key,
-                   const std::vector<uint8_t> &bytes) const;
-
-    /**
-     * Load a blob. Truncated, version-mismatched, or key-collided
-     * blob files classify as Corrupt/Collision and leave `out`
-     * untouched — callers fall back to recomputation.
-     */
-    DiskLoadOutcome loadBlob(const std::string &kind,
-                             const std::string &key,
-                             std::vector<uint8_t> &out) const;
-
     const std::string &dir() const { return dir_; }
 
     /** Path of the entry file a key maps to (for tests/tools). */
     std::string entryPath(const std::string &key) const;
-
-    /** Path of the blob file a (kind, key) maps to. */
-    std::string blobPath(const std::string &kind,
-                         const std::string &key) const;
 
     /**
      * Default directory: $VVSP_CACHE_DIR, else $XDG_CACHE_HOME/vvsp,
@@ -121,15 +96,8 @@ class DiskCache
                                   std::string *stored_key,
                                   std::string *why);
 
-    /** validateEntryFile's counterpart for .blob files; `hash_seed`
-     *  receives the kind+key string whose FNV-1a names the file. */
-    static bool validateBlobFile(const std::string &path,
-                                 std::string *hash_seed,
-                                 std::string *why);
-
-    /** The 16-hex FNV-1a stem a hash seed maps to (entry files seed
-     *  with the key, blob files with kind+"\n"+key). */
-    static std::string hashedStem(const std::string &seed);
+    /** The 16-hex FNV-1a stem of the entry file a key maps to. */
+    static std::string hashedStem(const std::string &key);
 
   private:
     std::string dir_;

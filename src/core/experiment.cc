@@ -6,7 +6,6 @@
 #include "arch/models.hh"
 #include "core/experiment_cache.hh"
 #include "ir/verifier.hh"
-#include "isa/encoder.hh"
 #include "obs/stats_registry.hh"
 #include "sched/cluster_assign.hh"
 #include "sim/bytecode.hh"
@@ -160,10 +159,7 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
 
     obs::StatsScope phase = obs::globalScope("phase");
     Function fn = obs::timedPhase(phase, "lowering", [&] {
-        return cache ? cache->lowerCached(
-                           ExperimentCache::loweringKey(req, cfg),
-                           kernel, variant, machine)
-                     : lowerVariant(kernel, variant, machine);
+        return lowerVariant(kernel, variant, machine);
     });
 
     AvgProfile avg(fn.numNodeIds());
@@ -176,14 +172,11 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
         // models to one interpreted cell.
         obs::StatsScope interp_stats = obs::globalScope("interp");
         std::string profile_key;
-        uint64_t fingerprint = 0;
         if (cache) {
-            fingerprint = functionFingerprint(fn);
-            profile_key =
-                ExperimentCache::profileKey(req, fingerprint);
+            profile_key = ExperimentCache::profileKey(
+                req, functionFingerprint(fn));
             UnitProfileEntry memo;
             if (cache->findProfile(profile_key, memo)) {
-                interp_stats.bump("profile_memo_hits");
                 avg = std::move(memo.avg);
                 res.checked = memo.checked;
                 res.passed = memo.passed;
@@ -195,10 +188,8 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
         const bool timed = interp_stats.enabled();
         auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-        std::shared_ptr<const BytecodeProgram> prog =
-            cache ? cache->programCached(fingerprint, fn)
-                  : std::make_shared<const BytecodeProgram>(fn);
-        BytecodeEngine engine(std::move(prog));
+        BytecodeEngine engine(
+            std::make_shared<const BytecodeProgram>(fn));
         if (timed) {
             auto t1 = std::chrono::steady_clock::now();
             interp_stats.sample(
@@ -268,28 +259,8 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
     });
 
     Composer composer(machine, variant.mode);
-    res.comp = obs::timedPhase(phase, "compose", [&] {
-        if (!cache)
-            return composer.compose(fn, avg);
-        // Schedule-module layer: a hit hands the composer the encoded
-        // module so matching groups rehydrate their schedules instead
-        // of rescheduling; a miss captures the freshly encoded module
-        // and publishes it (memory + disk blob) for future cells.
-        std::string sched_key =
-            ExperimentCache::scheduleKey(req, cfg);
-        if (auto module = cache->findScheduleModule(sched_key))
-            return composer.compose(fn, avg, module.get());
-        IsaModule emitted;
-        CompositionResult comp =
-            composer.compose(fn, avg, nullptr, &emitted);
-        // A degraded composition reflects this run's scheduling
-        // budget, not the cell's true cost; publishing it would
-        // poison unbudgeted runs (the content key excludes the
-        // budget). Keep it out of the module cache.
-        if (comp.degradedRegions == 0)
-            cache->storeScheduleModule(sched_key, std::move(emitted));
-        return comp;
-    });
+    res.comp = obs::timedPhase(phase, "compose",
+                               [&] { return composer.compose(fn, avg); });
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
     int gang = variant.gangAllClusters ? machine.clusters()

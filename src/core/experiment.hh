@@ -63,9 +63,10 @@ struct ExperimentResult
 };
 
 /**
- * Run one cell. With a cache, the lowered function and the whole
- * result are memoized by content key (see experiment_cache.hh);
- * cached and uncached evaluations produce identical results.
+ * Run one cell. With a cache, the interpreter profile and (when a
+ * disk layer is attached) the whole result are memoized by content
+ * key (see experiment_cache.hh); cached and uncached evaluations
+ * produce identical results.
  */
 ExperimentResult runExperiment(const ExperimentRequest &req,
                                ExperimentCache *cache = nullptr);

@@ -1,58 +1,29 @@
 #include "core/experiment_cache.hh"
 
-#include <atomic>
-#include <chrono>
 #include <sstream>
 
 #include "arch/config_json.hh"
 #include "core/disk_cache.hh"
-#include "isa/disassembler.hh"
-#include "isa/encoder.hh"
-#include "obs/stats_registry.hh"
-#include "sim/bytecode.hh"
 #include "support/logging.hh"
 
 namespace vvsp
 {
 
 std::string
-ExperimentCache::loweringKey(const ExperimentRequest &req,
-                             const DatapathConfig &cfg)
+ExperimentCache::resultKey(const ExperimentRequest &req,
+                           const DatapathConfig &cfg)
 {
     vvsp_assert(req.kernel && req.variant, "incomplete request");
-    // The machine half of the key is the canonical serialized form
+    // The machine part of the key is the canonical serialized form
     // (arch/config_json.hh), which excludes the display name: two
     // differently-named models with the same parameters — including
     // machines loaded from JSON files — are the same machine to the
     // pipeline and share cache entries.
     std::ostringstream os;
     os << req.kernel->name << '|' << req.variant->name << '|'
-       << canonicalMachineKey(cfg);
-    return os.str();
-}
-
-std::string
-ExperimentCache::resultKey(const ExperimentRequest &req,
-                           const DatapathConfig &cfg)
-{
-    std::ostringstream os;
-    os << loweringKey(req, cfg) << '|' << req.geometry.width << 'x'
+       << canonicalMachineKey(cfg) << '|' << req.geometry.width << 'x'
        << req.geometry.height << '|' << req.profileUnits << '|'
        << req.seed << '|' << req.check;
-    return os.str();
-}
-
-std::string
-ExperimentCache::scheduleKey(const ExperimentRequest &req,
-                             const DatapathConfig &cfg)
-{
-    // Like resultKey but without the check flag: golden verification
-    // never changes which groups form or how they schedule, so
-    // checked and unchecked runs of a cell share one encoded module.
-    std::ostringstream os;
-    os << loweringKey(req, cfg) << '|' << req.geometry.width << 'x'
-       << req.geometry.height << '|' << req.profileUnits << '|'
-       << req.seed;
     return os.str();
 }
 
@@ -74,104 +45,39 @@ ExperimentCache::profileKey(const ExperimentRequest &req,
     return os.str();
 }
 
-Function
-ExperimentCache::lowerCached(const std::string &key,
-                             const KernelSpec &kernel,
-                             const VariantSpec &variant,
-                             const MachineModel &machine)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = lowered_.find(key);
-        if (it != lowered_.end()) {
-            ++stats_.loweredHits;
-            return it->second.clone();
-        }
-        ++stats_.loweredMisses;
-    }
-    // Lower outside the lock so concurrent misses on *different*
-    // cells proceed in parallel; a duplicate miss on the same cell
-    // just does the work twice and the first insert wins.
-    Function fn = lowerVariant(kernel, variant, machine);
-    std::lock_guard<std::mutex> lock(mutex_);
-    lowered_.try_emplace(key, fn.clone());
-    return fn;
-}
-
 bool
 ExperimentCache::findResult(const std::string &key,
                             const std::string &model_name,
                             ExperimentResult &out)
 {
-    // Lookup-latency telemetry (memo/{hit,miss}_us) when a registry
-    // is installed; the scope check keeps the stats-off warm path
-    // free of clock reads.
-    obs::StatsScope memo = obs::globalScope("memo");
-    const auto t0 = memo.enabled()
-                        ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-    auto record = [&memo, t0](const char *outcome) {
-        if (memo.enabled()) {
-            memo.sample(
-                std::string(outcome) + "_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
-        }
-    };
-
     DiskCache *disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = results_.find(key);
-        if (it != results_.end()) {
-            ++stats_.resultHits;
-            out = it->second;
-            out.model = model_name;
-            record("hit");
-            return true;
-        }
         disk = disk_;
-        if (!disk) {
-            ++stats_.resultMisses;
-            record("miss");
-            return false;
-        }
     }
-    // Disk I/O happens outside the lock; concurrent misses on
-    // different cells read in parallel, duplicate reads of the same
-    // entry are harmless.
-    ExperimentResult res;
-    if (disk->load(key, res)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.diskHits;
-        results_.try_emplace(key, res);
-        out = std::move(res);
+    if (!disk)
+        return false;
+    // Disk I/O happens outside the lock; concurrent lookups of
+    // different cells read in parallel.
+    bool hit = disk->load(key, out);
+    if (hit)
         out.model = model_name;
-        record("hit");
-        return true;
-    }
     std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.diskMisses;
-    ++stats_.resultMisses;
-    record("miss");
-    return false;
+    ++(hit ? stats_.diskHits : stats_.diskMisses);
+    return hit;
 }
 
 void
 ExperimentCache::storeResult(const std::string &key,
                              const ExperimentResult &res)
 {
-    DiskCache *disk = nullptr;
+    DiskCache *disk;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (results_.try_emplace(key, res).second)
-            disk = disk_;
+        disk = disk_;
     }
-    // Only the first in-memory writer publishes to disk, and does so
-    // outside the lock (the write is atomic-rename safe on its own).
+    // The write is atomic-rename safe on its own, so it runs outside
+    // the lock.
     if (disk && disk->store(key, res)) {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.diskStores;
@@ -201,113 +107,6 @@ ExperimentCache::storeProfile(const std::string &key,
     profiles_.try_emplace(key, entry);
 }
 
-std::shared_ptr<const BytecodeProgram>
-ExperimentCache::programCached(uint64_t fingerprint,
-                               const Function &fn)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = programs_.find(fingerprint);
-        if (it != programs_.end()) {
-            ++stats_.programHits;
-            return it->second;
-        }
-        ++stats_.programMisses;
-    }
-    // Compile outside the lock (same discipline as lowerCached):
-    // duplicate misses compile twice, first insert wins and the
-    // duplicate is dropped when its local shared_ptr dies.
-    auto prog = std::make_shared<const BytecodeProgram>(fn);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return programs_.try_emplace(fingerprint, std::move(prog))
-        .first->second;
-}
-
-std::shared_ptr<const IsaModule>
-ExperimentCache::findScheduleModule(const std::string &key)
-{
-    DiskCache *disk;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = modules_.find(key);
-        if (it != modules_.end()) {
-            ++stats_.moduleHits;
-            return it->second;
-        }
-        disk = disk_;
-        if (!disk) {
-            ++stats_.moduleMisses;
-            return nullptr;
-        }
-    }
-    // Disk I/O and decode outside the lock, same discipline as
-    // findResult: duplicate reads of the same blob are harmless.
-    // A discarded blob — container version skew, hash collision, or
-    // an ISA decode failure (e.g. written by a build with different
-    // opcode numbering) — is as good as absent, but never silently:
-    // warn once per process and count every discard, so a cache
-    // full of stale blobs shows up in --stats and ledger manifests
-    // instead of masquerading as a cold cache.
-    static std::atomic<bool> warned{false};
-    auto discard = [&](const char *why) {
-        obs::globalScope("isa").bump("blob_quarantined");
-        if (!warned.exchange(true)) {
-            warn("isa-module blob discarded (%s); treating as a "
-                 "cache miss. Run `vvsp fsck` to quarantine damaged "
-                 "blobs. (warning once; see isa/blob_quarantined "
-                 "counter)",
-                 why);
-        }
-    };
-    std::vector<uint8_t> bytes;
-    switch (disk->loadBlob("isa-module", key, bytes)) {
-      case DiskLoadOutcome::Hit: {
-        IsaModule module;
-        std::string error;
-        if (decodeModule(bytes, module, &error)) {
-            auto shared = std::make_shared<const IsaModule>(
-                std::move(module));
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.moduleHits;
-            return modules_.try_emplace(key, std::move(shared))
-                .first->second;
-        }
-        discard(error.empty() ? "ISA decode failure" : error.c_str());
-        break;
-      }
-      case DiskLoadOutcome::Corrupt:
-        discard("version skew or corrupt container");
-        break;
-      case DiskLoadOutcome::Collision:
-        discard("key hash collision");
-        break;
-      case DiskLoadOutcome::Miss:
-        break;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.moduleMisses;
-    return nullptr;
-}
-
-std::shared_ptr<const IsaModule>
-ExperimentCache::storeScheduleModule(const std::string &key,
-                                     IsaModule module)
-{
-    auto shared = std::make_shared<const IsaModule>(std::move(module));
-    DiskCache *disk = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto [it, inserted] = modules_.try_emplace(key, shared);
-        if (!inserted)
-            return it->second;
-        disk = disk_;
-    }
-    // First writer publishes the binary image outside the lock.
-    if (disk)
-        disk->storeBlob("isa-module", key, encodeModule(*shared));
-    return shared;
-}
-
 void
 ExperimentCache::setDiskCache(DiskCache *disk)
 {
@@ -315,30 +114,11 @@ ExperimentCache::setDiskCache(DiskCache *disk)
     disk_ = disk;
 }
 
-DiskCache *
-ExperimentCache::diskCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disk_;
-}
-
 ExperimentCacheStats
 ExperimentCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-void
-ExperimentCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lowered_.clear();
-    results_.clear();
-    profiles_.clear();
-    programs_.clear();
-    modules_.clear();
-    stats_ = ExperimentCacheStats{};
 }
 
 ExperimentCache &

@@ -2,40 +2,25 @@
  * @file
  * Content-keyed memoization for the experiment pipeline.
  *
- * Many cells of the 180-cell sweep repeat work: Table 2 re-runs
- * Table 1 variants on shared models, the conclusions bench revisits
- * the best schedules, and the design explorer scores hundreds of
- * configs with one kernel. The cache keys on *content* - kernel,
- * variant, every model-relevant architectural parameter (the model's
- * display name is deliberately excluded), frame geometry, profiled
- * units, seed, and the check flag - so identical work is recognized
- * no matter which named model or harness asked for it.
+ * Many cells of the 180-cell sweep repeat work: models whose
+ * lowerings coincide interpret the same function, and a rerun of any
+ * table revisits cells a previous process already evaluated. The
+ * cache keys on *content* - kernel, variant, every model-relevant
+ * architectural parameter (the model's display name is deliberately
+ * excluded), frame geometry, profiled units, seed, and the check
+ * flag - so identical work is recognized no matter which named model
+ * or harness asked for it.
  *
- * Six levels:
- *  1. lowered-function cache: the machine-dependent lowering of a
- *     (kernel, variant, machine) triple, reused across geometries
- *     and profile depths; hits hand out a deep clone because the
- *     composer appends materialized loop control to the function;
- *  2. bytecode-program cache: the flattened replay program of a
- *     lowered function, keyed by content fingerprint and shared (by
- *     shared_ptr) across cells and threads like DecodedTrace;
- *  3. unit-profile memo: the averaged interpreter profile plus
- *     golden-check verdict of a cell, keyed by function fingerprint
- *     and run parameters but NOT by machine - different machines
- *     whose lowerings coincide replay the stored profile instead of
- *     re-interpreting;
- *  4. schedule-module cache: the encoded IsaModule of a cell's
- *     composed schedule, keyed by scheduleKey. Hits let the composer
- *     rehydrate group schedules (guarded per section by op count and
- *     semantic hash) instead of rescheduling; memory misses consult
- *     the disk blob layer, decoding the stored binary image;
- *  5. result cache: the complete ExperimentResult of a cell
- *     (interpreter profile folded into the composed schedule), with
- *     only the display model name patched per request;
- *  6. optional persistent layer (see disk_cache.hh): result-cache
- *     misses consult the disk before recomputing, and first writers
- *     publish their result (and encoded module blob) for future
- *     processes.
+ * Two levels, each kept because its counters show it hitting:
+ *  1. unit-profile memo (in memory): the averaged interpreter
+ *     profile plus golden-check verdict of a cell, keyed by function
+ *     fingerprint and run parameters but NOT by machine - different
+ *     machines whose lowerings coincide replay the stored profile
+ *     instead of re-interpreting;
+ *  2. result entries (on disk, see disk_cache.hh, when attached):
+ *     the complete ExperimentResult of a cell, looked up before any
+ *     work and published after it, with only the display model name
+ *     patched per request.
  *
  * All methods are thread-safe; the sweep runner's workers share one
  * instance.
@@ -45,7 +30,6 @@
 #define VVSP_CORE_EXPERIMENT_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -55,32 +39,19 @@
 namespace vvsp
 {
 
-class BytecodeProgram;
 class DiskCache;
-struct IsaModule;
 
 /** Hit/miss counters (one snapshot; totals since construction). */
 struct ExperimentCacheStats
 {
-    uint64_t loweredHits = 0;
-    uint64_t loweredMisses = 0;
-    /** In-memory result hits (disk hits counted separately). */
-    uint64_t resultHits = 0;
-    /** Misses of both layers (recomputation happened). */
-    uint64_t resultMisses = 0;
+    /** Unit-profile memo (machine-independent interp results). */
+    uint64_t profileHits = 0;
+    uint64_t profileMisses = 0;
+    /** Disk result entries (counted only while a disk is attached). */
     uint64_t diskHits = 0;
     /** Disk lookups that found no usable entry. */
     uint64_t diskMisses = 0;
     uint64_t diskStores = 0;
-    /** Unit-profile memo (machine-independent interp results). */
-    uint64_t profileHits = 0;
-    uint64_t profileMisses = 0;
-    /** Compiled bytecode-program cache. */
-    uint64_t programHits = 0;
-    uint64_t programMisses = 0;
-    /** Encoded schedule-module cache (memory + disk blob layers). */
-    uint64_t moduleHits = 0;
-    uint64_t moduleMisses = 0;
 };
 
 /**
@@ -95,7 +66,7 @@ struct UnitProfileEntry
     std::string note;
 };
 
-/** Thread-safe memo cache for lowered functions and cell results. */
+/** Thread-safe unit-profile memo in front of the disk result layer. */
 class ExperimentCache
 {
   public:
@@ -105,15 +76,11 @@ class ExperimentCache
     ExperimentCache &operator=(const ExperimentCache &) = delete;
 
     /**
-     * Content key of the machine-dependent lowering of a request
-     * (kernel, variant, architectural parameters - not the model
-     * name). `cfg` must be the effective config the cell runs on
-     * (i.e. after any variant-forced upgrades).
+     * Content key of a whole cell: kernel, variant, architectural
+     * parameters (not the model name), geometry, profiled units,
+     * seed and check flag. `cfg` must be the effective config the
+     * cell runs on (i.e. after any variant-forced upgrades).
      */
-    static std::string loweringKey(const ExperimentRequest &req,
-                                   const DatapathConfig &cfg);
-
-    /** Content key of a whole cell (lowering key + run parameters). */
     static std::string resultKey(const ExperimentRequest &req,
                                  const DatapathConfig &cfg);
 
@@ -128,72 +95,23 @@ class ExperimentCache
                                   uint64_t fn_fingerprint);
 
     /**
-     * Content key of a cell's composed schedule module. Includes the
-     * lowering key plus every input that shapes group boundaries and
-     * schedules (geometry, profiled units, seed - the profile's
-     * execution counts decide where the composer flushes groups) but
-     * deliberately EXCLUDES the check flag, which only gates golden
-     * verification and never changes the emitted code.
-     */
-    static std::string scheduleKey(const ExperimentRequest &req,
-                                   const DatapathConfig &cfg);
-
-    /**
-     * Return a deep clone of the cached lowered function, or lower
-     * now (via lowerVariant) and cache the prototype.
-     */
-    Function lowerCached(const std::string &key,
-                         const KernelSpec &kernel,
-                         const VariantSpec &variant,
-                         const MachineModel &machine);
-
-    /**
-     * Look up a finished cell; patches res.model to `model_name`.
-     * Memory misses consult the disk layer (when attached) and
-     * promote disk hits into the memory map.
+     * Look up a finished cell on the attached disk; patches
+     * out.model to `model_name`. Always a miss with no disk.
      */
     bool findResult(const std::string &key,
                     const std::string &model_name,
                     ExperimentResult &out);
 
-    /**
-     * Record a finished cell (first writer wins). The first writer
-     * also publishes the entry to the disk layer when attached.
-     */
+    /** Publish a finished cell to the attached disk, if any. */
     void storeResult(const std::string &key,
                      const ExperimentResult &res);
 
-    /** Look up a memoized interp_sim outcome (in-memory only). */
+    /** Look up a memoized interp_sim outcome. */
     bool findProfile(const std::string &key, UnitProfileEntry &out);
 
     /** Record an interp_sim outcome (first writer wins). */
     void storeProfile(const std::string &key,
                       const UnitProfileEntry &entry);
-
-    /**
-     * Compiled bytecode program for `fn`, compiling and caching on
-     * first sight of the fingerprint. The returned program is
-     * immutable and shareable across threads.
-     */
-    std::shared_ptr<const BytecodeProgram>
-    programCached(uint64_t fingerprint, const Function &fn);
-
-    /**
-     * Look up the encoded schedule module of a cell. Memory misses
-     * consult the disk blob layer (kind "isa-module") when attached;
-     * corrupt or colliding blobs classify as misses. The returned
-     * module is immutable and shared across threads.
-     */
-    std::shared_ptr<const IsaModule>
-    findScheduleModule(const std::string &key);
-
-    /**
-     * Record a cell's encoded schedule module (first writer wins).
-     * The first writer also publishes the binary image to the disk
-     * blob layer when attached. Returns the cached instance.
-     */
-    std::shared_ptr<const IsaModule>
-    storeScheduleModule(const std::string &key, IsaModule module);
 
     /**
      * Attach (or, with nullptr, detach) the persistent layer. The
@@ -203,26 +121,14 @@ class ExperimentCache
      */
     void setDiskCache(DiskCache *disk);
 
-    DiskCache *diskCache() const;
-
     ExperimentCacheStats stats() const;
-
-    /** Drop all in-memory entries and zero the counters. */
-    void clear();
 
     /** Process-wide shared instance. */
     static ExperimentCache &global();
 
   private:
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, Function> lowered_;
-    std::unordered_map<std::string, ExperimentResult> results_;
     std::unordered_map<std::string, UnitProfileEntry> profiles_;
-    std::unordered_map<uint64_t,
-                       std::shared_ptr<const BytecodeProgram>>
-        programs_;
-    std::unordered_map<std::string, std::shared_ptr<const IsaModule>>
-        modules_;
     ExperimentCacheStats stats_;
     DiskCache *disk_ = nullptr;
 };

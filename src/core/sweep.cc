@@ -91,12 +91,9 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
         // This batch's contribution to the shared cache's counters.
         const ExperimentCacheStats after = cache_->stats();
         obs::StatsScope cs = stats_->scope("cache");
-        cs.bump("lowered_hits", after.loweredHits - before.loweredHits);
-        cs.bump("lowered_misses",
-                after.loweredMisses - before.loweredMisses);
-        cs.bump("result_hits", after.resultHits - before.resultHits);
-        cs.bump("result_misses",
-                after.resultMisses - before.resultMisses);
+        cs.bump("profile_hits", after.profileHits - before.profileHits);
+        cs.bump("profile_misses",
+                after.profileMisses - before.profileMisses);
         cs.bump("disk_hits", after.diskHits - before.diskHits);
         cs.bump("disk_misses", after.diskMisses - before.diskMisses);
         cs.bump("disk_stores", after.diskStores - before.diskStores);

@@ -4,12 +4,12 @@
  *
  * Evaluates a batch of experiment requests - a whole Table 1/2 grid,
  * a design-space sweep, the conclusions cells - concurrently on a
- * fixed-size thread pool, sharing one content-keyed memo cache so
- * that repeated cells are computed once. Results come back in
- * request order regardless of thread count, and every cell is
- * bit-identical to what a serial runExperiment() produces (the
- * pipeline's shared state is immutable or mutex-guarded; see
- * DESIGN.md "Sweep engine").
+ * fixed-size thread pool, sharing one content-keyed cache so that
+ * repeated interpreter runs and previously stored cells are not
+ * recomputed. Results come back in request order regardless of
+ * thread count, and every cell is bit-identical to what a serial
+ * runExperiment() produces (the pipeline's shared state is immutable
+ * or mutex-guarded; see DESIGN.md "Sweep engine").
  */
 
 #ifndef VVSP_CORE_SWEEP_HH
@@ -36,7 +36,7 @@ struct SweepOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
     int threads = 0;
-    /** Memoize lowered functions and cell results across cells. */
+    /** Share the profile memo and disk layer across cells. */
     bool useCache = true;
     /**
      * Cache to share (nullptr = the process-global cache). Ignored

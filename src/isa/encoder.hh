@@ -64,7 +64,8 @@ struct IsaSection
     int stages = 0;  ///< modulo: overlapped stages (else 0).
     int maxLive = 0; ///< peak per-cluster register pressure.
 
-    /** Semantic hash of `ops` (isaOpsHash), the rehydration guard. */
+    /** Semantic hash of `ops` (isaOpsHash); decode and assembly
+     *  reject a section whose ops do not match it. */
     uint64_t opsHash = 0;
 
     /** Operations in program order, immediates canonicalized. */

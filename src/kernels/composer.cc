@@ -169,11 +169,9 @@ struct Composer::Walker
     obs::StatsScope isaStats = obs::globalScope("isa");
     CompositionResult result;
 
-    /** Encoded-schedule source/sink (see Composer::compose). */
-    const IsaModule *rehydrate = nullptr;
+    /** Encoded-module sink (see Composer::compose). */
     IsaModule *emit = nullptr;
     IsaFormat fmt;
-    size_t sectionIdx = 0;
 
     std::vector<Operation> pending;
     double pendingCount = 0;
@@ -188,13 +186,7 @@ struct Composer::Walker
     {
     }
 
-    /**
-     * Schedule header + measured code size of the current group.
-     * The schedule carries placements only on the cold path; a
-     * rehydrated group reconstructs the header fields (length, ii,
-     * stages, maxLive, instructions) from the cached section and
-     * never runs the scheduler.
-     */
+    /** Schedule of the current group + its measured code size. */
     struct SectionOutcome
     {
         BlockSchedule sched;
@@ -202,38 +194,18 @@ struct Composer::Walker
     };
 
     SectionOutcome
-    encodeOrRehydrate(const std::string &label,
+    scheduleAndEncode(const std::string &label,
                       const std::vector<Operation> &ops, bool width1,
                       const char *phase_name,
                       const std::function<BlockSchedule()> &schedule)
     {
         SectionOutcome out;
-        const IsaSection *cached = nullptr;
-        if (rehydrate && sectionIdx < rehydrate->sections.size()) {
-            const IsaSection &c = rehydrate->sections[sectionIdx];
-            if (c.ops.size() == ops.size() &&
-                c.opsHash == isaOpsHash(ops))
-                cached = &c;
-        }
-        ++sectionIdx;
-        if (cached) {
-            out.sched.length = cached->length;
-            out.sched.ii = cached->ii;
-            out.sched.stages = cached->stages;
-            out.sched.maxLive = cached->maxLive;
-            out.sched.instructions = cached->words();
-            out.stats = sectionStats(*cached, fmt);
-            isaStats.bump("sections_rehydrated");
-            if (emit)
-                emit->sections.push_back(*cached);
-        } else {
-            out.sched = obs::timedPhase(phase, phase_name, schedule);
-            IsaSection sec = buildSection(label, ops, out.sched,
-                                          width1, machine, bankOf);
-            out.stats = sectionStats(sec, fmt);
-            if (emit)
-                emit->sections.push_back(std::move(sec));
-        }
+        out.sched = obs::timedPhase(phase, phase_name, schedule);
+        IsaSection sec = buildSection(label, ops, out.sched, width1,
+                                      machine, bankOf);
+        out.stats = sectionStats(sec, fmt);
+        if (emit)
+            emit->sections.push_back(std::move(sec));
         isaStats.bump("sections");
         isaStats.bump("words",
                       static_cast<uint64_t>(out.stats.words));
@@ -250,7 +222,7 @@ struct Composer::Walker
         if (pending.empty())
             return;
         bool width1 = mode == ScheduleMode::Sequential;
-        SectionOutcome enc = encodeOrRehydrate(
+        SectionOutcome enc = scheduleAndEncode(
             pendingLabel, pending, width1, "list_sched",
             [&] { return lsched.schedule(pending, width1); });
         RegionCost rc;
@@ -326,7 +298,7 @@ struct Composer::Walker
             }
             auto ctrl = loopControlOps(fn, loop);
             ops.insert(ops.end(), ctrl.begin(), ctrl.end());
-            SectionOutcome enc = encodeOrRehydrate(
+            SectionOutcome enc = scheduleAndEncode(
                 "swp:" + loop.label, ops, false, "modulo_sched",
                 [&] {
                     auto swp_sched = msched.scheduleBudgeted(
@@ -447,13 +419,12 @@ Composer::Composer(const MachineModel &machine, ScheduleMode mode)
 
 CompositionResult
 Composer::compose(Function &fn, const AvgProfile &profile,
-                  const IsaModule *rehydrate, IsaModule *emit)
+                  IsaModule *emit)
 {
     BankOfFn bank_of = [&fn](int buffer) {
         return fn.buffer(buffer).bank;
     };
     Walker walker(fn, machine_, mode_, profile, bank_of);
-    walker.rehydrate = rehydrate;
     walker.emit = emit;
     if (emit) {
         emit->machine = machine_.name();

@@ -113,15 +113,10 @@ class Composer
      * Every scheduled group is also run through the ISA encoder:
      * RegionCost::instructions and the code-size totals come from
      * the encoder's actual word count (asserted equal to the
-     * scheduler's estimate). When `rehydrate` carries a previously
-     * encoded module whose sections match the groups this walk
-     * produces (checked per section by op count + semantic hash),
-     * matching groups skip scheduling entirely and take their
-     * headers from the module; mismatches fall back to scheduling.
-     * When `emit` is non-null it receives the encoded module.
+     * scheduler's estimate). When `emit` is non-null it receives
+     * the encoded module.
      */
     CompositionResult compose(Function &fn, const AvgProfile &profile,
-                              const IsaModule *rehydrate = nullptr,
                               IsaModule *emit = nullptr);
 
   private:

@@ -214,8 +214,9 @@ TEST(ConfigJson, LoadMachineFileUsesStemAsFallbackName)
 TEST(ConfigJson, LoweringKeyStableAcrossJsonRoundTrip)
 {
     // The experiment-cache contract: a machine loaded from JSON and
-    // the identically-parameterized C++ model produce the same cache
-    // keys, so they share memo and disk entries.
+    // the identically-parameterized C++ model produce the same result
+    // key (whose machine part is the lowering's), so they share disk
+    // entries.
     const KernelSpec &k = kernelByName("RGB:YCrCb converter/subsampler");
     ExperimentRequest req;
     req.kernel = &k;
@@ -227,8 +228,6 @@ TEST(ConfigJson, LoweringKeyStableAcrossJsonRoundTrip)
     ASSERT_TRUE(back.has_value()) << error;
     back->name = "loaded-from-disk";
 
-    EXPECT_EQ(ExperimentCache::loweringKey(req, cfg),
-              ExperimentCache::loweringKey(req, *back));
     req.model = cfg;
     std::string key_a = ExperimentCache::resultKey(req, cfg);
     req.model = *back;

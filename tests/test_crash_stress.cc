@@ -5,8 +5,9 @@
  * the surviving cache must yield either a clean miss or a
  * byte-identical warm hit — never a crash, never a wrong result.
  * Also covers `vvsp fsck` (library and CLI): quarantine of torn and
- * corrupt files, orphan-temp sweeps, torn-ledger repair, and the
- * degraded-schedule path end to end through the driver.
+ * corrupt files, orphan-temp and retired-blob sweeps, torn-ledger
+ * repair, and the degraded-schedule path end to end through the
+ * driver.
  */
 
 #include <gtest/gtest.h>
@@ -231,10 +232,8 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
     DiskCache disk(dir.path);
     ExperimentResult in = sampleResult();
     ASSERT_TRUE(disk.store("good-key", in));
-    ASSERT_TRUE(disk.storeBlob("module", "good-blob",
-                               {1, 2, 3, 4, 5}));
 
-    // Damage: a torn entry, a bit-flipped blob, a wrong-stem entry
+    // Damage: a torn entry, a bit-flipped entry, a wrong-stem entry
     // (hash collision evidence), and an orphan temp file.
     {
         failpoint::Spec spec;
@@ -243,9 +242,10 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
         EXPECT_FALSE(disk.store("torn-key", in));
         failpoint::clearAll();
     }
-    ASSERT_TRUE(disk.storeBlob("module", "flipped", {9, 9, 9, 9}));
+    ASSERT_TRUE(disk.store("flipped", in));
     {
-        std::string path = disk.blobPath("module", "flipped");
+        // The flip lands in the "end" trailer.
+        std::string path = disk.entryPath("flipped");
         std::string body = readFile(path);
         ASSERT_GT(body.size(), 4u);
         body[body.size() - 2] ^= 0x40;
@@ -264,16 +264,12 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
 
     FsckReport report = fsckCacheDir(dir.path, /*repair=*/true);
     EXPECT_EQ(report.entriesOk, 1u);
-    EXPECT_EQ(report.blobsOk, 1u);
     EXPECT_EQ(report.findings.size(), 4u);
     EXPECT_EQ(report.unrepaired, 0u);
 
-    // The survivors still load; the damage is in quarantine/.
+    // The survivor still loads; the damage is in quarantine/.
     ExperimentResult out;
     EXPECT_TRUE(disk.load("good-key", out));
-    std::vector<uint8_t> blob;
-    EXPECT_EQ(disk.loadBlob("module", "good-blob", blob),
-              DiskLoadOutcome::Hit);
     size_t quarantined = 0;
     for (const auto &e :
          fs::directory_iterator(fs::path(dir.path) / "quarantine")) {
@@ -284,6 +280,46 @@ TEST_F(Fsck, QuarantinesDamageAndSweepsOrphans)
 
     FsckReport second = fsckCacheDir(dir.path, /*repair=*/true);
     EXPECT_TRUE(second.findings.empty());
+}
+
+TEST_F(Fsck, RetiresLeftoverBlobFiles)
+{
+    // Older builds stored encoded ISA modules as .blob files beside
+    // the entries; no build reads them any more.
+    TempDir dir;
+    DiskCache disk(dir.path);
+    ASSERT_TRUE(disk.store("good-key", sampleResult()));
+    const fs::path blob = fs::path(dir.path) / "00c0ffee00c0ffee.blob";
+    {
+        std::ofstream os(blob, std::ios::binary);
+        os << "vvsp-blob 1 isa-module\n3\nkey\n4\n\x01\x02\x03\x04\n"
+              "end\n";
+    }
+
+    // Check-only mode reports the blob and leaves it in place.
+    FsckReport check = fsckCacheDir(dir.path, /*repair=*/false);
+    EXPECT_EQ(check.entriesOk, 1u);
+    ASSERT_EQ(check.findings.size(), 1u);
+    EXPECT_EQ(check.findings[0].what, "retired .blob file");
+    EXPECT_EQ(check.findings[0].action, "none");
+    EXPECT_EQ(check.unrepaired, 1u);
+    EXPECT_TRUE(fs::exists(blob));
+
+    // Repair mode deletes it (nothing to quarantine) and keeps the
+    // entry.
+    FsckReport repair = fsckCacheDir(dir.path, /*repair=*/true);
+    EXPECT_EQ(repair.entriesOk, 1u);
+    ASSERT_EQ(repair.findings.size(), 1u);
+    EXPECT_EQ(repair.findings[0].what, "retired .blob file");
+    EXPECT_EQ(repair.findings[0].action, "removed");
+    EXPECT_EQ(repair.unrepaired, 0u);
+    EXPECT_FALSE(fs::exists(blob));
+    EXPECT_FALSE(fs::exists(fs::path(dir.path) / "quarantine"));
+    ExperimentResult out;
+    EXPECT_TRUE(disk.load("good-key", out));
+
+    EXPECT_TRUE(fsckCacheDir(dir.path, /*repair=*/true)
+                    .findings.empty());
 }
 
 TEST_F(Fsck, CheckOnlyModeLeavesDamageInPlace)

@@ -276,30 +276,25 @@ TEST(DiskCache, ConcurrentWritersStayAtomic)
     }
 }
 
-TEST(DiskCache, MultiProcessBlobWritersNeverTear)
+TEST(DiskCache, MultiProcessEntryWritersNeverTear)
 {
-    // The blob namespace (encoded ISA modules) under real multi-
-    // process contention, the scenario the table benches hit when
-    // several vvsp invocations share one cache directory: forked
-    // writers hammer a single (kind, key) while the parent reads.
-    // Atomic rename publication means every read is Miss or one
-    // writer's complete payload - never a blend of two.
+    // One result entry under real multi-process contention, the
+    // scenario several vvsp invocations sharing one cache directory
+    // hit: forked writers hammer a single key while the parent
+    // reads. Atomic rename publication means every read is a Miss or
+    // one writer's complete entry - never a blend of two.
     TempDir dir;
 
     constexpr int kWriters = 8;
     constexpr int kRounds = 25;
-    constexpr size_t kPayload = 4096;
     std::vector<pid_t> children;
     for (int w = 0; w < kWriters; ++w) {
         pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             DiskCache disk(dir.path);
-            std::vector<uint8_t> payload(kPayload,
-                                         static_cast<uint8_t>(w + 1));
             for (int i = 0; i < kRounds; ++i) {
-                if (!disk.storeBlob("isa-module", "shared-key",
-                                    payload))
+                if (!disk.store("shared-key", sampleResult(w + 1)))
                     _exit(1);
             }
             _exit(0);
@@ -308,21 +303,21 @@ TEST(DiskCache, MultiProcessBlobWritersNeverTear)
     }
 
     DiskCache disk(dir.path);
-    auto checkPayload = [&](const std::vector<uint8_t> &out) {
-        // A complete blob from exactly one writer: uniform fill.
-        ASSERT_EQ(out.size(), kPayload);
-        EXPECT_GE(out[0], 1);
-        EXPECT_LE(out[0], kWriters);
-        for (uint8_t b : out)
-            ASSERT_EQ(b, out[0]) << "torn blob";
+    // A complete entry from exactly one writer: every salted field
+    // carries the same writer id.
+    auto checkEntry = [&](const ExperimentResult &out) {
+        double salt = std::round(out.cyclesPerUnit - 123.456);
+        EXPECT_GE(salt, 1);
+        EXPECT_LE(salt, kWriters);
+        expectEqual(sampleResult(salt), out);
     };
     // Read concurrently while the children are still writing.
     for (int i = 0; i < 200; ++i) {
-        std::vector<uint8_t> out;
+        ExperimentResult out;
         DiskLoadOutcome outcome =
-            disk.loadBlob("isa-module", "shared-key", out);
+            disk.loadClassified("shared-key", out);
         if (outcome == DiskLoadOutcome::Hit)
-            checkPayload(out);
+            checkEntry(out);
         else
             EXPECT_EQ(outcome, DiskLoadOutcome::Miss);
     }
@@ -333,15 +328,16 @@ TEST(DiskCache, MultiProcessBlobWritersNeverTear)
         EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
     }
 
-    std::vector<uint8_t> out;
-    ASSERT_EQ(disk.loadBlob("isa-module", "shared-key", out),
+    ExperimentResult out;
+    ASSERT_EQ(disk.loadClassified("shared-key", out),
               DiskLoadOutcome::Hit);
-    checkPayload(out);
+    checkEntry(out);
 
     // No leaked temp files once every writer has renamed or cleaned.
     for (const auto &e :
          std::filesystem::directory_iterator(dir.path)) {
-        EXPECT_EQ(e.path().extension(), ".blob") << e.path().string();
+        EXPECT_EQ(e.path().extension(), ".entry")
+            << e.path().string();
     }
 }
 
@@ -357,9 +353,7 @@ TEST(DiskCache, ExperimentCacheFallsBackToRecompute)
     writeFile(disk.entryPath("cell"), "garbage");
     ExperimentResult out;
     EXPECT_FALSE(cache.findResult("cell", "I4C8S4", out));
-    ExperimentCacheStats s = cache.stats();
-    EXPECT_EQ(s.diskMisses, 1u);
-    EXPECT_EQ(s.resultMisses, 1u);
+    EXPECT_EQ(cache.stats().diskMisses, 1u);
 
     cache.storeResult("cell", sampleResult());
     EXPECT_EQ(cache.stats().diskStores, 1u);
@@ -370,14 +364,13 @@ TEST(DiskCache, ExperimentCacheFallsBackToRecompute)
     ASSERT_TRUE(fresh.findResult("cell", "RENAMED", out));
     EXPECT_EQ(out.model, "RENAMED"); // display name patched.
     EXPECT_EQ(fresh.stats().diskHits, 1u);
-    EXPECT_EQ(fresh.stats().resultHits, 0u);
 }
 
 TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
 {
     // A small (variant x model) grid evaluated cold, then re-read
-    // through a fresh memory cache backed by the populated disk
-    // directory: every cell must be bit-identical.
+    // through a fresh cache backed by the populated disk directory:
+    // every cell must be bit-identical.
     const KernelSpec &k = kernelByName("Three-step Search");
     std::vector<ExperimentRequest> grid;
     for (size_t vi = 0; vi < k.variants.size() && vi < 2; ++vi) {
@@ -403,6 +396,15 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
         for (const ExperimentRequest &req : grid)
             runExperiment(req, &fill);
     }
+    // The fill leaves exactly one entry per cell and nothing else.
+    size_t files = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path)) {
+        EXPECT_EQ(e.path().extension(), ".entry")
+            << e.path().string();
+        ++files;
+    }
+    EXPECT_EQ(files, grid.size());
 
     ExperimentCache warm;
     warm.setDiskCache(&disk);
@@ -411,7 +413,92 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
         expectEqual(cold[i], res);
     }
     EXPECT_EQ(warm.stats().diskHits, grid.size());
-    EXPECT_EQ(warm.stats().resultMisses, 0u);
+    EXPECT_EQ(warm.stats().diskMisses, 0u);
+}
+
+TEST(DiskCache, WarmHitSkipsLoweringProfilingAndCompose)
+{
+    // runExperiment looks the result entry up before any work: a
+    // warm cell lowers, interprets and schedules nothing, and still
+    // matches the cold run bit for bit.
+    const KernelSpec &k = kernelByName("Three-step Search");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variants.front();
+    req.model = models::i4c8s4();
+    req.profileUnits = 1;
+
+    TempDir dir;
+    DiskCache disk(dir.path);
+    obs::StatsRegistry stats;
+    obs::StatsRegistry *prev = obs::globalStats();
+    obs::setGlobalStats(&stats);
+
+    ExperimentCache fill;
+    fill.setDiskCache(&disk);
+    ExperimentResult cold = runExperiment(req, &fill);
+    EXPECT_EQ(stats.counterValue("phase/lowering/runs"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/compose/runs"), 1u);
+    EXPECT_GT(stats.counterValue("isa/sections"), 0u);
+
+    stats.clear();
+    ExperimentCache warm;
+    warm.setDiskCache(&disk);
+    ExperimentResult res = runExperiment(req, &warm);
+    obs::setGlobalStats(prev);
+
+    expectEqual(cold, res);
+    ExperimentCacheStats s = warm.stats();
+    EXPECT_EQ(s.diskHits, 1u);
+    EXPECT_EQ(s.profileHits + s.profileMisses, 0u);
+    // The disk lookup is the only layer that recorded anything.
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
+    for (const auto &[path, value] : stats.counters())
+        EXPECT_EQ(path.rfind("disk_cache/", 0), 0u) << path;
+    for (const auto &[path, value] : stats.distributions())
+        EXPECT_EQ(path.rfind("disk_cache/", 0), 0u) << path;
+}
+
+TEST(DiskCache, DamagedEntryIsRecomputedAndHealed)
+{
+    // A cell whose entry was torn on disk: the next run classifies
+    // it as a miss, recomputes the cell bit-identically to an
+    // uncached run and publishes a fresh entry the run after hits.
+    const KernelSpec &k = kernelByName("Three-step Search");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variants.front();
+    req.model = models::i4c8s4();
+    req.profileUnits = 1;
+    ExperimentResult cold = runExperiment(req);
+
+    TempDir dir;
+    DiskCache disk(dir.path);
+    {
+        ExperimentCache fill;
+        fill.setDiskCache(&disk);
+        runExperiment(req, &fill);
+    }
+    std::vector<std::filesystem::path> entries;
+    for (const auto &e :
+         std::filesystem::directory_iterator(dir.path))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 1u);
+    std::string body = readFile(entries[0].string());
+    writeFile(entries[0].string(), body.substr(0, body.size() / 2));
+
+    ExperimentCache recompute;
+    recompute.setDiskCache(&disk);
+    expectEqual(cold, runExperiment(req, &recompute));
+    EXPECT_EQ(recompute.stats().diskHits, 0u);
+    EXPECT_EQ(recompute.stats().diskMisses, 1u);
+    EXPECT_EQ(recompute.stats().diskStores, 1u);
+    EXPECT_EQ(readFile(entries[0].string()), body);
+
+    ExperimentCache warm;
+    warm.setDiskCache(&disk);
+    expectEqual(cold, runExperiment(req, &warm));
+    EXPECT_EQ(warm.stats().diskHits, 1u);
 }
 
 TEST(DecodedTrace, AcyclicGroupsSortOncePerGroup)

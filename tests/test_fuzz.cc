@@ -54,7 +54,7 @@ seedModule()
 
     Composer composer(machine, variant.mode);
     IsaModule module;
-    composer.compose(fn, avg, nullptr, &module);
+    composer.compose(fn, avg, &module);
     return module;
 }
 

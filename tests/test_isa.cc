@@ -3,33 +3,25 @@
  * The ISA layer end to end: format JSON round trips, binary and
  * textual encode/decode identity across models and kernels, the
  * scheduler-estimate == encoder-ground-truth invariant, decoded
- * execution bit-identity in the cycle simulator, schedule-module
- * rehydration through the disk cache, blob robustness, and the
+ * execution bit-identity in the cycle simulator, and the
  * assembler's error paths (every failure a diagnostic, never a
  * crash).
  *
  * Built as its own executable (vvsp_isa_tests) so `ctest -L isa`
- * runs exactly this layer; the sanitize preset picks the suites up
- * by the "Isa" name prefix.
+ * runs exactly this layer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/models.hh"
-#include "core/disk_cache.hh"
 #include "core/experiment.hh"
-#include "core/experiment_cache.hh"
 #include "isa/disassembler.hh"
 #include "isa/encoder.hh"
 #include "isa/format.hh"
-#include "obs/stats_registry.hh"
 #include "sim/bytecode.hh"
 #include "sim/cycle_sim.hh"
 
@@ -37,21 +29,6 @@ using namespace vvsp;
 
 namespace
 {
-
-/** Fresh cache directory, removed on destruction. */
-struct TempDir
-{
-    TempDir()
-    {
-        static int seq = 0;
-        path = (std::filesystem::temp_directory_path() /
-                ("vvsp-isa-test-" + std::to_string(::getpid()) + "-" +
-                 std::to_string(seq++)))
-                   .string();
-    }
-    ~TempDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
 
 /**
  * The `vvsp asm --kernel` pipeline: lower, profile on the bytecode
@@ -79,7 +56,7 @@ pipelineModule(const KernelSpec &kernel, const VariantSpec &variant,
 
     Composer composer(machine, variant.mode);
     IsaModule module;
-    composer.compose(fn, avg, nullptr, &module);
+    composer.compose(fn, avg, &module);
     return module;
 }
 
@@ -317,176 +294,6 @@ TEST(IsaSim, DecodedExecutionIsBitIdentical)
     }
 }
 
-TEST(IsaRehydrate, WarmRerunSkipsSchedulingBitExactly)
-{
-    const KernelSpec &k = kernelByName("Three-step Search");
-    std::vector<ExperimentRequest> grid;
-    for (size_t vi = 0; vi < k.variants.size() && vi < 2; ++vi) {
-        ExperimentRequest req;
-        req.kernel = &k;
-        req.variant = &k.variants[vi];
-        req.model = models::i4c8s4();
-        req.profileUnits = 1;
-        grid.push_back(req);
-    }
-
-    std::vector<ExperimentResult> cold;
-    for (const ExperimentRequest &req : grid)
-        cold.push_back(runExperiment(req));
-
-    TempDir dir;
-    DiskCache disk(dir.path);
-    {
-        ExperimentCache fill;
-        fill.setDiskCache(&disk);
-        for (const ExperimentRequest &req : grid)
-            runExperiment(req, &fill);
-    }
-
-    // Drop the result entries but keep the isa-module blobs: the
-    // rerun must miss on results, rehydrate every schedule from the
-    // blobs, and still reproduce the cold numbers bit-exactly.
-    for (const auto &e :
-         std::filesystem::directory_iterator(dir.path)) {
-        if (e.path().extension() == ".entry")
-            std::filesystem::remove(e.path());
-    }
-
-    obs::StatsRegistry stats;
-    obs::StatsRegistry *prev = obs::globalStats();
-    obs::setGlobalStats(&stats);
-    ExperimentCache warm;
-    warm.setDiskCache(&disk);
-    std::vector<ExperimentResult> rehydrated;
-    for (const ExperimentRequest &req : grid)
-        rehydrated.push_back(runExperiment(req, &warm));
-    obs::setGlobalStats(prev);
-
-    EXPECT_EQ(warm.stats().moduleHits, grid.size());
-    EXPECT_GT(stats.counterValue("isa/sections_rehydrated"), 0u);
-    for (size_t i = 0; i < grid.size(); ++i) {
-        const ExperimentResult &a = cold[i];
-        const ExperimentResult &b = rehydrated[i];
-        EXPECT_EQ(a.cyclesPerUnit, b.cyclesPerUnit);
-        EXPECT_EQ(a.cyclesPerFrame, b.cyclesPerFrame);
-        EXPECT_EQ(a.comp.totalInstructions, b.comp.totalInstructions);
-        EXPECT_EQ(a.comp.codeWords, b.comp.codeWords);
-        EXPECT_EQ(a.comp.codeBytes, b.comp.codeBytes);
-        EXPECT_EQ(a.comp.nopSlots, b.comp.nopSlots);
-        EXPECT_EQ(a.comp.maxLive, b.comp.maxLive);
-        ASSERT_EQ(a.comp.regions.size(), b.comp.regions.size());
-        for (size_t r = 0; r < a.comp.regions.size(); ++r) {
-            EXPECT_EQ(a.comp.regions[r].cycles,
-                      b.comp.regions[r].cycles);
-            EXPECT_EQ(a.comp.regions[r].instructions,
-                      b.comp.regions[r].instructions);
-        }
-    }
-}
-
-TEST(IsaRehydrate, StaleBlobFallsBackToScheduling)
-{
-    const KernelSpec &k = kernelByName("Three-step Search");
-    ExperimentRequest req;
-    req.kernel = &k;
-    req.variant = &k.variants.front();
-    req.model = models::i4c8s4();
-    req.profileUnits = 1;
-
-    TempDir dir;
-    DiskCache disk(dir.path);
-    {
-        ExperimentCache fill;
-        fill.setDiskCache(&disk);
-        runExperiment(req, &fill);
-    }
-    ExperimentResult cold = runExperiment(req);
-
-    // Corrupt the module blob and drop the result entries: the rerun
-    // must classify the blob as garbage, reschedule, and still match.
-    std::string blob = disk.blobPath(
-        "isa-module", ExperimentCache::scheduleKey(req, req.model));
-    ASSERT_TRUE(std::filesystem::exists(blob));
-    {
-        std::ofstream os(blob, std::ios::binary | std::ios::trunc);
-        os << "vvsp-blob 1 isa-module\ngarbage";
-    }
-    for (const auto &e :
-         std::filesystem::directory_iterator(dir.path)) {
-        if (e.path().extension() == ".entry")
-            std::filesystem::remove(e.path());
-    }
-
-    ExperimentCache warm;
-    warm.setDiskCache(&disk);
-    ExperimentResult res = runExperiment(req, &warm);
-    EXPECT_EQ(warm.stats().moduleHits, 0u);
-    EXPECT_EQ(res.cyclesPerUnit, cold.cyclesPerUnit);
-    EXPECT_EQ(res.comp.codeWords, cold.comp.codeWords);
-}
-
-TEST(IsaDiskBlob, RoundTripAndRobustness)
-{
-    TempDir dir;
-    DiskCache disk(dir.path);
-    std::vector<uint8_t> payload;
-    for (int i = 0; i < 1000; ++i)
-        payload.push_back(uint8_t(i * 7));
-    // Binary-unsafe bytes the length-framed format must survive.
-    payload.insert(payload.end(), {0, '\n', 0xff, '\r', 'e', 'n', 'd'});
-
-    ASSERT_TRUE(disk.storeBlob("isa-module", "key-a", payload));
-    std::vector<uint8_t> out;
-    EXPECT_EQ(disk.loadBlob("isa-module", "key-a", out),
-              DiskLoadOutcome::Hit);
-    EXPECT_EQ(out, payload);
-
-    EXPECT_EQ(disk.loadBlob("isa-module", "key-absent", out),
-              DiskLoadOutcome::Miss);
-
-    // A different (kind, key) hashing to this file: key echo must
-    // classify it as a collision, not serve the wrong bytes.
-    std::filesystem::rename(disk.blobPath("isa-module", "key-a"),
-                            disk.blobPath("isa-module", "key-b"));
-    EXPECT_EQ(disk.loadBlob("isa-module", "key-b", out),
-              DiskLoadOutcome::Collision);
-    std::filesystem::rename(disk.blobPath("isa-module", "key-b"),
-                            disk.blobPath("isa-module", "key-a"));
-
-    // Truncations anywhere (header, payload, trailer) are Corrupt.
-    std::ifstream is(disk.blobPath("isa-module", "key-a"),
-                     std::ios::binary);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    std::string body = ss.str();
-    is.close();
-    for (size_t cut : {body.size() - 2, body.size() / 2, size_t{5}}) {
-        std::ofstream os(disk.blobPath("isa-module", "key-a"),
-                         std::ios::binary | std::ios::trunc);
-        os << body.substr(0, cut);
-        os.close();
-        EXPECT_EQ(disk.loadBlob("isa-module", "key-a", out),
-                  DiskLoadOutcome::Corrupt)
-            << "cut=" << cut;
-    }
-
-    // Version skew in the header is Corrupt (schema evolution path).
-    {
-        std::ofstream os(disk.blobPath("isa-module", "key-a"),
-                         std::ios::binary | std::ios::trunc);
-        size_t nl = body.find('\n');
-        os << "vvsp-blob 9999 isa-module" << body.substr(nl);
-    }
-    EXPECT_EQ(disk.loadBlob("isa-module", "key-a", out),
-              DiskLoadOutcome::Corrupt);
-
-    // A rewrite heals the slot.
-    ASSERT_TRUE(disk.storeBlob("isa-module", "key-a", payload));
-    EXPECT_EQ(disk.loadBlob("isa-module", "key-a", out),
-              DiskLoadOutcome::Hit);
-    EXPECT_EQ(out, payload);
-}
-
 // ----------------------------------------------------------------
 // Assembler error paths (S4): one actionable diagnostic per failure
 // mode, never a crash. The skeletons are minimal hand-written
@@ -569,7 +376,7 @@ TEST(IsaAsmErrors, StructuralViolations)
 TEST(IsaAsmErrors, DeclaredOpsHashMismatch)
 {
     // A declared opshash that disagrees with the ops is the
-    // rehydration guard firing at the text layer.
+    // section integrity check firing at the text layer.
     expectAsmError(".machine I4C8S4\n"
                    ".section \"b\" kind=acyclic length=1 "
                    "opshash=0xdeadbeefdeadbeef\n"

@@ -1,18 +1,25 @@
 /**
  * @file
- * Sweep engine tests: thread-pool mechanics, memo-cache bit-identity
- * (a cell evaluated twice returns the exact same result, and the
- * stats prove the second evaluation was a hit), and determinism of
- * the parallel runner (the full Table 1 grid yields identical
- * cycles-per-frame at 1 and N threads, with and without the cache).
+ * Sweep engine tests: thread-pool mechanics, cache bit-identity (a
+ * cell evaluated twice through a disk-backed cache returns the exact
+ * same result, and the counters prove the second evaluation was a
+ * disk hit), and determinism of the parallel runner (the full
+ * Table 1 grid yields identical cycles-per-frame at 1 and N threads,
+ * with and without the cache).
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <string>
 
 #include "arch/models.hh"
+#include "core/disk_cache.hh"
 #include "core/sweep.hh"
+#include "obs/stats_registry.hh"
 
 namespace vvsp
 {
@@ -41,6 +48,21 @@ table1Grid()
     return reqs;
 }
 
+/** Fresh cache directory, removed on destruction. */
+struct TempDir
+{
+    TempDir()
+    {
+        static int seq = 0;
+        path = (std::filesystem::temp_directory_path() /
+                ("vvsp-sweep-test-" + std::to_string(::getpid()) +
+                 "-" + std::to_string(seq++)))
+                   .string();
+    }
+    ~TempDir() { std::filesystem::remove_all(path); }
+    std::string path;
+};
+
 void
 expectBitIdentical(const ExperimentResult &a, const ExperimentResult &b)
 {
@@ -61,6 +83,9 @@ expectBitIdentical(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_EQ(a.comp.icacheOk, b.comp.icacheOk);
     EXPECT_EQ(a.comp.registersOk, b.comp.registersOk);
     EXPECT_EQ(a.comp.opsPerUnit, b.comp.opsPerUnit);
+    EXPECT_EQ(a.comp.codeWords, b.comp.codeWords);
+    EXPECT_EQ(a.comp.codeBytes, b.comp.codeBytes);
+    EXPECT_EQ(a.comp.nopSlots, b.comp.nopSlots);
     ASSERT_EQ(a.comp.regions.size(), b.comp.regions.size());
     for (size_t i = 0; i < a.comp.regions.size(); ++i) {
         const RegionCost &ra = a.comp.regions[i];
@@ -109,21 +134,40 @@ TEST(ExperimentCacheTest, SecondEvaluationIsABitIdenticalHit)
     req.model = models::byName("I4C8S4");
     req.profileUnits = 2;
 
+    TempDir dir;
+    DiskCache disk(dir.path);
     ExperimentCache cache;
+    cache.setDiskCache(&disk);
+    obs::StatsRegistry stats;
     SweepOptions opts;
     opts.cache = &cache;
+    opts.stats = &stats;
     SweepRunner runner(opts);
 
     ExperimentResult first = runner.run({req})[0];
     ExperimentCacheStats s1 = cache.stats();
-    EXPECT_EQ(s1.resultHits, 0u);
-    EXPECT_EQ(s1.resultMisses, 1u);
-    EXPECT_EQ(s1.loweredMisses, 1u);
+    EXPECT_EQ(s1.diskHits, 0u);
+    EXPECT_EQ(s1.diskMisses, 1u);
+    EXPECT_EQ(s1.diskStores, 1u);
+    EXPECT_EQ(s1.profileHits, 0u);
+    EXPECT_EQ(s1.profileMisses, 1u);
 
+    // The second run is served by the disk entry before any work,
+    // so the profile memo is not even consulted.
     ExperimentResult second = runner.run({req})[0];
     ExperimentCacheStats s2 = cache.stats();
-    EXPECT_EQ(s2.resultHits, 1u);
-    EXPECT_EQ(s2.resultMisses, 1u);
+    EXPECT_EQ(s2.diskHits, 1u);
+    EXPECT_EQ(s2.diskMisses, 1u);
+    EXPECT_EQ(s2.diskStores, 1u);
+    EXPECT_EQ(s2.profileHits + s2.profileMisses, 1u);
+
+    // The runner exports one counter set per cache level, summed
+    // over both batches.
+    EXPECT_EQ(stats.counterValue("cache/profile_hits"), 0u);
+    EXPECT_EQ(stats.counterValue("cache/profile_misses"), 1u);
+    EXPECT_EQ(stats.counterValue("cache/disk_hits"), 1u);
+    EXPECT_EQ(stats.counterValue("cache/disk_misses"), 1u);
+    EXPECT_EQ(stats.counterValue("cache/disk_stores"), 1u);
 
     EXPECT_TRUE(first.passed);
     expectBitIdentical(first, second);
@@ -142,26 +186,67 @@ TEST(ExperimentCacheTest, KeysOnContentNotOnModelName)
     req.model = models::byName("I2C16S4");
     req.profileUnits = 1;
 
+    TempDir dir;
+    DiskCache disk(dir.path);
     ExperimentCache cache;
+    cache.setDiskCache(&disk);
     SweepOptions opts;
     opts.cache = &cache;
     SweepRunner runner(opts);
     ExperimentResult first = runner.run({req})[0];
 
-    // Same architecture under a different display name: a full hit,
+    // Same architecture under a different display name: a disk hit,
     // with only the name patched.
     ExperimentRequest renamed = req;
     renamed.model.name = "I2C16S4 (copy)";
     ExperimentResult second = runner.run({renamed})[0];
-    EXPECT_EQ(cache.stats().resultHits, 1u);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
     EXPECT_EQ(second.model, "I2C16S4 (copy)");
-    EXPECT_EQ(first.cyclesPerFrame, second.cyclesPerFrame);
+    second.model = first.model;
+    expectBitIdentical(first, second);
 
     // A real architectural change misses.
     ExperimentRequest changed = req;
     changed.model.cluster.registers *= 2;
     runner.run({changed});
-    EXPECT_EQ(cache.stats().resultMisses, 2u);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(cache.stats().diskMisses, 2u);
+    EXPECT_EQ(cache.stats().diskStores, 2u);
+}
+
+TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
+{
+    // With no disk attached (--no-disk-cache) the profile memo is the
+    // only level: a repeated cell is composed again but replays its
+    // interpreter profile, and matches an uncached run bit for bit.
+    const KernelSpec &k = kernelByName("Full Motion Search");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variant("Blocking/Loop Exchange");
+    req.model = models::byName("I4C8S4");
+    req.profileUnits = 2;
+
+    ExperimentCache cache;
+    obs::StatsRegistry stats;
+    SweepOptions opts;
+    opts.cache = &cache;
+    opts.stats = &stats;
+    SweepRunner runner(opts);
+
+    ExperimentResult first = runner.run({req})[0];
+    ExperimentResult second = runner.run({req})[0];
+    ExperimentCacheStats s = cache.stats();
+    EXPECT_EQ(s.profileMisses, 1u);
+    EXPECT_EQ(s.profileHits, 1u);
+    EXPECT_EQ(s.diskHits + s.diskMisses + s.diskStores, 0u);
+    EXPECT_EQ(stats.counterValue("cache/profile_hits"), 1u);
+    EXPECT_EQ(stats.counterValue("cache/profile_misses"), 1u);
+    EXPECT_EQ(stats.counterValue("cache/disk_misses"), 0u);
+    EXPECT_EQ(stats.counterValue("phase/compose/runs"), 2u);
+
+    EXPECT_TRUE(first.passed);
+    expectBitIdentical(first, second);
+    expectBitIdentical(first, runExperiment(req));
 }
 
 TEST(SweepRunnerTest, Table1GridIsDeterministicAcrossThreadCounts)
