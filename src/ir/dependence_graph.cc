@@ -356,57 +356,216 @@ DependenceGraph::criticalPathLength() const
     return best;
 }
 
-bool
-DependenceGraph::relaxationFeasible(int ii) const
+namespace
 {
-    // No cycle has positive (latency - II*dist) weight; checked with
-    // Bellman-Ford on longest paths over the reused scratch vector.
-    bfDist_.assign(num_ops_, 0);
-    bool changed = true;
-    bool positive_cycle = false;
-    for (size_t iter = 0; iter <= num_ops_ && changed; ++iter) {
-        changed = false;
-        for (const auto &e : edges_) {
-            int w = e.latency - ii * e.distance;
-            int cand = bfDist_[static_cast<size_t>(e.from)] + w;
-            if (cand > bfDist_[static_cast<size_t>(e.to)]) {
-                bfDist_[static_cast<size_t>(e.to)] = cand;
-                changed = true;
-                if (iter == num_ops_)
-                    positive_cycle = true;
+
+/**
+ * Strongly connected components of the graph (Tarjan's algorithm,
+ * iterative so a large loop body cannot overflow the call stack).
+ * Returns each op's component id and stores the count in `*count`.
+ */
+std::vector<int32_t>
+componentIds(const DependenceGraph &g, int32_t *count)
+{
+    const size_t n = g.numOps();
+    std::vector<int32_t> comp(n, -1);
+    std::vector<int32_t> index(n, -1);
+    std::vector<int32_t> low(n, 0);
+    std::vector<int32_t> stack;
+    // Depth-first frames: (op, next position in its successor row).
+    std::vector<std::pair<int32_t, uint32_t>> frames;
+    int32_t next_index = 0;
+    *count = 0;
+    auto visit = [&](int32_t v) {
+        index[static_cast<size_t>(v)] = next_index;
+        low[static_cast<size_t>(v)] = next_index;
+        ++next_index;
+        stack.push_back(v);
+        frames.emplace_back(v, 0u);
+    };
+    for (int32_t root = 0; root < static_cast<int32_t>(n); ++root) {
+        if (index[static_cast<size_t>(root)] >= 0)
+            continue;
+        visit(root);
+        while (!frames.empty()) {
+            const int32_t v = frames.back().first;
+            const EdgeIndexRange succ = g.succEdges(v);
+            const uint32_t pos = frames.back().second;
+            if (pos < succ.size()) {
+                frames.back().second = pos + 1;
+                const int32_t w =
+                    g.edges()[static_cast<size_t>(succ.begin()[pos])].to;
+                if (index[static_cast<size_t>(w)] < 0)
+                    visit(w);
+                else if (comp[static_cast<size_t>(w)] < 0) // on stack.
+                    low[static_cast<size_t>(v)] =
+                        std::min(low[static_cast<size_t>(v)],
+                                 index[static_cast<size_t>(w)]);
+                continue;
+            }
+            frames.pop_back();
+            if (!frames.empty()) {
+                const size_t u =
+                    static_cast<size_t>(frames.back().first);
+                low[u] = std::min(low[u], low[static_cast<size_t>(v)]);
+            }
+            if (low[static_cast<size_t>(v)] ==
+                index[static_cast<size_t>(v)]) {
+                int32_t w = -1;
+                do {
+                    w = stack.back();
+                    stack.pop_back();
+                    comp[static_cast<size_t>(w)] = *count;
+                } while (w != v);
+                ++*count;
             }
         }
     }
-    return !positive_cycle && !changed;
+    return comp;
 }
+
+/**
+ * The edges that can lie on a dependence cycle - those inside one
+ * strongly connected component - grouped by component, each group in
+ * op-index order of the edges' sources.
+ */
+struct CycleEdges
+{
+    struct Edge
+    {
+        int32_t from;
+        int32_t to;
+        int32_t latency;
+        int32_t distance;
+    };
+    struct Component
+    {
+        int32_t begin; ///< first edge in `edges`.
+        int32_t end;
+        /** Relaxation passes after which a still-changing component
+         *  must hold a positive cycle. */
+        int32_t passes;
+    };
+    std::vector<Edge> edges;
+    std::vector<Component> components; ///< those with any edge.
+    int maxCarriedLatency = 0;
+};
+
+CycleEdges
+cycleEdges(const DependenceGraph &g)
+{
+    int32_t count = 0;
+    const std::vector<int32_t> comp = componentIds(g, &count);
+    const size_t n = g.numOps();
+    std::vector<int32_t> size(static_cast<size_t>(count), 0);
+    std::vector<int32_t> offset(static_cast<size_t>(count) + 1, 0);
+    for (size_t i = 0; i < n; ++i)
+        size[static_cast<size_t>(comp[i])]++;
+    for (const DepEdge &e : g.edges()) {
+        const int32_t c = comp[static_cast<size_t>(e.from)];
+        if (c == comp[static_cast<size_t>(e.to)])
+            offset[static_cast<size_t>(c) + 1]++;
+    }
+    for (size_t c = 0; c < static_cast<size_t>(count); ++c)
+        offset[c + 1] += offset[c];
+
+    CycleEdges out;
+    out.edges.resize(static_cast<size_t>(offset.back()));
+    std::vector<int32_t> cursor(offset.begin(), offset.end() - 1);
+    std::vector<int32_t> backward(static_cast<size_t>(count), 0);
+    for (int32_t i = 0; i < static_cast<int32_t>(n); ++i) {
+        const int32_t c = comp[static_cast<size_t>(i)];
+        for (int e : g.succEdges(i)) {
+            const DepEdge &edge = g.edges()[static_cast<size_t>(e)];
+            if (comp[static_cast<size_t>(edge.to)] != c)
+                continue;
+            out.edges[static_cast<size_t>(
+                cursor[static_cast<size_t>(c)]++)] =
+                CycleEdges::Edge{edge.from, edge.to, edge.latency,
+                                 edge.distance};
+            if (edge.from > edge.to)
+                backward[static_cast<size_t>(c)]++;
+            if (edge.distance > 0)
+                out.maxCarriedLatency =
+                    std::max(out.maxCarriedLatency, edge.latency);
+        }
+    }
+    for (size_t c = 0; c < static_cast<size_t>(count); ++c) {
+        if (offset[c] == offset[c + 1])
+            continue;
+        // Relaxing in source-op order carries a value along any run
+        // of forward (from < to) edges within one pass; only a
+        // backward edge defers it to the next pass. Without a
+        // positive cycle the longest paths are simple, and a simple
+        // path crosses at most min(backward edges, size - 1)
+        // backward edges, so the values settle within that many
+        // passes plus one, and the pass after that changes nothing.
+        out.components.push_back(CycleEdges::Component{
+            offset[c], offset[c + 1],
+            std::min(backward[c], size[c] - 1) + 2});
+    }
+    return out;
+}
+
+/** True when no cycle has positive (latency - ii * distance) weight:
+ *  longest-path relaxation from an all-zero start per component. */
+bool
+cyclesFeasible(const CycleEdges &cycles, int ii, std::vector<int> &dist)
+{
+    std::fill(dist.begin(), dist.end(), 0);
+    for (const CycleEdges::Component &c : cycles.components) {
+        for (int32_t pass = 0;; ++pass) {
+            if (pass == c.passes)
+                return false; // still changing: a positive cycle.
+            bool changed = false;
+            for (int32_t k = c.begin; k < c.end; ++k) {
+                const CycleEdges::Edge &e =
+                    cycles.edges[static_cast<size_t>(k)];
+                const int cand = dist[static_cast<size_t>(e.from)] +
+                                 e.latency - ii * e.distance;
+                if (cand > dist[static_cast<size_t>(e.to)]) {
+                    dist[static_cast<size_t>(e.to)] = cand;
+                    changed = true;
+                }
+            }
+            if (!changed)
+                break;
+        }
+    }
+    return true;
+}
+
+} // anonymous namespace
 
 int
 DependenceGraph::recurrenceMii() const
 {
-    if (num_ops_ == 0)
+    // Every cycle lies inside one strongly connected component, so
+    // the other edges cannot make an II infeasible.
+    const CycleEdges cycles = cycleEdges(*this);
+    if (cycles.components.empty())
         return 1;
-    // A cycle in a valid graph needs at least one carried edge; with
-    // none, II = 1 is trivially feasible.
-    bool any_carried = false;
-    int max_lat_sum = 1;
-    for (const auto &e : edges_) {
-        max_lat_sum += e.latency;
-        any_carried |= e.distance > 0;
-    }
-    if (!any_carried)
-        return 1;
+    std::vector<int> dist(num_ops_, 0);
+    auto feasible = [&](int ii) {
+        return cyclesFeasible(cycles, ii, dist);
+    };
 
-    // Every cycle carries distance >= 1, so its weight
-    // latSum - II*distSum strictly decreases with II: feasibility is
-    // monotone and the smallest feasible II can be binary searched.
-    if (relaxationFeasible(1))
+    // Every cycle carries distance >= 1 (distance-0 edges run
+    // forward), so its weight latSum - II*distSum strictly decreases
+    // with II: feasibility is monotone and the smallest feasible II
+    // can be binary searched.
+    if (feasible(1))
         return 1;
-    // Invariant: lo infeasible; hi = the answer if any II in range
-    // is feasible, else max_lat_sum (the historical fallback).
-    int lo = 1, hi = max_lat_sum;
+    // A cycle crossing k >= 1 carried edges joins them with k
+    // distance-0 paths, each of latency at most
+    // criticalPathLength() - 1, so its weight is at most
+    // k * (criticalPathLength() - 1 + maxCarriedLatency - II) < 0
+    // here: `hi` is feasible. Invariant: lo infeasible, hi feasible.
+    int lo = 1;
+    int hi = criticalPathLength() + cycles.maxCarriedLatency;
     while (hi - lo > 1) {
         int mid = lo + (hi - lo) / 2;
-        if (relaxationFeasible(mid))
+        if (feasible(mid))
             hi = mid;
         else
             lo = mid;

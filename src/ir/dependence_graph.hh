@@ -117,7 +117,10 @@ class DependenceGraph
     /**
      * Minimum initiation interval forced by dependence recurrences:
      * max over cycles of ceil(latency_sum / distance_sum)
-     * (Rau's RecMII).
+     * (Rau's RecMII), i.e. the smallest II >= 1 under which no cycle
+     * has positive (latency - II * distance) weight. Each feasibility
+     * probe relaxes only the edges inside strongly connected
+     * components, for a bounded number of passes.
      */
     int recurrenceMii() const;
 
@@ -128,7 +131,6 @@ class DependenceGraph
                  DepKind kind);
     void buildCsr();
     void computeHeights();
-    bool relaxationFeasible(int ii) const;
 
     size_t num_ops_ = 0;
     std::vector<DepEdge> edges_;
@@ -149,8 +151,6 @@ class DependenceGraph
     std::vector<int> heights_;
     /** Per-op result latency, computed once per build. */
     std::vector<int> opLatency_;
-    /** recurrenceMii scratch (reused across feasibility probes). */
-    mutable std::vector<int> bfDist_;
 };
 
 } // namespace vvsp

@@ -319,18 +319,17 @@ struct Composer::Walker
             const BlockSchedule &sched = enc.sched;
             obs::StatsScope swp = obs::globalScope("sched/swp");
             if (swp.enabled() && sched.isModulo()) {
-                // Achieved II against both lower bounds, so reports
-                // can tell resource-bound loops from recurrence-bound
-                // ones and spot schedules that missed the MII.
-                int res_mii = msched.resourceMii(ops);
-                DependenceGraph ddg(ops, machine.latencyFn(), true);
-                int rec_mii = ddg.recurrenceMii();
-                int mii = std::max(res_mii, rec_mii);
+                // Achieved II against both lower bounds the scheduler
+                // started from, so reports can tell resource-bound
+                // loops from recurrence-bound ones and spot schedules
+                // that missed the MII.
+                int mii = std::max(sched.resMii, sched.recMii);
                 swp.bump("loops");
                 swp.sample("ii", sched.ii);
-                swp.sample("res_mii", res_mii);
-                swp.sample("rec_mii", rec_mii);
+                swp.sample("res_mii", sched.resMii);
+                swp.sample("rec_mii", sched.recMii);
                 swp.sample("ii_slack", sched.ii - mii);
+                swp.sample("ii_attempts", sched.iiAttempts);
                 if (sched.ii == mii)
                     swp.bump("ii_optimal");
             }

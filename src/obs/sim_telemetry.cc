@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "ir/dependence_graph.hh"
-#include "sched/modulo_scheduler.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -258,14 +257,16 @@ analyzeSchedule(const std::vector<Operation> &ops,
     const uint64_t emptySlots = t.slotCyclesTotal - t.slotCyclesBusy;
 
     if (modulo) {
-        // Steady-state attribution by the binding lower bound: when
-        // the recurrence sets the II the empty slots are dependence
-        // stalls; when resources do, they are structural.
-        ModuloScheduler ms(machine, bank_of);
+        // Steady-state attribution by the binding lower bound the
+        // scheduler recorded: when the recurrence sets the II the
+        // empty slots are dependence stalls; when resources do, they
+        // are structural.
+        vvsp_assert(sched.resMii > 0 && sched.recMii > 0,
+                    "modulo schedule (II=%d) carries no II bounds",
+                    sched.ii);
         t.ii = sched.ii;
-        t.resMii = ms.resourceMii(ops);
-        DependenceGraph ddg(ops, machine.latencyFn(), true);
-        t.recMii = ddg.recurrenceMii();
+        t.resMii = sched.resMii;
+        t.recMii = sched.recMii;
         if (t.recMii >= t.resMii && t.recMii >= sched.ii)
             t.stallOperand = emptySlots;
         else

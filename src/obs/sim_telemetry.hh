@@ -26,6 +26,8 @@
  * For modulo schedules the steady-state window is attributed by the
  * binding lower bound: recurrence-bound IIs (RecMII >= ResMII) charge
  * empty slots to operand_not_ready, resource-bound IIs to structural.
+ * The bounds are the ones the modulo scheduler recorded on the
+ * BlockSchedule; a modulo schedule without them is a caller bug.
  */
 
 #ifndef VVSP_OBS_SIM_TELEMETRY_HH

@@ -324,7 +324,9 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     stats_.bump("modulo_runs");
     ddg_.build(ops, machine_.latencyFn(), /*loop_carried=*/true);
     const DependenceGraph &ddg = ddg_;
-    int mii = std::max(resourceMii(ops), ddg.recurrenceMii());
+    const int res_mii = resourceMii(ops);
+    const int rec_mii = ddg.recurrenceMii();
+    const int mii = std::max(res_mii, rec_mii);
 
     // Static scheduling priority, shared by every II attempt.
     std::vector<int> by_priority(static_cast<size_t>(n));
@@ -390,6 +392,16 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     long budget = ii_budget < 0 ? std::numeric_limits<long>::max()
                                 : ii_budget;
     bool exhausted = false;
+    int attempts = 0;
+
+    // The II bounds and the attempt count travel with the schedule,
+    // so telemetry never re-derives them.
+    auto finish = [&](BlockSchedule s) {
+        s.resMii = res_mii;
+        s.recMii = rec_mii;
+        s.iiAttempts = attempts;
+        return s;
+    };
 
     const int max_ii = mii + 2 * n + 16;
     ThreadPool *pool = g_iiPool.load(std::memory_order_acquire);
@@ -425,12 +437,13 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                     exhausted = true;
                     break;
                 }
+                ++attempts;
                 if (failpoint::evaluate("sched/ii_attempt"))
                     continue; // forced infeasible.
                 if (!ok[static_cast<size_t>(k)])
                     continue;
                 if (consume(std::move(cands[static_cast<size_t>(k)])))
-                    return decided;
+                    return finish(std::move(decided));
             }
             base += wave;
         }
@@ -441,19 +454,20 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                 exhausted = true;
                 break;
             }
+            ++attempts;
             if (failpoint::evaluate("sched/ii_attempt"))
                 continue; // forced infeasible.
             if (!attempt(ops, ddg, ii, by_priority, table_, &start))
                 continue;
             if (consume(build(ii, start)))
-                return decided;
+                return finish(std::move(decided));
         }
     }
     if (exhausted)
         stats_.bump("budget_exhausted");
     if (have_best) {
         best.degraded = exhausted;
-        return best;
+        return finish(std::move(best));
     }
     return std::nullopt;
 }

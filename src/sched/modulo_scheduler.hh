@@ -62,6 +62,10 @@ class ModuloScheduler
      * increased a few steps looking for a schedule that fits the
      * register file (Rau's register-pressure-driven II growth); the
      * lowest-pressure schedule found is returned either way.
+     *
+     * The returned schedule records the ResMII and RecMII the search
+     * started from and the number of candidate IIs it consumed
+     * (BlockSchedule::resMii, recMii, iiAttempts).
      */
     BlockSchedule schedule(const std::vector<Operation> &ops,
                            int max_live_target = 0) const;

@@ -42,6 +42,17 @@ struct BlockSchedule
     /** Modulo schedule: number of overlapped stages. */
     int stages = 0;
 
+    /**
+     * Modulo schedule: the resource- and recurrence-constrained
+     * lower bounds the II search started from, MII = max(resMii,
+     * recMii) (0 for acyclic).
+     */
+    int resMii = 0;
+    int recMii = 0;
+    /** Modulo schedule: candidate IIs the search consumed, the
+     *  deciding one included (0 for acyclic). */
+    int iiAttempts = 0;
+
     /** Long-instruction words occupied in the instruction cache. */
     int instructions = 0;
 

@@ -5,7 +5,8 @@
  * sweep-stats determinism contract (identical registries at any
  * thread count), trace_event JSON shape, and the cycle-sim telemetry
  * accounting identity (offered slot-cycles = busy + attributed
- * stalls, window cycles = executed cycles).
+ * stalls, window cycles = executed cycles) and its use of the II
+ * bounds a modulo schedule carries.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include "obs/sim_telemetry.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
+#include "sched/modulo_scheduler.hh"
 #include "sim/cycle_sim.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
@@ -332,6 +334,39 @@ TEST(SimTelemetry, AccountingIdentity)
         EXPECT_EQ(reg.counterValue("sim/slots/busy"),
                   t.slotCyclesBusy);
     }
+}
+
+/**
+ * The modulo stall split reads the ResMII/RecMII the scheduler
+ * recorded on the schedule, and refuses a modulo schedule without
+ * them rather than re-deriving them.
+ */
+TEST(SimTelemetry, ModuloSplitReadsTheScheduleBounds)
+{
+    MachineModel machine(models::i4c8s4());
+    BankOfFn bank_of = [](int) { return 0; };
+    // v1 = v3 + 1; v2 = v1 + 1; v3 = v2 + 1: a carried three-op
+    // cycle, so the recurrence binds the II.
+    std::vector<Operation> ops(3);
+    for (int i = 0; i < 3; ++i) {
+        ops[i].op = Opcode::Add;
+        ops[i].dst = static_cast<Vreg>(i + 1);
+        ops[i].src = {Operand::ofReg(static_cast<Vreg>(i == 0 ? 3 : i)),
+                      Operand::ofImm(1), Operand::none()};
+    }
+    BlockSchedule s = ModuloScheduler(machine, bank_of).schedule(ops);
+    ASSERT_EQ(s.recMii, 3);
+    ASSERT_EQ(s.ii, 3);
+    obs::GroupTelemetry t =
+        obs::analyzeSchedule(ops, s, machine, bank_of);
+    EXPECT_EQ(t.resMii, s.resMii);
+    EXPECT_EQ(t.recMii, s.recMii);
+    EXPECT_EQ(t.stallOperand, t.slotCyclesTotal - t.slotCyclesBusy);
+    EXPECT_EQ(t.stallStructural, 0u);
+
+    s.recMii = 0;
+    EXPECT_DEATH(obs::analyzeSchedule(ops, s, machine, bank_of),
+                 "carries no II bounds");
 }
 
 } // anonymous namespace

@@ -2,17 +2,24 @@
  * @file
  * Scheduler tests: reservation-table slot binding, list-scheduling
  * invariants (dependences, width-1, delay slots), and modulo-
- * scheduling properties (II bounds, resource and timing legality).
+ * scheduling properties (II bounds, resource and timing legality,
+ * and the bounds every modulo schedule carries).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "arch/models.hh"
+#include "core/experiment.hh"
 #include "ir/builder.hh"
+#include "kernels/composer.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sched/reg_pressure.hh"
 #include "sched/reservation_table.hh"
+#include "support/thread_pool.hh"
 
 namespace vvsp
 {
@@ -358,6 +365,115 @@ TEST(ModuloScheduler, LoopCyclesFormula)
     s.stages = 3;
     // prologue (2*4) + 10 iterations * 4 + epilogue (2*4).
     EXPECT_DOUBLE_EQ(s.loopCycles(10), 8 + 40 + 8);
+}
+
+/** One software-pipelined loop body as the composer schedules it:
+ *  the body blocks' ops followed by the materialized loop control. */
+struct SwpLoop
+{
+    std::string label;
+    std::vector<Operation> ops;
+};
+
+std::vector<SwpLoop>
+swpLoops(Function &fn, ScheduleMode mode)
+{
+    std::vector<const LoopNode *> eligible;
+    forEachNode(fn.body, [&](const Node &n) {
+        if (n.kind() != NodeKind::Loop)
+            return;
+        const auto &loop = static_cast<const LoopNode &>(n);
+        if (swpEligibleLoop(loop, mode))
+            eligible.push_back(&loop);
+    });
+    std::vector<SwpLoop> out;
+    for (const LoopNode *loop : eligible) {
+        SwpLoop l;
+        l.label = loop->label;
+        for (const auto &n : loop->body) {
+            const auto &block = static_cast<const BlockNode &>(*n);
+            l.ops.insert(l.ops.end(), block.ops.begin(),
+                         block.ops.end());
+        }
+        std::vector<Operation> ctrl = loopControlOps(fn, *loop);
+        l.ops.insert(l.ops.end(), ctrl.begin(), ctrl.end());
+        out.push_back(std::move(l));
+    }
+    return out;
+}
+
+/**
+ * Every modulo schedule carries the ResMII and RecMII its search
+ * started from, equal to recomputing them, and the number of
+ * candidate IIs it consumed - identically from the sequential and the
+ * speculative search, and on a budget-degraded result.
+ */
+TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
+{
+    ThreadPool pool(4);
+    int loops = 0;
+    int degraded = 0;
+    for (const char *model : {"I4C8S4", "I2C16S5"}) {
+        for (const KernelSpec &k : allKernels()) {
+            const VariantSpec &v = k.variants.back(); // most optimised.
+            DatapathConfig cfg = models::byName(model);
+            if (v.needsAbsDiff)
+                cfg.cluster.hasAbsDiff = true;
+            MachineModel machine(cfg);
+            Function fn = lowerVariant(k, v, machine);
+            ModuloScheduler sched(machine, [&fn](int buffer) {
+                return fn.buffer(buffer).bank;
+            });
+            const int target = machine.registersPerCluster();
+            for (const SwpLoop &l : swpLoops(fn, v.mode)) {
+                SCOPED_TRACE(std::string(model) + " " + k.name + " " +
+                             l.label);
+                const int res = sched.resourceMii(l.ops);
+                const int rec =
+                    DependenceGraph(l.ops, machine.latencyFn(), true)
+                        .recurrenceMii();
+                auto expect_bounds = [&](const BlockSchedule &s) {
+                    EXPECT_EQ(s.resMii, res);
+                    EXPECT_EQ(s.recMii, rec);
+                    EXPECT_GE(s.ii, std::max(res, rec));
+                    EXPECT_GE(s.iiAttempts, 1);
+                };
+
+                BlockSchedule seq = sched.schedule(l.ops, target);
+                // An unreachable register target keeps the search
+                // growing the II past feasible candidates until a
+                // two-candidate budget runs out.
+                auto seq_budgeted = sched.scheduleBudgeted(l.ops, 1, 2);
+                ModuloScheduler::setIiSearch(&pool, 4);
+                BlockSchedule spec = sched.schedule(l.ops, target);
+                auto spec_budgeted =
+                    sched.scheduleBudgeted(l.ops, 1, 2);
+                ModuloScheduler::setIiSearch(nullptr, 1);
+
+                expect_bounds(seq);
+                expect_bounds(spec);
+                EXPECT_EQ(spec.ii, seq.ii);
+                EXPECT_EQ(spec.iiAttempts, seq.iiAttempts);
+                ASSERT_EQ(seq_budgeted.has_value(),
+                          spec_budgeted.has_value());
+                if (seq_budgeted) {
+                    expect_bounds(*seq_budgeted);
+                    expect_bounds(*spec_budgeted);
+                    EXPECT_EQ(seq_budgeted->degraded,
+                              spec_budgeted->degraded);
+                    EXPECT_EQ(seq_budgeted->iiAttempts,
+                              spec_budgeted->iiAttempts);
+                    if (seq_budgeted->degraded) {
+                        EXPECT_EQ(seq_budgeted->iiAttempts, 2);
+                        ++degraded;
+                    }
+                }
+                ++loops;
+            }
+        }
+    }
+    EXPECT_GE(loops, 12); // at least one loop per kernel and model.
+    EXPECT_GT(degraded, 0);
 }
 
 TEST(RegPressure, CountsOverlappingLifetimes)
