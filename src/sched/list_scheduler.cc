@@ -4,7 +4,6 @@
 
 #include "sched/reg_pressure.hh"
 #include "support/logging.hh"
-#include "support/sched_arena.hh"
 
 namespace vvsp
 {
@@ -49,13 +48,9 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     stats_.bump("list_runs");
     ReservationTable &table = table_;
     table.reset(/*ii=*/0, width1);
-    ArenaVec<int32_t> start_a, preds_a, earliest_a, ready_a, pending_a;
-    std::vector<int32_t> &start = *start_a;
-    std::vector<int32_t> &unplaced_preds = *preds_a;
-    std::vector<int32_t> &earliest = *earliest_a;
-    start.assign(static_cast<size_t>(n), -1);
-    unplaced_preds.assign(static_cast<size_t>(n), 0);
-    earliest.assign(static_cast<size_t>(n), 0);
+    std::vector<int32_t> start(static_cast<size_t>(n), -1);
+    std::vector<int32_t> unplaced_preds(static_cast<size_t>(n), 0);
+    std::vector<int32_t> earliest(static_cast<size_t>(n), 0);
     for (int i = 0; i < n; ++i) {
         for (int e : ddg.predEdges(i)) {
             const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
@@ -80,10 +75,7 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     // eligible until the next cycle anyway). priority_less is a
     // strict total order, so this reproduces the historical
     // sort-every-cycle schedule exactly.
-    std::vector<int32_t> &ready = *ready_a;
-    std::vector<int32_t> &pending = *pending_a;
-    ready.clear();
-    pending.clear();
+    std::vector<int32_t> ready, pending;
     for (int i = 0; i < n; ++i) {
         if (i != branch_idx && unplaced_preds[static_cast<size_t>(i)] == 0)
             ready.push_back(i);

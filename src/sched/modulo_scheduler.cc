@@ -10,7 +10,6 @@
 #include "sched/reg_pressure.hh"
 #include "support/failpoint.hh"
 #include "support/logging.hh"
-#include "support/sched_arena.hh"
 #include "support/thread_pool.hh"
 
 namespace vvsp
@@ -47,17 +46,15 @@ ModuloScheduler::resourceMii(const std::vector<Operation> &ops) const
     const int banks = std::max(1, machine_.memBanks());
     // Per-cluster class counts, flat: [0,C) total, [C,2C) mult,
     // [2C,3C) shift, [3C,4C) sends, [4C,5C) receives.
-    ArenaVec<int32_t> counts;
-    counts->assign(static_cast<size_t>(5 * clusters), 0);
-    int32_t *total = counts->data();
+    std::vector<int32_t> counts(static_cast<size_t>(5 * clusters), 0);
+    int32_t *total = counts.data();
     int32_t *mult = total + clusters;
     int32_t *shift = mult + clusters;
     int32_t *sends = shift + clusters;
     int32_t *receives = sends + clusters;
-    ArenaVec<int32_t> mem_cnt; // (cluster, bank), banks in range.
-    mem_cnt->assign(static_cast<size_t>(clusters) *
-                        static_cast<size_t>(banks),
-                    0);
+    std::vector<int32_t> mem_cnt(static_cast<size_t>(clusters) *
+                                     static_cast<size_t>(banks),
+                                 0); // (cluster, bank), banks in range.
     std::map<std::pair<int, int>, int> mem_odd; // out-of-range banks.
     int branches = 0;
     for (const auto &op : ops) {
@@ -81,9 +78,9 @@ ModuloScheduler::resourceMii(const std::vector<Operation> &ops) const
           case FuClass::Mem: {
             int bank = bank_of_ ? bank_of_(op.buffer) : 0;
             if (bank >= 0 && bank < banks) {
-                (*mem_cnt)[static_cast<size_t>(op.cluster) *
-                               static_cast<size_t>(banks) +
-                           static_cast<size_t>(bank)]++;
+                mem_cnt[static_cast<size_t>(op.cluster) *
+                            static_cast<size_t>(banks) +
+                        static_cast<size_t>(bank)]++;
             } else {
                 mem_odd[{op.cluster, bank}]++;
             }
@@ -122,9 +119,9 @@ ModuloScheduler::resourceMii(const std::vector<Operation> &ops) const
         if (receives[c] > 0)
             mii = std::max(mii, ceil_div(receives[c], ports));
         for (int b = 0; b < banks; ++b) {
-            int k = (*mem_cnt)[static_cast<size_t>(c) *
-                                   static_cast<size_t>(banks) +
-                               static_cast<size_t>(b)];
+            int k = mem_cnt[static_cast<size_t>(c) *
+                                static_cast<size_t>(banks) +
+                            static_cast<size_t>(b)];
             if (k == 0)
                 continue;
             int servers = servers_of(b);
@@ -151,27 +148,17 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
 {
     const int n = static_cast<int>(ops.size());
     start->assign(static_cast<size_t>(n), -1);
-    // All scratch from the worker's arena: zero heap churn at steady
-    // state, and safe under speculative parallel attempts (each
-    // worker thread has its own arena).
-    ArenaVec<int32_t> prev_a, slot_a, rank_a, head_a, nxt_a, prv_a;
-    std::vector<int32_t> &prev = *prev_a;
-    std::vector<int32_t> &slot_of = *slot_a;
-    std::vector<int32_t> &rank_of = *rank_a;
-    prev.assign(static_cast<size_t>(n), -1);
-    slot_of.assign(static_cast<size_t>(n), -1);
-    rank_of.resize(static_cast<size_t>(n));
+    std::vector<int32_t> prev(static_cast<size_t>(n), -1);
+    std::vector<int32_t> slot_of(static_cast<size_t>(n), -1);
+    std::vector<int32_t> rank_of(static_cast<size_t>(n));
     table.reset(ii);
 
     // Ops placed in each modulo row as intrusive doubly-linked lists:
     // forced placement evicts a row's occupants by walking its list
     // instead of scanning all n ops.
-    std::vector<int32_t> &row_head = *head_a;
-    std::vector<int32_t> &nxt = *nxt_a;
-    std::vector<int32_t> &prv = *prv_a;
-    row_head.assign(static_cast<size_t>(ii), -1);
-    nxt.assign(static_cast<size_t>(n), -1);
-    prv.assign(static_cast<size_t>(n), -1);
+    std::vector<int32_t> row_head(static_cast<size_t>(ii), -1);
+    std::vector<int32_t> nxt(static_cast<size_t>(n), -1);
+    std::vector<int32_t> prv(static_cast<size_t>(n), -1);
     auto row_link = [&](int i, int cycle) {
         int r = cycle % ii;
         int h = row_head[static_cast<size_t>(r)];
@@ -198,9 +185,8 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
     for (int r = 0; r < n; ++r)
         rank_of[static_cast<size_t>(by_priority[static_cast<size_t>(
             r)])] = r;
-    ArenaVec<uint64_t> unplaced_a;
-    std::vector<uint64_t> &unplaced = *unplaced_a;
-    unplaced.assign((static_cast<size_t>(n) + 63) / 64, ~uint64_t{0});
+    std::vector<uint64_t> unplaced((static_cast<size_t>(n) + 63) / 64,
+                                   ~uint64_t{0});
     if (n % 64)
         unplaced.back() = (uint64_t{1} << (n % 64)) - 1;
 
@@ -410,7 +396,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         // Speculative search: attempt a wave of candidate IIs
         // concurrently, then replay the sequential decision over the
         // wave's results in ascending II order. attempt() is a pure
-        // function of (ops, ddg, ii) with its own table and arena
+        // function of (ops, ddg, ii) with its own table and local
         // scratch, so extra speculative results are simply discarded.
         for (int base = mii; base <= max_ii && !exhausted;) {
             int wave = std::min(width, max_ii - base + 1);

@@ -101,7 +101,7 @@ class ModuloScheduler
      * in schedule() and shared by every attempt. The caller supplies
      * the reservation table (the pooled member for the sequential
      * search, a private table per speculative task); all other
-     * scratch comes from the worker's SchedArena.
+     * scratch is local to the call.
      */
     bool attempt(const std::vector<Operation> &ops,
                  const DependenceGraph &ddg, int ii,

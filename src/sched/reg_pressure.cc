@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/sched_arena.hh"
 
 namespace vvsp
 {
@@ -21,7 +20,7 @@ maxLivePerCluster(const std::vector<Operation> &ops,
     // A transferred value has separate lifetimes in the sending and
     // receiving register files, so lifetimes are keyed (vreg, cluster).
     // The keys are dense (vreg * clusters + cluster), so the whole
-    // analysis runs on flat arena arrays instead of a std::map, and
+    // analysis runs on flat arrays instead of a std::map, and
     // pressure is accumulated with difference arrays: one lifetime
     // costs O(1) bookkeeping instead of O(lifetime length).
     Vreg max_reg = 0;
@@ -51,22 +50,20 @@ maxLivePerCluster(const std::vector<Operation> &ops,
 
     const size_t keys = (static_cast<size_t>(max_reg) + 1) *
                         static_cast<size_t>(clusters);
-    ArenaVec<int32_t> def_of;   // issue cycle of def; -1 = live-in.
-    ArenaVec<int32_t> last_use; // latest reader cycle; -1 = none.
-    ArenaVec<uint8_t> seen;
-    ArenaVec<int32_t> touched;
-    def_of->assign(keys, -1);
-    last_use->assign(keys, -1);
-    seen->assign(keys, 0);
-    touched->clear();
+    // Per key: issue cycle of the def (-1 = live-in) and latest
+    // reader cycle (-1 = none).
+    std::vector<int32_t> def_of(keys, -1);
+    std::vector<int32_t> last_use(keys, -1);
+    std::vector<uint8_t> seen(keys, 0);
+    std::vector<int32_t> touched;
 
     auto touch = [&](Vreg r, int cluster) -> size_t {
         size_t k = static_cast<size_t>(r) *
                        static_cast<size_t>(clusters) +
                    static_cast<size_t>(cluster);
-        if (!(*seen)[k]) {
-            (*seen)[k] = 1;
-            touched->push_back(static_cast<int32_t>(k));
+        if (!seen[k]) {
+            seen[k] = 1;
+            touched.push_back(static_cast<int32_t>(k));
         }
         return k;
     };
@@ -76,7 +73,7 @@ maxLivePerCluster(const std::vector<Operation> &ops,
         const PlacedOp &p = sched.placed[static_cast<size_t>(i)];
         auto read = [&](Vreg r) {
             size_t k = touch(r, op.cluster);
-            (*last_use)[k] = std::max((*last_use)[k], p.cycle);
+            last_use[k] = std::max(last_use[k], p.cycle);
         };
         for (const auto &s : op.src) {
             if (s.isReg())
@@ -88,10 +85,10 @@ maxLivePerCluster(const std::vector<Operation> &ops,
             int home = op.op == Opcode::Xfer ? op.dstCluster
                                              : op.cluster;
             size_t k = touch(op.dst, home);
-            if ((*def_of)[k] < 0)
-                (*def_of)[k] = p.cycle;
+            if (def_of[k] < 0)
+                def_of[k] = p.cycle;
             else
-                (*def_of)[k] = std::min((*def_of)[k], p.cycle);
+                def_of[k] = std::min(def_of[k], p.cycle);
         }
     }
 
@@ -103,20 +100,18 @@ maxLivePerCluster(const std::vector<Operation> &ops,
 
     // Per cluster: a whole-row base count (full II wraps of long
     // modulo lifetimes) plus a difference array for partial ranges.
-    ArenaVec<int32_t> diff; // clusters x (rows + 1).
-    ArenaVec<int32_t> base; // clusters.
-    diff->assign(static_cast<size_t>(clusters) *
-                     static_cast<size_t>(rows + 1),
-                 0);
-    base->assign(static_cast<size_t>(clusters), 0);
+    std::vector<int32_t> diff(static_cast<size_t>(clusters) *
+                                  static_cast<size_t>(rows + 1),
+                              0); // clusters x (rows + 1).
+    std::vector<int32_t> base(static_cast<size_t>(clusters), 0);
 
-    for (int32_t key : *touched) {
+    for (int32_t key : touched) {
         size_t k = static_cast<size_t>(key);
         int cluster = static_cast<int>(
             k % static_cast<size_t>(clusters));
-        int from = (*def_of)[k] < 0 ? 0 : (*def_of)[k];
-        int to = std::max((*last_use)[k], from);
-        int32_t *d = diff->data() +
+        int from = def_of[k] < 0 ? 0 : def_of[k];
+        int to = std::max(last_use[k], from);
+        int32_t *d = diff.data() +
                      static_cast<size_t>(cluster) *
                          static_cast<size_t>(rows + 1);
         if (ii > 0) {
@@ -124,7 +119,7 @@ maxLivePerCluster(const std::vector<Operation> &ops,
             // wrap adds 1 to all rows; the remainder covers a
             // circular range of rows starting at from % ii.
             int span = to - from + 1;
-            (*base)[static_cast<size_t>(cluster)] += span / ii;
+            base[static_cast<size_t>(cluster)] += span / ii;
             int rem = span % ii;
             if (rem > 0) {
                 int lo = from % ii;
@@ -157,10 +152,10 @@ maxLivePerCluster(const std::vector<Operation> &ops,
 
     int peak = 0;
     for (int c = 0; c < clusters; ++c) {
-        const int32_t *d = diff->data() +
+        const int32_t *d = diff.data() +
                            static_cast<size_t>(c) *
                                static_cast<size_t>(rows + 1);
-        int running = (*base)[static_cast<size_t>(c)];
+        int running = base[static_cast<size_t>(c)];
         for (int r = 0; r < rows; ++r) {
             running += d[r];
             peak = std::max(peak, running);

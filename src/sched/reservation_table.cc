@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstring>
 
-#include "sched/simd_bits.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -360,7 +360,8 @@ ReservationTable::findFirstFit(const Operation &op, int estart,
             const uint64_t *rcv =
                 recvFullBits_.data() +
                 static_cast<size_t>(op.dstCluster) * words;
-            simdbits::or3(busy, cls, snd, rcv, words);
+            for (size_t w = 0; w < words; ++w)
+                busy[w] = cls[w] | snd[w] | rcv[w];
         } else {
             std::memcpy(busy, cls, words * sizeof(uint64_t));
         }

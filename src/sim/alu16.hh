@@ -1,13 +1,13 @@
 /**
  * @file
- * 16-bit arithmetic semantics shared by the interpreter and the
- * cycle simulator's decoded-trace engine.
+ * 16-bit arithmetic semantics shared by every execution engine: the
+ * tree-walking interpreter's op step (which the cycle simulator also
+ * runs) and the bytecode engine.
  *
  * Defined inline so that dispatch code instantiated per opcode (the
- * decoded trace's ExecFn table) constant-folds the switch away; the
- * interpreter keeps calling the same definition, so both execution
- * engines share one source of truth for wrap-around, signedness, and
- * shift-count masking.
+ * bytecode engine's ALU handlers) constant-folds the switch away; all
+ * engines call the same definition, so they share one source of truth
+ * for wrap-around, signedness, and shift-count masking.
  */
 
 #ifndef VVSP_SIM_ALU16_HH

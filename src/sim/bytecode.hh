@@ -20,8 +20,7 @@
  *    register file (preloaded per run), and absent operands read a
  *    dedicated always-zero slot, so there is no operand-kind test;
  *  - ALU handlers are instantiated per opcode, so the shared
- *    alu16::evaluate switch constant-folds away (the DecodedTrace
- *    trick from the cycle simulator);
+ *    alu16::evaluate switch constant-folds away;
  *  - loop trip/max-iteration guards are folded into one per-iteration
  *    bound compare precomputed at run start (the panic-vs-exit
  *    decision is per-loop static for a given max);
@@ -122,8 +121,7 @@ struct BcLoopInfo
 /**
  * A Function compiled to flat bytecode. Immutable after
  * construction; one program may be shared (by shared_ptr) across any
- * number of engines and threads, the way DecodedTrace instances are
- * shared per block schedule.
+ * number of engines and threads.
  */
 class BytecodeProgram
 {

@@ -1,6 +1,7 @@
 #include "sim/cycle_sim.hh"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "ir/dependence_graph.hh"
@@ -12,7 +13,6 @@
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sched/reservation_table.hh"
-#include "sim/decoded_trace.hh"
 #include "sim/interpreter.hh"
 #include "support/logging.hh"
 
@@ -48,15 +48,16 @@ struct CycleSim::Engine
     };
 
     /**
-     * One cached group: the schedule plus its decoded, execution-
-     * ordered micro-op trace. The trace is built exactly once, when
-     * the schedule enters the cache, so repeated executions perform
-     * no sorting, hashing of ops, or OpcodeInfo lookups.
+     * One cached group: the schedule plus the ops it executes. For an
+     * acyclic group they are in issue order, sorted once when the
+     * schedule enters the cache. A SWP loop's trips run the
+     * program-order body in swpOpsCache, so its `ops` are filled
+     * only under the ISA round trip, with the decoded section's ops.
      */
     struct CachedGroup
     {
         BlockSchedule sched;
-        DecodedTrace trace;
+        std::vector<Operation> ops;
     };
 
     /** Schedule cache, keyed by the group's first op id and size.
@@ -68,7 +69,7 @@ struct CycleSim::Engine
     std::unordered_map<int, std::vector<Operation>> ctrlCache;
     std::unordered_map<int, std::vector<Operation>> swpOpsCache;
 
-    /** Decode/sort counters (null-sink scope when stats are off). */
+    /** Sort/execute counters (null-sink scope when stats are off). */
     obs::StatsScope simStats;
 
     /** Execute decoded-from-binary code (CycleSim::setIsaRoundTrip). */
@@ -97,21 +98,7 @@ struct CycleSim::Engine
     {
     }
 
-    uint16_t
-    value(const Operand &o) const
-    {
-        switch (o.kind) {
-          case Operand::Kind::Reg:
-            vvsp_assert(o.reg < regs.size(), "v%u out of range",
-                        o.reg);
-            return regs[o.reg];
-          case Operand::Kind::Imm:
-            return static_cast<uint16_t>(o.imm);
-          case Operand::Kind::None:
-            return 0;
-        }
-        return 0;
-    }
+    uint16_t value(const Operand &o) const { return operandValue(o, regs); }
 
     void
     growRegs()
@@ -192,8 +179,8 @@ struct CycleSim::Engine
      * one-section module of binary instruction words, decode the
      * bytes back, and assert the re-encode is byte-identical. The
      * returned section holds the DECODED operations (program order,
-     * placements recovered from the words), so traces built from it
-     * provably execute the code in the instruction words.
+     * placements recovered from the words), so executing its ops
+     * provably runs the code in the instruction words.
      */
     IsaSection
     roundTripSection(const std::string &label,
@@ -221,23 +208,47 @@ struct CycleSim::Engine
     }
 
     /**
-     * Acyclic placements recovered from a decoded section, shaped as
-     * the BlockSchedule a DecodedTrace needs for issue ordering.
+     * `ops` in issue order: by placed cycle, program order within a
+     * cycle (anti-dependences always point forward in program order,
+     * so that is safe). `placed` is parallel to `ops`.
      */
-    static BlockSchedule
-    scheduleFromSection(const IsaSection &sec)
+    template <typename Placement>
+    static std::vector<Operation>
+    issueOrder(const std::vector<Operation> &ops,
+               const std::vector<Placement> &placed)
     {
-        BlockSchedule sched;
-        sched.length = sec.length;
-        sched.ii = sec.modulo ? sec.ii : 0;
-        sched.stages = sec.stages;
-        sched.maxLive = sec.maxLive;
-        sched.instructions = sec.words();
-        sched.placed.reserve(sec.placed.size());
-        for (const auto &p : sec.placed)
-            sched.placed.push_back(
-                PlacedOp{p.cycle, p.cluster, p.slot});
-        return sched;
+        std::vector<size_t> order(ops.size());
+        std::iota(order.begin(), order.end(), size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [&placed](size_t a, size_t b) {
+                             return placed[a].cycle < placed[b].cycle;
+                         });
+        std::vector<Operation> sorted;
+        sorted.reserve(ops.size());
+        for (size_t i : order)
+            sorted.push_back(ops[i]);
+        return sorted;
+    }
+
+    /**
+     * Execute `ops` once, in order. Branches and nops have no data
+     * effect (control flow is the tree walk's); every other op counts
+     * as executed or, when its predicate is off, nullified.
+     */
+    void
+    execute(const std::vector<Operation> &ops)
+    {
+        for (const Operation &op : ops) {
+            if (op.op == Opcode::Nop || op.info().isBranch)
+                continue;
+            if (!executeOperation(op, regs, mem)) {
+                report.nullified++;
+                continue;
+            }
+            report.operations++;
+            if (op.op == Opcode::Xfer)
+                report.transfers++;
+        }
     }
 
     /** Execute an acyclic group: schedule (cached), verify, run. */
@@ -260,27 +271,26 @@ struct CycleSim::Engine
                     pending, sched, machine);
             }
             // The one and only issue-order sort for this group; every
-            // later execution replays the decoded trace.
+            // later execution replays the sorted ops.
             simStats.bump("acyclic_group_sorts");
-            DecodedTrace decoded;
+            std::vector<Operation> issued;
             if (isaRoundTrip) {
                 IsaSection sec = roundTripSection(
                     "group@op" + std::to_string(key.first), pending,
                     sched, width1);
-                BlockSchedule rsched = scheduleFromSection(sec);
-                decoded = DecodedTrace(sec.ops, &rsched);
+                issued = issueOrder(sec.ops, sec.placed);
             } else {
-                decoded = DecodedTrace(pending, &sched);
+                issued = issueOrder(pending, sched.placed);
             }
             it = acyclicCache
                      .emplace(key, CachedGroup{std::move(sched),
-                                               std::move(decoded)})
+                                               std::move(issued)})
                      .first;
         }
         const BlockSchedule &sched = it->second.sched;
 
         simStats.bump("acyclic_group_execs");
-        it->second.trace.execute(regs, mem, report);
+        execute(it->second.ops);
 
         if (telem) {
             auto tit = acyclicTelem.find(key);
@@ -360,16 +370,11 @@ struct CycleSim::Engine
                                      ops, sched, machine);
             }
             simStats.bump("swp_loop_schedules");
-            // Trip bodies execute in program order (iteration
-            // overlap is accounted analytically), so decode without
-            // the schedule's issue order.
-            DecodedTrace decoded;
+            std::vector<Operation> decoded;
             if (isaRoundTrip) {
-                IsaSection sec = roundTripSection(
-                    "swp:" + loop.label, ops, sched, false);
-                decoded = DecodedTrace(sec.ops, nullptr);
-            } else {
-                decoded = DecodedTrace(ops, nullptr);
+                decoded = roundTripSection("swp:" + loop.label, ops,
+                                           sched, false)
+                              .ops;
             }
             mit = moduloCache
                       .emplace(loop.id, CachedGroup{std::move(sched),
@@ -377,19 +382,18 @@ struct CycleSim::Engine
                       .first;
         }
         const BlockSchedule &sched = mit->second.sched;
-        const DecodedTrace &decoded = mit->second.trace;
+        // Trip bodies execute in program order (iteration overlap is
+        // accounted analytically).
+        const std::vector<Operation> &body =
+            isaRoundTrip ? mit->second.ops : ops;
 
         uint16_t base = value(loop.ivInit);
-        if (loop.tripCount > 0 && loop.inductionVar != kNoVreg) {
-            vvsp_assert(loop.inductionVar < regs.size(),
-                        "v%u out of range", loop.inductionVar);
-        }
         for (long k = 0; k < loop.tripCount; ++k) {
             if (loop.inductionVar != kNoVreg) {
-                regs[loop.inductionVar] = static_cast<uint16_t>(
+                regs.at(loop.inductionVar) = static_cast<uint16_t>(
                     base + k * loop.step);
             }
-            decoded.execute(regs, mem, report);
+            execute(body);
         }
         if (telem && loop.tripCount > 0) {
             auto tit = moduloTelem.find(loop.id);

@@ -98,10 +98,10 @@ class CycleSim
      * When enabled, every group entering a schedule cache is first
      * round-tripped through the ISA: packed into binary instruction
      * words (isa/encoder.hh), decoded back, re-encode asserted
-     * byte-identical, and the executed micro-op trace is built from
-     * the DECODED operations - so the run exercises the encoded
-     * program, not the in-memory schedule. The report and memory
-     * image must be bit-identical either way; the tests enforce it.
+     * byte-identical, and the group executes the DECODED
+     * operations - so the run exercises the encoded program, not the
+     * in-memory schedule. The report and memory image must be
+     * bit-identical either way; the tests enforce it.
      */
     void setIsaRoundTrip(bool on) { isaRoundTrip_ = on; }
 

@@ -22,13 +22,13 @@ Interpreter::Interpreter(const Function &fn)
 }
 
 uint16_t
-Interpreter::value(const Operand &o) const
+operandValue(const Operand &o, const std::vector<uint16_t> &regs)
 {
     switch (o.kind) {
       case Operand::Kind::Reg:
-        vvsp_assert(o.reg < regs_.size(), "read of v%u out of range",
+        vvsp_assert(o.reg < regs.size(), "read of v%u out of range",
                     o.reg);
-        return regs_[o.reg];
+        return regs[o.reg];
       case Operand::Kind::Imm:
         return static_cast<uint16_t>(o.imm);
       case Operand::Kind::None:
@@ -38,11 +38,36 @@ Interpreter::value(const Operand &o) const
 }
 
 bool
-Interpreter::predicateHolds(const Operation &op) const
+executeOperation(const Operation &op, std::vector<uint16_t> &regs,
+                 MemoryImage &mem)
 {
-    if (!op.isPredicated())
-        return true;
-    return (value(op.pred) != 0) == op.predSense;
+    auto value = [&regs](const Operand &o) {
+        return operandValue(o, regs);
+    };
+    if (op.isPredicated() && (value(op.pred) != 0) != op.predSense)
+        return false;
+    switch (op.op) {
+      case Opcode::Load: {
+        int addr = static_cast<uint16_t>(value(op.src[0]) +
+                                         value(op.src[1]));
+        regs.at(op.dst) = mem.read(op.buffer, addr);
+        break;
+      }
+      case Opcode::Store: {
+        int addr = static_cast<uint16_t>(value(op.src[1]) +
+                                         value(op.src[2]));
+        mem.write(op.buffer, addr, value(op.src[0]));
+        break;
+      }
+      case Opcode::Br:
+      case Opcode::BrCond:
+        vvsp_panic("branch op in unlowered IR: %s", op.str().c_str());
+      default:
+        regs.at(op.dst) = alu16::evaluate(op.op, value(op.src[0]),
+                                          value(op.src[1]),
+                                          value(op.src[2]));
+    }
+    return true;
 }
 
 void
@@ -52,33 +77,10 @@ Interpreter::runBlock(const BlockNode &block, MemoryImage &mem)
     for (const auto &op : block.ops) {
         if (op.op == Opcode::Nop)
             continue;
-        if (!predicateHolds(op)) {
+        if (executeOperation(op, regs_, mem))
+            profile_.dynamicOps++;
+        else
             profile_.nullifiedOps++;
-            continue;
-        }
-        profile_.dynamicOps++;
-        switch (op.op) {
-          case Opcode::Load: {
-            int addr = static_cast<uint16_t>(value(op.src[0]) +
-                                             value(op.src[1]));
-            regs_.at(op.dst) = mem.read(op.buffer, addr);
-            break;
-          }
-          case Opcode::Store: {
-            int addr = static_cast<uint16_t>(value(op.src[1]) +
-                                             value(op.src[2]));
-            mem.write(op.buffer, addr, value(op.src[0]));
-            break;
-          }
-          case Opcode::Br:
-          case Opcode::BrCond:
-            vvsp_panic("branch op in unlowered IR: %s",
-                       op.str().c_str());
-          default:
-            regs_.at(op.dst) = alu16::evaluate(op.op, value(op.src[0]),
-                                               value(op.src[1]),
-                                               value(op.src[2]));
-        }
     }
 }
 

@@ -40,6 +40,19 @@ struct Profile
     explicit Profile(int num_node_ids = 0);
 };
 
+/** Value of `o` in `regs`: a register read, an immediate, or 0. */
+uint16_t operandValue(const Operand &o,
+                      const std::vector<uint16_t> &regs);
+
+/**
+ * Execute one operation on 16-bit register/memory state: the op step
+ * the tree walker and CycleSim share. `op` must not be a nop or a
+ * branch (control flow is the caller's). Returns false, with no
+ * effect, when the op's predicate turns it off.
+ */
+bool executeOperation(const Operation &op, std::vector<uint16_t> &regs,
+                      MemoryImage &mem);
+
 /** Functional IR interpreter. */
 class Interpreter
 {
@@ -64,8 +77,10 @@ class Interpreter
     Flow runList(const NodeList &list, MemoryImage &mem);
     Flow runNode(const Node &node, MemoryImage &mem);
     void runBlock(const BlockNode &block, MemoryImage &mem);
-    uint16_t value(const Operand &o) const;
-    bool predicateHolds(const Operation &op) const;
+    uint16_t value(const Operand &o) const
+    {
+        return operandValue(o, regs_);
+    }
 
     const Function &fn_;
     std::vector<uint16_t> regs_;

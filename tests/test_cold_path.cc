@@ -2,8 +2,8 @@
  * @file
  * Cold-path engine tests: CSR adjacency invariants of the flat
  * DependenceGraph, bitmap findFirstFit equivalence with the probing
- * tryReserve definition, scheduler scratch arena reuse, and the
- * parallel II search's bit-identity with the sequential search.
+ * tryReserve definition, and the parallel II search's bit-identity
+ * with the sequential search.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "ir/dependence_graph.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sched/reservation_table.hh"
-#include "support/sched_arena.hh"
 #include "support/thread_pool.hh"
 
 namespace vvsp
@@ -232,9 +231,8 @@ TEST(FindFirstFit, MatchesTryReserveProbingAcrossIis)
     // findFirstFit's contract is "exactly equivalent to probing
     // tryReserve at estart, estart+1, ..." - check it against a
     // shadow table driven by that literal loop, over random
-    // reservation patterns at every II in 1..32. The bitmap (and,
-    // where enabled, AVX2) scan path must agree cycle-for-cycle and
-    // slot-for-slot.
+    // reservation patterns at every II in 1..32. The bitmap scan path
+    // must agree cycle-for-cycle and slot-for-slot.
     MachineModel machine(models::i4c8s4());
     Lcg rng;
     for (int ii = 1; ii <= 32; ++ii) {
@@ -292,27 +290,6 @@ TEST(FindFirstFit, WrapsAroundTheInterval)
     EXPECT_EQ(t.findFirstFit(ld, 3, &slot), 6);
     // Now every row is full.
     EXPECT_EQ(t.findFirstFit(ld, 3, &slot), -1);
-}
-
-// ---- scheduler scratch arena ------------------------------------------
-
-TEST(SchedArena, RecyclesBuffersWithinAThread)
-{
-    SchedArena &arena = SchedArena::local();
-    uint64_t reuses_before = arena.reuses();
-    const int32_t *p0 = nullptr;
-    {
-        ArenaVec<int32_t> v;
-        v->assign(1024, 7);
-        p0 = v->data();
-    }
-    {
-        // Same thread, same pool: the freed buffer comes back.
-        ArenaVec<int32_t> v;
-        v->assign(512, 3);
-        EXPECT_EQ(v->data(), p0);
-    }
-    EXPECT_GT(arena.reuses(), reuses_before);
 }
 
 // ---- parallel II search ------------------------------------------------

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "arch/models.hh"
 #include "core/experiment.hh"
+#include "obs/stats_registry.hh"
 #include "sim/cycle_sim.hh"
 
 namespace vvsp
@@ -25,6 +28,8 @@ struct SimCase
     const char *variant;
     const char *model;
     int unit;
+    /** When set, the whole report must match it exactly. */
+    std::optional<CycleSimReport> expected = std::nullopt;
 };
 
 ScheduleMode
@@ -77,6 +82,13 @@ TEST_P(SimEquivalence, MatchesInterpreterAndComposer)
         << "composer predicted " << comp.cyclesPerUnit
         << " cycles, machine executed " << rep.cycles;
     EXPECT_GT(rep.operations, 0u);
+    if (t.expected) {
+        EXPECT_EQ(rep.cycles, t.expected->cycles);
+        EXPECT_EQ(rep.operations, t.expected->operations);
+        EXPECT_EQ(rep.nullified, t.expected->nullified);
+        EXPECT_EQ(rep.transfers, t.expected->transfers);
+        EXPECT_EQ(rep.instructions, t.expected->instructions);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,8 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
                 "I4C8S4", 0},
         SimCase{"Full Motion Search", "Unrolled Inner Loop",
                 "I4C8S4C", 1},
+        // Pinned: SWP trips.
         SimCase{"Full Motion Search", "SW pipelined & unrolled",
-                "I4C8S4", 0},
+                "I4C8S4", 0,
+                CycleSimReport{149332, 472401, 741, 0, 132948}},
         SimCase{"Full Motion Search", "Blocking/Loop Exchange",
                 "I2C16S5", 1},
         SimCase{"Full Motion Search", "Add spec. op (blocked)",
@@ -105,8 +119,9 @@ INSTANTIATE_TEST_SUITE_P(
                 "I4C8S5M16", 0},
         SimCase{"DCT - traditional", "Unrolled inner loop",
                 "I4C8S4", 3},
+        // Pinned: acyclic groups run in issue order.
         SimCase{"DCT - traditional", "List Scheduled", "I2C16S5M16",
-                1},
+                1, CycleSimReport{15328, 23056, 0, 0, 15328}},
         SimCase{"RGB:YCrCb converter/subsampler", "Sequential",
                 "I4C8S4", 0},
         SimCase{"RGB:YCrCb converter/subsampler", "List-scheduled",
@@ -119,8 +134,9 @@ INSTANTIATE_TEST_SUITE_P(
                 "I4C8S4", 5},
         SimCase{"Variable-Bit-Rate Coder",
                 "List-scheduled-predicated", "I4C8S4", 6},
+        // Pinned: predication and crossbar transfers.
         SimCase{"Variable-Bit-Rate Coder", "+phase pipelining",
-                "I2C16S5", 7}));
+                "I2C16S5", 7, CycleSimReport{805, 1852, 799, 867, 737}}));
 
 TEST(CycleSim, ReportsUtilizationCounters)
 {
@@ -139,6 +155,32 @@ TEST(CycleSim, ReportsUtilizationCounters)
                  static_cast<double>(rep.cycles);
     EXPECT_GT(ipc, 1.0); // software pipelining exploits width.
     (void)modeOf;
+}
+
+TEST(CycleSim, AcyclicGroupsSortOncePerGroup)
+{
+    // The schedule cache means each distinct acyclic group is sorted
+    // into issue order exactly once; later executions replay the
+    // sorted ops. A motion-search unit re-executes its groups many
+    // times, so sorts must be strictly rarer than executions.
+    const KernelSpec &k = kernelByName("Full Motion Search");
+    const VariantSpec &v = k.variant("Blocking/Loop Exchange");
+    MachineModel machine(models::i4c8s4());
+    Function fn = lowerVariant(k, v, machine);
+    MemoryImage mem(fn);
+    k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
+
+    obs::StatsRegistry stats;
+    obs::StatsRegistry *prev = obs::globalStats();
+    obs::setGlobalStats(&stats);
+    CycleSim sim(machine, v.mode);
+    sim.run(fn, mem);
+    obs::setGlobalStats(prev);
+
+    uint64_t sorts = stats.counterValue("sim/acyclic_group_sorts");
+    uint64_t execs = stats.counterValue("sim/acyclic_group_execs");
+    EXPECT_GT(sorts, 0u);
+    EXPECT_GT(execs, sorts) << "groups re-sorted on re-execution";
 }
 
 } // namespace

@@ -3,8 +3,7 @@
  * Persistent experiment cache: round trips, robustness against
  * corrupt/truncated/mismatched entries (all must degrade to misses,
  * never crashes or wrong results), atomicity under concurrent
- * writers, equality of disk-cached and cold evaluations, and the
- * decoded-trace sort-once counter.
+ * writers, and equality of disk-cached and cold evaluations.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@
 #include "core/experiment_cache.hh"
 #include "core/sweep.hh"
 #include "obs/stats_registry.hh"
-#include "sim/cycle_sim.hh"
 
 using namespace vvsp;
 
@@ -499,32 +497,6 @@ TEST(DiskCache, DamagedEntryIsRecomputedAndHealed)
     warm.setDiskCache(&disk);
     expectEqual(cold, runExperiment(req, &warm));
     EXPECT_EQ(warm.stats().diskHits, 1u);
-}
-
-TEST(DecodedTrace, AcyclicGroupsSortOncePerGroup)
-{
-    // The schedule cache means each distinct acyclic group is sorted
-    // into issue order exactly once; later executions replay the
-    // decoded trace. A motion-search unit re-executes its groups many
-    // times, so sorts must be strictly rarer than executions.
-    const KernelSpec &k = kernelByName("Full Motion Search");
-    const VariantSpec &v = k.variant("Blocking/Loop Exchange");
-    MachineModel machine(models::i4c8s4());
-    Function fn = lowerVariant(k, v, machine);
-    MemoryImage mem(fn);
-    k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
-
-    obs::StatsRegistry stats;
-    obs::StatsRegistry *prev = obs::globalStats();
-    obs::setGlobalStats(&stats);
-    CycleSim sim(machine, v.mode);
-    sim.run(fn, mem);
-    obs::setGlobalStats(prev);
-
-    uint64_t sorts = stats.counterValue("sim/acyclic_group_sorts");
-    uint64_t execs = stats.counterValue("sim/acyclic_group_execs");
-    EXPECT_GT(sorts, 0u);
-    EXPECT_GT(execs, sorts) << "groups re-sorted on re-execution";
 }
 
 } // namespace

@@ -250,6 +250,52 @@ TEST(Interpreter, PredicationNullifiesWritesAndStores)
     EXPECT_EQ(p.nullifiedOps, 1u);
 }
 
+TEST(Interpreter, ExecuteOperationSkipsPredicatedOffOpsWithoutEffect)
+{
+    // The op step the tree walker and CycleSim share: false means
+    // nullified (counted apart from executed ops) and must leave the
+    // registers and memory exactly as they were.
+    IRBuilder b("t");
+    int buf = b.buffer("o", 4);
+    Function fn = b.finish();
+    MemoryImage mem(fn);
+    mem.fill(buf, 0, {5, 6, 7, 8});
+    std::vector<uint16_t> regs = {0, 1, 30, 40};
+
+    Operation add;
+    add.op = Opcode::Add;
+    add.dst = 2;
+    add.src[0] = R(3);
+    add.src[1] = K(2);
+    add.pred = R(0);
+    add.predSense = true; // v0 == 0 -> off.
+    EXPECT_FALSE(executeOperation(add, regs, mem));
+    EXPECT_EQ(regs, (std::vector<uint16_t>{0, 1, 30, 40}));
+    add.predSense = false; // v0 == 0, sense false -> on.
+    EXPECT_TRUE(executeOperation(add, regs, mem));
+    EXPECT_EQ(regs[2], 42);
+
+    Operation st;
+    st.op = Opcode::Store;
+    st.src = {R(3), R(1), K(2)}; // mem[o][1 + 2] = v3.
+    st.buffer = buf;
+    st.pred = R(1);
+    st.predSense = false; // v1 == 1 -> off.
+    EXPECT_FALSE(executeOperation(st, regs, mem));
+    EXPECT_EQ(mem.bufferWords(buf), (std::vector<uint16_t>{5, 6, 7, 8}));
+    st.predSense = true;
+    EXPECT_TRUE(executeOperation(st, regs, mem));
+    EXPECT_EQ(mem.read(buf, 3), 40);
+
+    Operation ld;
+    ld.op = Opcode::Load;
+    ld.dst = 0;
+    ld.src = {R(1), K(1), Operand::none()}; // v0 = mem[o][1 + 1].
+    ld.buffer = buf;
+    EXPECT_TRUE(executeOperation(ld, regs, mem)); // unpredicated.
+    EXPECT_EQ(regs[0], 7);
+}
+
 TEST(Interpreter, MemoryBoundsChecked)
 {
     IRBuilder b("t");
