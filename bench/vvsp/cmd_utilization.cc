@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,8 +22,10 @@
 #include "arch/models.hh"
 #include "kernels/kernel.hh"
 #include "obs/sim_telemetry.hh"
+#include "sched/modulo_scheduler.hh"
 #include "sim/cycle_sim.hh"
 #include "support/table.hh"
+#include "support/thread_pool.hh"
 #include "vlsi/clock_estimator.hh"
 
 namespace vvsp
@@ -66,6 +69,14 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
 
     const FrameGeometry geom{48, 32};
     int trace_pid = 100; // sweep timeline owns the low pids.
+
+    // CycleSim's modulo schedulers borrow this pool for speculative
+    // II waves, bit-identical at any width (see
+    // ModuloScheduler::setIiSearch); --threads=1 keeps the sequential
+    // search. Cleared and joined before the full-search sweep below
+    // opens its own pool.
+    auto ii_pool = std::make_unique<ThreadPool>(opts.threads);
+    ModuloScheduler::setIiSearch(ii_pool.get(), ii_pool->threadCount());
 
     if (!opts.json) {
         std::printf("Datapath utilization, most-optimized variant "
@@ -178,6 +189,8 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                         pct(model_total.rfReadPortUtilization()));
         }
     }
+    ModuloScheduler::setIiSearch(nullptr, 1);
+    ii_pool.reset();
     if (opts.json)
         std::printf("],\n");
 

@@ -330,6 +330,7 @@ struct Composer::Walker
                 swp.sample("rec_mii", sched.recMii);
                 swp.sample("ii_slack", sched.ii - mii);
                 swp.sample("ii_attempts", sched.iiAttempts);
+                swp.sample("placements", sched.placements);
                 if (sched.ii == mii)
                     swp.bump("ii_optimal");
             }

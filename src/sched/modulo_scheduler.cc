@@ -143,8 +143,8 @@ bool
 ModuloScheduler::attempt(const std::vector<Operation> &ops,
                          const DependenceGraph &ddg, int ii,
                          const std::vector<int> &by_priority,
-                         ReservationTable &table,
-                         std::vector<int> *start) const
+                         ReservationTable &table, std::vector<int> *start,
+                         long *placements) const
 {
     const int n = static_cast<int>(ops.size());
     start->assign(static_cast<size_t>(n), -1);
@@ -180,8 +180,10 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
     };
 
     // Unscheduled ops as a bitset over priority ranks: the first set
-    // bit is the next op to place, so selection is a word scan
-    // instead of an O(n) height sweep per placement.
+    // bit is the next op to place. `lo` is a cursor with every word
+    // below it zero. Clearing bits keeps that true and unschedule()
+    // lowers `lo` to the evicted rank's word, so selection resumes
+    // at `lo` (amortized O(1)) instead of scanning from word 0.
     for (int r = 0; r < n; ++r)
         rank_of[static_cast<size_t>(by_priority[static_cast<size_t>(
             r)])] = r;
@@ -189,6 +191,7 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
                                    ~uint64_t{0});
     if (n % 64)
         unplaced.back() = (uint64_t{1} << (n % 64)) - 1;
+    size_t lo = 0;
 
     auto unschedule = [&](int i) {
         if ((*start)[static_cast<size_t>(i)] < 0)
@@ -198,29 +201,26 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
                       slot_of[static_cast<size_t>(i)]);
         (*start)[static_cast<size_t>(i)] = -1;
         row_unlink(i);
-        int r = rank_of[static_cast<size_t>(i)];
-        unplaced[static_cast<size_t>(r) / 64] |= uint64_t{1}
-                                                 << (r % 64);
+        size_t r = static_cast<size_t>(rank_of[static_cast<size_t>(i)]);
+        unplaced[r / 64] |= uint64_t{1} << (r % 64);
+        lo = std::min(lo, r / 64);
     };
 
-    long budget = 32L * n + 256;
+    const long budget = 32L * n + 256;
+    long steps = 0;
     while (true) {
         // Highest-priority unscheduled op: height descending, ties
         // in program order - i.e. the lowest set rank.
-        int op_idx = -1;
-        for (size_t w = 0; w < unplaced.size(); ++w) {
-            if (unplaced[w]) {
-                int r = static_cast<int>(
-                    w * 64 +
-                    static_cast<size_t>(std::countr_zero(unplaced[w])));
-                op_idx = by_priority[static_cast<size_t>(r)];
-                break;
-            }
+        while (lo < unplaced.size() && unplaced[lo] == 0)
+            ++lo;
+        if (lo == unplaced.size() || steps == budget) {
+            *placements = steps;
+            return lo == unplaced.size(); // all placed.
         }
-        if (op_idx < 0)
-            return true; // all placed.
-        if (budget-- <= 0)
-            return false;
+        ++steps;
+        const size_t rank =
+            lo * 64 + static_cast<size_t>(std::countr_zero(unplaced[lo]));
+        const int op_idx = by_priority[rank];
 
         int estart = 0;
         for (int e : ddg.predEdges(op_idx)) {
@@ -256,13 +256,13 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
         slot_of[static_cast<size_t>(op_idx)] = slot;
         prev[static_cast<size_t>(op_idx)] = placed_at;
         row_link(op_idx, placed_at);
-        {
-            int r = rank_of[static_cast<size_t>(op_idx)];
-            unplaced[static_cast<size_t>(r) / 64] &=
-                ~(uint64_t{1} << (r % 64));
-        }
+        // Forced placement may have evicted lower ranks: clear this
+        // op's own bit, not the lowest one.
+        unplaced[rank / 64] &= ~(uint64_t{1} << (rank % 64));
 
         // Evict successors whose dependence the new placement breaks.
+        // Self-edges always hold: scheduleBudgeted() checks once that
+        // the MII covers every one of them.
         for (int e : ddg.succEdges(op_idx)) {
             const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
             int to = (*start)[static_cast<size_t>(edge.to)];
@@ -270,12 +270,6 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
                 continue;
             if (to < placed_at + edge.latency - ii * edge.distance)
                 unschedule(edge.to);
-        }
-        // Self-edges (loop-carried) must hold: lat <= ii * dist.
-        for (int e : ddg.succEdges(op_idx)) {
-            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
-            if (edge.to == op_idx && edge.latency > ii * edge.distance)
-                return false; // recurrence cannot fit this II.
         }
     }
 }
@@ -313,6 +307,15 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     const int res_mii = resourceMii(ops);
     const int rec_mii = ddg.recurrenceMii();
     const int mii = std::max(res_mii, rec_mii);
+    // RecMII covers every self-edge (lat <= RecMII * dist), so no
+    // candidate II >= MII can break one and attempt() skips them.
+    for (const DepEdge &edge : ddg.edges()) {
+        vvsp_assert(edge.from != edge.to ||
+                        edge.latency <= mii * edge.distance,
+                    "self-edge on op %d (lat %d, dist %d) exceeds "
+                    "MII %d",
+                    edge.from, edge.latency, edge.distance, mii);
+    }
 
     // Static scheduling priority, shared by every II attempt.
     std::vector<int> by_priority(static_cast<size_t>(n));
@@ -379,13 +382,15 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                                 : ii_budget;
     bool exhausted = false;
     int attempts = 0;
+    long placements = 0;
 
-    // The II bounds and the attempt count travel with the schedule,
-    // so telemetry never re-derives them.
+    // The II bounds and the attempt and placement counts travel with
+    // the schedule, so telemetry never re-derives them.
     auto finish = [&](BlockSchedule s) {
         s.resMii = res_mii;
         s.recMii = rec_mii;
         s.iiAttempts = attempts;
+        s.placements = placements;
         return s;
     };
 
@@ -401,6 +406,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         for (int base = mii; base <= max_ii && !exhausted;) {
             int wave = std::min(width, max_ii - base + 1);
             std::vector<uint8_t> ok(static_cast<size_t>(wave), 0);
+            std::vector<long> steps(static_cast<size_t>(wave), 0);
             std::vector<BlockSchedule> cands(
                 static_cast<size_t>(wave));
             TaskGroup group(pool);
@@ -409,8 +415,8 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                     int ii = base + k;
                     ReservationTable tab(machine_, ii, bank_of_);
                     std::vector<int> start;
-                    if (attempt(ops, ddg, ii, by_priority, tab,
-                                &start)) {
+                    if (attempt(ops, ddg, ii, by_priority, tab, &start,
+                                &steps[static_cast<size_t>(k)])) {
                         cands[static_cast<size_t>(k)] =
                             build(ii, start);
                         ok[static_cast<size_t>(k)] = 1;
@@ -426,6 +432,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                 ++attempts;
                 if (failpoint::evaluate("sched/ii_attempt"))
                     continue; // forced infeasible.
+                placements += steps[static_cast<size_t>(k)];
                 if (!ok[static_cast<size_t>(k)])
                     continue;
                 if (consume(std::move(cands[static_cast<size_t>(k)])))
@@ -443,7 +450,11 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
             ++attempts;
             if (failpoint::evaluate("sched/ii_attempt"))
                 continue; // forced infeasible.
-            if (!attempt(ops, ddg, ii, by_priority, table_, &start))
+            long steps = 0;
+            bool ok = attempt(ops, ddg, ii, by_priority, table_,
+                              &start, &steps);
+            placements += steps;
+            if (!ok)
                 continue;
             if (consume(build(ii, start)))
                 return finish(std::move(decided));

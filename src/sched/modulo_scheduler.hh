@@ -64,8 +64,9 @@ class ModuloScheduler
      * lowest-pressure schedule found is returned either way.
      *
      * The returned schedule records the ResMII and RecMII the search
-     * started from and the number of candidate IIs it consumed
-     * (BlockSchedule::resMii, recMii, iiAttempts).
+     * started from, the number of candidate IIs it consumed and the
+     * placement steps those candidates took (BlockSchedule::resMii,
+     * recMii, iiAttempts, placements).
      */
     BlockSchedule schedule(const std::vector<Operation> &ops,
                            int max_live_target = 0) const;
@@ -101,12 +102,15 @@ class ModuloScheduler
      * in schedule() and shared by every attempt. The caller supplies
      * the reservation table (the pooled member for the sequential
      * search, a private table per speculative task); all other
-     * scratch is local to the call.
+     * scratch is local to the call. `*placements` receives the
+     * placement steps taken; a failing try runs out its whole
+     * 32n+256 budget.
      */
     bool attempt(const std::vector<Operation> &ops,
                  const DependenceGraph &ddg, int ii,
                  const std::vector<int> &by_priority,
-                 ReservationTable &table, std::vector<int> *start) const;
+                 ReservationTable &table, std::vector<int> *start,
+                 long *placements) const;
 
     const MachineModel &machine_;
     BankOfFn bank_of_;

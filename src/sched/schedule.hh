@@ -52,6 +52,10 @@ struct BlockSchedule
     /** Modulo schedule: candidate IIs the search consumed, the
      *  deciding one included (0 for acyclic). */
     int iiAttempts = 0;
+    /** Modulo schedule: placement steps summed over the candidates
+     *  iiAttempts counts; one forced infeasible by the
+     *  "sched/ii_attempt" failpoint counts 0 (0 for acyclic). */
+    long placements = 0;
 
     /** Long-instruction words occupied in the instruction cache. */
     int instructions = 0;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "arch/models.hh"
@@ -405,8 +407,9 @@ swpLoops(Function &fn, ScheduleMode mode)
 /**
  * Every modulo schedule carries the ResMII and RecMII its search
  * started from, equal to recomputing them, and the number of
- * candidate IIs it consumed - identically from the sequential and the
- * speculative search, and on a budget-degraded result.
+ * candidate IIs it consumed and their placement steps - identically
+ * from the sequential and the speculative search, and on a
+ * budget-degraded result.
  */
 TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
 {
@@ -437,6 +440,10 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
                     EXPECT_EQ(s.recMii, rec);
                     EXPECT_GE(s.ii, std::max(res, rec));
                     EXPECT_GE(s.iiAttempts, 1);
+                    // A feasible candidate places every op at least
+                    // once.
+                    EXPECT_GE(s.placements,
+                              static_cast<long>(l.ops.size()));
                 };
 
                 BlockSchedule seq = sched.schedule(l.ops, target);
@@ -454,6 +461,7 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
                 expect_bounds(spec);
                 EXPECT_EQ(spec.ii, seq.ii);
                 EXPECT_EQ(spec.iiAttempts, seq.iiAttempts);
+                EXPECT_EQ(spec.placements, seq.placements);
                 ASSERT_EQ(seq_budgeted.has_value(),
                           spec_budgeted.has_value());
                 if (seq_budgeted) {
@@ -463,6 +471,8 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
                               spec_budgeted->degraded);
                     EXPECT_EQ(seq_budgeted->iiAttempts,
                               spec_budgeted->iiAttempts);
+                    EXPECT_EQ(seq_budgeted->placements,
+                              spec_budgeted->placements);
                     if (seq_budgeted->degraded) {
                         EXPECT_EQ(seq_budgeted->iiAttempts, 2);
                         ++degraded;
@@ -474,6 +484,75 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
     }
     EXPECT_GE(loops, 12); // at least one loop per kernel and model.
     EXPECT_GT(degraded, 0);
+}
+
+/** FNV-1a over every placement's (cycle, cluster, slot), each as
+ *  four little-endian bytes. */
+uint64_t
+placementHash(const BlockSchedule &s)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const PlacedOp &p : s.placed) {
+        for (int v : {p.cycle, p.cluster, p.slot}) {
+            const auto u = static_cast<uint32_t>(v);
+            for (int b = 0; b < 4; ++b) {
+                h ^= (u >> (8 * b)) & 0xffu;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    }
+    return h;
+}
+
+/**
+ * The widened DCT bodies on I4C8S5 (6082, 752 and 826 ops) are the
+ * heaviest loops the modulo scheduler sees: several of their
+ * candidate IIs run out the placement budget before one succeeds.
+ * Their II, candidate count, placement steps and every placement are
+ * pinned to constants, so any change to the placement loop's
+ * mechanics must leave these schedules and their search bit-identical.
+ */
+TEST(ModuloScheduler, WidenedDctSchedulesArePinned)
+{
+    struct Pin
+    {
+        size_t ops;
+        int ii;
+        int iiAttempts;
+        long placements;
+        uint64_t hash;
+    };
+    // 15, 9 and 7 candidates run out their 32n+256 step budget.
+    const Pin pins[] = {
+        {6082, 404, 16, 2929282, 0xcc9472b9ae823500ULL}, // DCT-trad v
+        {752, 65, 10, 219632, 0x77a0912a8647dcaeULL},    // DCT-rc row
+        {826, 88, 9, 194737, 0x0d2a42608ecf0073ULL},     // DCT-rc row2
+    };
+    MachineModel machine(models::byName("I4C8S5"));
+    size_t next = 0;
+    for (const char *name : {"DCT - traditional", "DCT - row/column"}) {
+        const KernelSpec &k = kernelByName(name);
+        const VariantSpec &v = k.variants.back();
+        ASSERT_EQ(v.name, "+unroll 2 levels & widen");
+        Function fn = lowerVariant(k, v, machine);
+        ModuloScheduler sched(machine, [&fn](int buffer) {
+            return fn.buffer(buffer).bank;
+        });
+        for (const SwpLoop &l : swpLoops(fn, v.mode)) {
+            SCOPED_TRACE(std::string(name) + " " + l.label);
+            ASSERT_LT(next, std::size(pins));
+            const Pin &pin = pins[next++];
+            BlockSchedule s =
+                sched.schedule(l.ops, machine.registersPerCluster());
+            EXPECT_EQ(l.ops.size(), pin.ops);
+            EXPECT_EQ(s.ii, pin.ii);
+            EXPECT_EQ(s.iiAttempts, pin.iiAttempts);
+            EXPECT_EQ(s.placements, pin.placements);
+            EXPECT_EQ(placementHash(s), pin.hash)
+                << std::hex << placementHash(s);
+        }
+    }
+    EXPECT_EQ(next, std::size(pins));
 }
 
 TEST(RegPressure, CountsOverlappingLifetimes)
