@@ -18,10 +18,7 @@
 
 #include "driver.hh"
 #include "core/design_space.hh"
-#include "kernels/kernel.hh"
 #include "support/table.hh"
-#include "vlsi/area_estimator.hh"
-#include "vlsi/clock_estimator.hh"
 
 namespace vvsp
 {
@@ -109,54 +106,15 @@ cmdExplore(const DriverOptions &opts)
                 "(0.25um megacell models, %s)\n\n",
                 base_name.c_str());
 
-    AreaEstimator area;
-    ClockEstimator clock;
     Observability sinks(opts);
     if (sweep.base)
         sinks.setMachines({*sweep.base});
     DiskCacheAttachment disk(opts);
 
-    // Enumerate and price serially (cheap), then score the surviving
-    // configs as one concurrent sweep batch.
-    const KernelSpec &k = kernelByName("Full Motion Search");
-    std::vector<DesignPoint> points;
-    std::vector<ExperimentRequest> requests;
-    for (const DatapathConfig &cfg : enumerateSweepConfigs(sweep)) {
-        DesignPoint p;
-        p.config = cfg;
-        p.areaMm2 = area.datapathMm2(cfg);
-        if (sweep.maxAreaMm2 > 0 && p.areaMm2 > sweep.maxAreaMm2)
-            continue;
-        p.clockMhz = clock.clockMhz(cfg);
-        p.peakGops =
-            (cfg.totalIssueSlots() + 1) * p.clockMhz / 1000.0;
-        points.push_back(std::move(p));
-
-        if (!opts.score)
-            continue;
-        // Blocked full search needs ~1.4KB of cluster memory and
-        // modest registers; configs that cannot hold it fail the
-        // check and score 0 below.
-        ExperimentRequest req;
-        req.kernel = &k;
-        req.variant = &k.variant("Blocking/Loop Exchange");
-        req.model = points.back().config;
-        req.profileUnits = 1;
-        requests.push_back(req);
-    }
-
     SweepOptions sopts = sweepOptions(opts, sinks);
     SweepRunner runner(sopts);
-    std::vector<ExperimentResult> results = runner.run(requests);
-    if (opts.score) {
-        for (size_t i = 0; i < points.size(); ++i) {
-            if (results[i].passed && results[i].cyclesPerFrame > 0) {
-                points[i].framesPerSecond =
-                    points[i].clockMhz * 1e6 /
-                    results[i].cyclesPerFrame;
-            }
-        }
-    }
+    std::vector<DesignPoint> points =
+        exploreDesignSpace(sweep, opts.score ? &runner : nullptr);
     std::printf("%zu candidate datapaths priced%s "
                 "(%d threads)\n\n",
                 points.size(), opts.score ? " and scored" : "",

@@ -135,8 +135,7 @@ encodeKernelModule(const KernelSpec &kernel, const VariantSpec &variant,
     Function fn = lowerVariant(kernel, variant, machine);
     AvgProfile avg(fn.numNodeIds());
     FrameGeometry geom = FrameGeometry::ccir601();
-    BytecodeEngine engine(
-        std::make_shared<const BytecodeProgram>(fn));
+    BytecodeEngine engine(fn);
     for (int u = 0; u < profile_units; ++u) {
         MemoryImage mem(fn);
         kernel.prepare(fn, mem, geom, u);

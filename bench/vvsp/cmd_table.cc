@@ -86,13 +86,13 @@ cmdAblation(const ExperimentSpec &spec, const DriverOptions &opts)
     if (opts.json) {
         // Reuse the table cell dump (paper values are all absent).
         std::printf("{\"kernel\": \"%s\", \"cells\": [\n",
-                    jsonEscape(section.kernel).c_str());
+                    json::escape(section.kernel).c_str());
         for (size_t i = 0; i < results.size(); ++i) {
             const ExperimentResult &r = results[i];
             std::printf("  {\"variant\": \"%s\", \"model\": \"%s\", "
                         "\"cycles_per_frame\": %.1f}%s\n",
-                        jsonEscape(r.variant).c_str(),
-                        jsonEscape(r.model).c_str(), r.cyclesPerFrame,
+                        json::escape(r.variant).c_str(),
+                        json::escape(r.model).c_str(), r.cyclesPerFrame,
                         i + 1 < results.size() ? "," : "");
         }
         std::printf("]}\n");

@@ -72,11 +72,11 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
 
     // CycleSim's modulo schedulers borrow this pool for speculative
     // II waves, bit-identical at any width (see
-    // ModuloScheduler::setIiSearch); --threads=1 keeps the sequential
-    // search. Cleared and joined before the full-search sweep below
-    // opens its own pool.
+    // ModuloScheduler::setIiSearch); --threads=1 runs waves of one.
+    // Cleared and joined before the full-search sweep below opens its
+    // own pool.
     auto ii_pool = std::make_unique<ThreadPool>(opts.threads);
-    ModuloScheduler::setIiSearch(ii_pool.get(), ii_pool->threadCount());
+    ModuloScheduler::setIiSearch(ii_pool.get());
 
     if (!opts.json) {
         std::printf("Datapath utilization, most-optimized variant "
@@ -94,7 +94,7 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                       "xbar%", "mem%", "rfrd%", "stall op/st/xf/id"});
         if (opts.json)
             std::printf("{\"model\": \"%s\", \"kernels\": [\n",
-                        jsonEscape(model_name).c_str());
+                        json::escape(model_name).c_str());
 
         const auto &kernels = allKernels();
         for (size_t ki = 0; ki < kernels.size(); ++ki) {
@@ -141,8 +141,8 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                     "\"stall\": {\"operand\": %llu, "
                     "\"structural\": %llu, \"transfer\": %llu, "
                     "\"no_work\": %llu}}%s\n",
-                    jsonEscape(k.name).c_str(),
-                    jsonEscape(v.name).c_str(),
+                    json::escape(k.name).c_str(),
+                    json::escape(v.name).c_str(),
                     static_cast<unsigned long long>(rep.cycles),
                     t.slotUtilization(), t.xbarUtilization(),
                     t.memPortUtilization(),
@@ -189,7 +189,7 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                         pct(model_total.rfReadPortUtilization()));
         }
     }
-    ModuloScheduler::setIiSearch(nullptr, 1);
+    ModuloScheduler::setIiSearch(nullptr);
     ii_pool.reset();
     if (opts.json)
         std::printf("],\n");

@@ -361,18 +361,6 @@ DiskCacheAttachment::~DiskCacheAttachment()
         ExperimentCache::global().setDiskCache(nullptr);
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 SweepOptions
 sweepOptions(const DriverOptions &opts, Observability &sinks)
 {
@@ -396,7 +384,7 @@ printJsonCells(const std::string &kernel_name,
                const std::vector<double> &paper_values)
 {
     std::printf("{\"kernel\": \"%s\", \"cells\": [\n",
-                jsonEscape(kernel_name).c_str());
+                json::escape(kernel_name).c_str());
     for (size_t i = 0; i < results.size(); ++i) {
         const ExperimentResult &r = results[i];
         // "degraded" appears only on cells whose scheduling budget
@@ -409,8 +397,8 @@ printJsonCells(const std::string &kernel_name,
                     "\"code_words\": %lld, \"code_bytes\": %lld, "
                     "\"passed\": %s, \"icache_ok\": %s, "
                     "\"registers_ok\": %s%s}%s\n",
-                    jsonEscape(r.variant).c_str(),
-                    jsonEscape(r.model).c_str(), r.cyclesPerFrame,
+                    json::escape(r.variant).c_str(),
+                    json::escape(r.model).c_str(), r.cyclesPerFrame,
                     r.cyclesPerUnit, paper_values[i],
                     static_cast<long long>(r.comp.codeWords),
                     static_cast<long long>(r.comp.codeBytes),

@@ -28,6 +28,7 @@
 #include "obs/run_ledger.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
+#include "support/json.hh"
 
 namespace vvsp
 {
@@ -160,9 +161,6 @@ class DiskCacheAttachment
   private:
     std::optional<DiskCache> disk_;
 };
-
-/** JSON string escaping for the names we emit (quotes/backslash). */
-std::string jsonEscape(const std::string &s);
 
 /** Build SweepOptions from the driver options + sinks. */
 SweepOptions sweepOptions(const DriverOptions &opts,

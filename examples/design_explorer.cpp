@@ -6,9 +6,10 @@
  * models; score them with a motion-search workload; and print the
  * area/performance Pareto frontier.
  *
- * The scoring grid is submitted as one SweepRunner batch: every
- * candidate is evaluated concurrently, and configs that differ only
- * in parameters the kernel pipeline ignores share memoized work.
+ * exploreDesignSpace submits the scoring grid as one SweepRunner
+ * batch: every candidate is evaluated concurrently, and configs that
+ * differ only in parameters the kernel pipeline ignores share
+ * memoized work.
  */
 
 #include <cstdio>
@@ -31,44 +32,8 @@ main()
     sweep.pipelineDepths = {4, 5};
     sweep.maxAreaMm2 = 260.0;
 
-    AreaEstimator area;
-    ClockEstimator clock;
-
-    // Enumerate and price serially (cheap), then score the surviving
-    // configs as one concurrent sweep batch.
-    const KernelSpec &k = kernelByName("Full Motion Search");
-    std::vector<DesignPoint> points;
-    std::vector<ExperimentRequest> requests;
-    for (const DatapathConfig &cfg : enumerateSweepConfigs(sweep)) {
-        DesignPoint p;
-        p.config = cfg;
-        p.areaMm2 = area.datapathMm2(cfg);
-        if (sweep.maxAreaMm2 > 0 && p.areaMm2 > sweep.maxAreaMm2)
-            continue;
-        p.clockMhz = clock.clockMhz(cfg);
-        p.peakGops =
-            (cfg.totalIssueSlots() + 1) * p.clockMhz / 1000.0;
-        points.push_back(std::move(p));
-
-        // Blocked full search needs ~1.4KB of cluster memory and
-        // modest registers; configs that cannot hold it fail the
-        // check and score 0 below.
-        ExperimentRequest req;
-        req.kernel = &k;
-        req.variant = &k.variant("Blocking/Loop Exchange");
-        req.model = points.back().config;
-        req.profileUnits = 1;
-        requests.push_back(req);
-    }
-
     SweepRunner runner;
-    std::vector<ExperimentResult> results = runner.run(requests);
-    for (size_t i = 0; i < points.size(); ++i) {
-        if (results[i].passed && results[i].cyclesPerFrame > 0) {
-            points[i].framesPerSecond =
-                points[i].clockMhz * 1e6 / results[i].cyclesPerFrame;
-        }
-    }
+    std::vector<DesignPoint> points = exploreDesignSpace(sweep, &runner);
     std::printf("%zu candidate datapaths priced and scored "
                 "(%d threads)\n\n",
                 points.size(), runner.threadCount());

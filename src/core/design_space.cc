@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/sweep.hh"
+#include "kernels/kernel.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -110,12 +112,11 @@ enumerateSweepConfigs(const DesignSweep &sweep)
 }
 
 std::vector<DesignPoint>
-exploreDesignSpace(const DesignSweep &sweep, const WorkloadScorer &scorer)
+exploreDesignSpace(const DesignSweep &sweep, SweepRunner *score)
 {
     AreaEstimator area;
     ClockEstimator clock;
     std::vector<DesignPoint> points;
-
     for (const DatapathConfig &cfg : enumerateSweepConfigs(sweep)) {
         DesignPoint p;
         p.config = cfg;
@@ -125,12 +126,29 @@ exploreDesignSpace(const DesignSweep &sweep, const WorkloadScorer &scorer)
         p.clockMhz = clock.clockMhz(cfg);
         p.peakGops =
             (cfg.totalIssueSlots() + 1) * p.clockMhz / 1000.0;
-        if (scorer) {
-            double cycles = scorer(cfg);
-            if (cycles > 0)
-                p.framesPerSecond = p.clockMhz * 1e6 / cycles;
-        }
         points.push_back(std::move(p));
+    }
+    if (!score)
+        return points;
+
+    // Blocked full search needs ~1.4KB of cluster memory and modest
+    // registers; configs that cannot hold it fail the check.
+    const KernelSpec &k = kernelByName("Full Motion Search");
+    std::vector<ExperimentRequest> requests;
+    for (const DesignPoint &p : points) {
+        ExperimentRequest req;
+        req.kernel = &k;
+        req.variant = &k.variant("Blocking/Loop Exchange");
+        req.model = p.config;
+        req.profileUnits = 1;
+        requests.push_back(req);
+    }
+    std::vector<ExperimentResult> results = score->run(requests);
+    for (size_t i = 0; i < points.size(); ++i) {
+        if (results[i].passed && results[i].cyclesPerFrame > 0) {
+            points[i].framesPerSecond =
+                points[i].clockMhz * 1e6 / results[i].cyclesPerFrame;
+        }
     }
     return points;
 }

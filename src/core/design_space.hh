@@ -7,15 +7,14 @@
  * Enumerates candidate datapaths over the architectural parameters
  * (clusters, issue slots, registers, memory capacity, multiplier
  * kind, pipeline depth), prices each with the VLSI models, and
- * optionally scores performance with a kernel workload - the
- * machinery behind the design_explorer example and the ablation
- * benches.
+ * optionally scores the survivors with blocked full motion search as
+ * one sweep batch - the one pipeline behind `vvsp explore` and the
+ * design_explorer example.
  */
 
 #ifndef VVSP_CORE_DESIGN_SPACE_HH
 #define VVSP_CORE_DESIGN_SPACE_HH
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +26,8 @@
 namespace vvsp
 {
 
+class SweepRunner;
+
 /** One priced design point. */
 struct DesignPoint
 {
@@ -35,7 +36,7 @@ struct DesignPoint
     double clockMhz = 0;
     /** Peak operations per second (slots * clock), in GOPS. */
     double peakGops = 0;
-    /** Workload score if a scorer ran: frames per second. */
+    /** Full-search frames per second when scored; 0 otherwise. */
     double framesPerSecond = 0;
 
     std::string str() const;
@@ -65,10 +66,6 @@ struct DesignSweep
     std::optional<DatapathConfig> base;
 };
 
-/** Optional workload scorer: cycles per frame on a config. */
-using WorkloadScorer =
-    std::function<double(const DatapathConfig &cfg)>;
-
 /**
  * Enumerate the sweep's candidate configs (validated, in a fixed
  * deterministic order, without pricing or scoring). Exposed so
@@ -77,9 +74,14 @@ using WorkloadScorer =
 std::vector<DatapathConfig>
 enumerateSweepConfigs(const DesignSweep &sweep);
 
-/** Enumerate, price, and (optionally) score the sweep. */
-std::vector<DesignPoint> exploreDesignSpace(
-    const DesignSweep &sweep, const WorkloadScorer &scorer = nullptr);
+/**
+ * Enumerate the sweep, price every candidate and drop those above
+ * maxAreaMm2. When `score` is set, the survivors are scored with
+ * blocked full motion search as one batch on that runner; a config
+ * that cannot hold the kernel fails its check and keeps 0 frames/s.
+ */
+std::vector<DesignPoint> exploreDesignSpace(const DesignSweep &sweep,
+                                            SweepRunner *score = nullptr);
 
 /** Pareto-optimal subset under (area min, frames/s max). */
 std::vector<DesignPoint>

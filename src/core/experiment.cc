@@ -188,8 +188,7 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
         const bool timed = interp_stats.enabled();
         auto t0 = timed ? std::chrono::steady_clock::now()
                         : std::chrono::steady_clock::time_point{};
-        BytecodeEngine engine(
-            std::make_shared<const BytecodeProgram>(fn));
+        BytecodeEngine engine(fn);
         if (timed) {
             auto t1 = std::chrono::steady_clock::now();
             interp_stats.sample(

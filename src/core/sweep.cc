@@ -44,7 +44,7 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
     // attempts. Bit-identical schedules at any thread count (see
     // ModuloScheduler::setIiSearch); cleared before the pool can
     // outlive the batch's use of it.
-    ModuloScheduler::setIiSearch(&pool_, pool_.threadCount());
+    ModuloScheduler::setIiSearch(&pool_);
 
     std::vector<ExperimentResult> results(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -86,7 +86,7 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
         });
     }
     pool_.wait();
-    ModuloScheduler::setIiSearch(nullptr, 1);
+    ModuloScheduler::setIiSearch(nullptr);
     if (stats_ && cache_) {
         // This batch's contribution to the shared cache's counters.
         const ExperimentCacheStats after = cache_->stats();

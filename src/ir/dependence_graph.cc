@@ -58,17 +58,8 @@ struct MemChain
 DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
                                  const LatencyFn &latency,
                                  bool loop_carried)
+    : num_ops_(ops.size())
 {
-    build(ops, latency, loop_carried);
-}
-
-void
-DependenceGraph::build(const std::vector<Operation> &ops,
-                       const LatencyFn &latency, bool loop_carried)
-{
-    num_ops_ = ops.size();
-    edges_.clear();
-    edge_index_.clear();
     edge_index_.reserve(ops.size() * 4);
 
     const int n = static_cast<int>(ops.size());

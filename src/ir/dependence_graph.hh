@@ -11,11 +11,9 @@
  *
  * The graph is stored structure-of-arrays for the scheduler hot
  * path: adjacency is compressed-sparse-row (one flat edge-index
- * array per direction plus per-op offsets), operation latencies are
- * computed once per op instead of once per edge, and a graph object
- * can be rebuilt in place (`build()`), reusing every internal buffer
- * so a sweep's thousands of graph constructions do near-zero heap
- * churn.
+ * array per direction plus per-op offsets), and operation latencies
+ * are computed once per op instead of once per edge. Each scheduler
+ * call builds its own graph.
  */
 
 #ifndef VVSP_IR_DEPENDENCE_GRAPH_HH
@@ -79,9 +77,6 @@ class EdgeIndexRange
 class DependenceGraph
 {
   public:
-    /** An empty graph; call build() before use. */
-    DependenceGraph() = default;
-
     /**
      * Build the graph. When loopCarried is set, cross-iteration
      * register and memory dependences (distance 1) are added for
@@ -89,13 +84,6 @@ class DependenceGraph
      */
     DependenceGraph(const std::vector<Operation> &ops,
                     const LatencyFn &latency, bool loop_carried);
-
-    /**
-     * Rebuild in place for a new block, reusing the previous build's
-     * buffers (the pooled-reuse path for scheduler-owned graphs).
-     */
-    void build(const std::vector<Operation> &ops,
-               const LatencyFn &latency, bool loop_carried);
 
     size_t numOps() const { return num_ops_; }
     const std::vector<DepEdge> &edges() const { return edges_; }
@@ -149,7 +137,7 @@ class DependenceGraph
     std::vector<int32_t> predCsr_;
 
     std::vector<int> heights_;
-    /** Per-op result latency, computed once per build. */
+    /** Per-op result latency, computed once per op. */
     std::vector<int> opLatency_;
 };
 

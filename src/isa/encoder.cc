@@ -194,48 +194,12 @@ buildSection(const std::string &label,
         }
     } else {
         // The modulo placer records cycles only (slot 0 everywhere);
-        // derive the witness slot assignment the verifier proves
-        // exists: hardest-constrained unit classes first within each
-        // modulo row, through a fresh reservation table.
-        ReservationTable table(machine, sched.ii, bank_of, width1);
-        auto hardness = [](const Operation &op) {
-            switch (op.info().fuClass) {
-              case FuClass::Mem:
-              case FuClass::Mult:
-              case FuClass::Shift:
-                return 0;
-              case FuClass::Xbar:
-                return 1;
-              default:
-                return 2;
-            }
-        };
-        std::vector<size_t> order(ops.size());
-        for (size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        auto row = [&sched](size_t i) {
-            return sched.placed[i].cycle % sched.ii;
-        };
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             if (row(a) != row(b))
-                                 return row(a) < row(b);
-                             return hardness(ops[a]) <
-                                    hardness(ops[b]);
-                         });
-        for (size_t i : order) {
-            int slot = -1;
-            bool ok = table.tryReserve(ops[i], sched.placed[i].cycle,
-                                       &slot);
-            vvsp_assert(ok,
-                        "no encoder slot for '%s' at cycle %d in "
-                        "'%s'",
-                        ops[i].str().c_str(), sched.placed[i].cycle,
-                        label.c_str());
-            sec.placed[i] = IsaPlacement{sched.placed[i].cycle,
-                                         ops[i].cluster, slot};
-        }
+        // encode the witness slots the verifier also derives.
+        std::vector<int> slots = witnessSlots(ops, sched.placed, sched.ii,
+                                              machine, bank_of, width1);
         for (size_t i = 0; i < ops.size(); ++i) {
+            sec.placed[i] = IsaPlacement{sched.placed[i].cycle,
+                                         ops[i].cluster, slots[i]};
             int stage = sec.placed[i].cycle / sec.ii;
             vvsp_assert(stage >= 0 && stage < sec.stages,
                         "op %zu stage %d outside %d stages", i, stage,

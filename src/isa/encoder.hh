@@ -109,10 +109,9 @@ uint64_t isaOpsHash(const std::vector<Operation> &ops);
  * canonicalized to their architectural 16-bit value (sign-extended
  * back to int32, matching simulator truncation). Modulo schedules
  * carry no slot assignment (the placer leaves slot 0 everywhere), so
- * the encoder derives the witness assignment the verifier uses: ops
- * sorted by (modulo row, unit-class hardness) through a fresh
- * reservation table. Asserts the resulting word count equals
- * sched.instructions.
+ * the encoder takes the witness assignment CycleSim's verifier also
+ * derives (witnessSlots in sched/reservation_table.hh). Asserts the
+ * resulting word count equals sched.instructions.
  */
 IsaSection buildSection(const std::string &label,
                         const std::vector<Operation> &ops,

@@ -1,9 +1,6 @@
 #include "isa/format.hh"
 
-#include <sstream>
-
-#include "support/json.hh"
-#include "support/logging.hh"
+#include <algorithm>
 
 namespace vvsp
 {
@@ -30,97 +27,6 @@ isaFormatFor(const DatapathConfig &cfg)
         std::max(1, bitsFor(unsigned(cfg.cluster.registers - 1)));
     fmt.immBits = 16;
     fmt.clusterBits = std::max(1, bitsFor(unsigned(cfg.clusters - 1)));
-    return fmt;
-}
-
-namespace
-{
-
-const char *const kFormatKeys[] = {
-    "clusters",
-    "slots_per_cluster",
-    "opcode_bits",
-    "arch_reg_bits",
-    "imm_bits",
-    "cluster_bits",
-};
-
-} // anonymous namespace
-
-std::string
-isaFormatToJson(const IsaFormat &fmt)
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"clusters\": " << fmt.clusters << ",\n";
-    os << "  \"slots_per_cluster\": " << fmt.slotsPerCluster << ",\n";
-    os << "  \"opcode_bits\": " << fmt.opcodeBits << ",\n";
-    os << "  \"arch_reg_bits\": " << fmt.archRegBits << ",\n";
-    os << "  \"imm_bits\": " << fmt.immBits << ",\n";
-    os << "  \"cluster_bits\": " << fmt.clusterBits << "\n";
-    os << "}\n";
-    return os.str();
-}
-
-std::optional<IsaFormat>
-isaFormatFromJson(const std::string &text, std::string *error)
-{
-    std::string err;
-    json::Value doc;
-    if (!json::parse(text, doc, err)) {
-        if (error)
-            *error = "malformed JSON: " + err;
-        return std::nullopt;
-    }
-    if (!doc.isObject()) {
-        if (error)
-            *error = "isa format document must be a JSON object";
-        return std::nullopt;
-    }
-
-    IsaFormat fmt;
-    struct Field
-    {
-        const char *key;
-        int *out;
-    } fields[] = {
-        {"clusters", &fmt.clusters},
-        {"slots_per_cluster", &fmt.slotsPerCluster},
-        {"opcode_bits", &fmt.opcodeBits},
-        {"arch_reg_bits", &fmt.archRegBits},
-        {"imm_bits", &fmt.immBits},
-        {"cluster_bits", &fmt.clusterBits},
-    };
-
-    for (const auto &[key, value] : doc.members()) {
-        bool known = false;
-        for (const char *k : kFormatKeys)
-            known = known || key == k;
-        if (!known) {
-            if (error)
-                *error = format("unknown isa format key \"%s\"",
-                                key.c_str());
-            return std::nullopt;
-        }
-        (void)value;
-    }
-    for (const Field &f : fields) {
-        const json::Value *v = doc.find(f.key);
-        if (!v)
-            continue;
-        if (!v->isIntegral()) {
-            if (error)
-                *error = format("\"%s\" wants an integer", f.key);
-            return std::nullopt;
-        }
-        *f.out = static_cast<int>(v->asNumber());
-        if (*f.out <= 0) {
-            if (error)
-                *error = format("\"%s\" must be positive, got %d",
-                                f.key, *f.out);
-            return std::nullopt;
-        }
-    }
     return fmt;
 }
 

@@ -11,16 +11,12 @@
  * the per-word slot-occupancy mask that implements NOP compression
  * (absent slots cost one mask bit, not a full operation field).
  *
- * The format is pure data and round-trips through the strict JSON
- * layer (same idiom as arch/config_json.hh), so a layout can be
- * inspected, stored, and diffed alongside the machine that owns it.
+ * The format is pure data, derived from the config; every encoded
+ * module carries it in its binary header.
  */
 
 #ifndef VVSP_ISA_FORMAT_HH
 #define VVSP_ISA_FORMAT_HH
-
-#include <optional>
-#include <string>
 
 #include "arch/datapath_config.hh"
 
@@ -62,21 +58,6 @@ struct IsaFormat
 
 /** Derive the word layout of a datapath model. */
 IsaFormat isaFormatFor(const DatapathConfig &cfg);
-
-/**
- * Serialize a format as a human-readable JSON document (two-space
- * indent, fixed field order, trailing newline).
- */
-std::string isaFormatToJson(const IsaFormat &fmt);
-
-/**
- * Parse a format from JSON text. Strict like configFromJson: unknown
- * keys, wrong-typed values, and non-positive widths are rejected
- * (returns nullopt and fills `error`). Omitted fields keep the
- * defaults above.
- */
-std::optional<IsaFormat> isaFormatFromJson(const std::string &text,
-                                           std::string *error);
 
 } // namespace vvsp
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.hh"
+
 namespace vvsp
 {
 namespace obs
@@ -129,21 +131,6 @@ StatsRegistry::str() const
     return os.str();
 }
 
-namespace
-{
-
-void
-jsonEscapeInto(std::ostringstream &os, const std::string &s)
-{
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-}
-
-} // anonymous namespace
-
 std::string
 StatsRegistry::json() const
 {
@@ -151,17 +138,15 @@ StatsRegistry::json() const
     os << "{\"counters\": {";
     bool first = true;
     for (const auto &[path, value] : counters()) {
-        os << (first ? "" : ", ") << "\"";
-        jsonEscapeInto(os, path);
-        os << "\": " << value;
+        os << (first ? "" : ", ") << "\"" << json::escape(path)
+           << "\": " << value;
         first = false;
     }
     os << "}, \"distributions\": {";
     first = true;
     for (const auto &[path, hist] : histograms()) {
-        os << (first ? "" : ", ") << "\"";
-        jsonEscapeInto(os, path);
-        os << "\": {\"count\": " << hist.count()
+        os << (first ? "" : ", ") << "\"" << json::escape(path)
+           << "\": {\"count\": " << hist.count()
            << ", \"sum\": " << hist.sum();
         if (hist.count() > 0) {
             os << ", \"min\": " << hist.min()

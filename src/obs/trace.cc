@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -44,42 +45,6 @@ TraceWriter::sliceCount() const
     return events_.size();
 }
 
-namespace
-{
-
-void
-appendEscaped(std::ostringstream &os, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            // Control characters would produce invalid JSON; none of
-            // our producers emit them, but stay safe.
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
-} // anonymous namespace
-
 std::string
 TraceWriter::json() const
 {
@@ -109,16 +74,16 @@ TraceWriter::json() const
         os << "{\"name\": \"" << m.kind << "\", \"ph\": \"M\", "
            << "\"pid\": " << m.pid << ", \"tid\": " << m.tid
            << ", \"args\": {\"name\": \"";
-        appendEscaped(os, m.name);
+        os << json::escape(m.name);
         os << "\"}}";
         first = false;
     }
     for (const auto &e : events) {
         os << (first ? "" : ",\n");
         os << "{\"name\": \"";
-        appendEscaped(os, e.name);
+        os << json::escape(e.name);
         os << "\", \"cat\": \"";
-        appendEscaped(os, e.category);
+        os << json::escape(e.category);
         os << "\", \"ph\": \"X\", \"ts\": " << e.tsUs
            << ", \"dur\": " << e.durUs << ", \"pid\": " << e.pid
            << ", \"tid\": " << e.tid;
@@ -127,9 +92,9 @@ TraceWriter::json() const
             bool first_arg = true;
             for (const auto &[k, v] : e.args) {
                 os << (first_arg ? "" : ", ") << "\"";
-                appendEscaped(os, k);
+                os << json::escape(k);
                 os << "\": \"";
-                appendEscaped(os, v);
+                os << json::escape(v);
                 os << "\"";
                 first_arg = false;
             }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ir/dependence_graph.hh"
 #include "sched/reg_pressure.hh"
 #include "support/logging.hh"
 
@@ -10,7 +11,6 @@ namespace vvsp
 
 ListScheduler::ListScheduler(const MachineModel &machine, BankOfFn bank_of)
     : machine_(machine), bank_of_(std::move(bank_of)),
-      table_(machine_, /*ii=*/0, bank_of_),
       stats_(obs::globalScope("sched"))
 {
 }
@@ -33,8 +33,8 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
                     machine_.name().c_str(), op.str().c_str());
     }
 
-    ddg_.build(ops, machine_.latencyFn(), /*loop_carried=*/false);
-    const DependenceGraph &ddg = ddg_;
+    const DependenceGraph ddg(ops, machine_.latencyFn(),
+                              /*loop_carried=*/false);
 
     int branch_idx = -1;
     for (int i = 0; i < n; ++i) {
@@ -46,8 +46,7 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     }
 
     stats_.bump("list_runs");
-    ReservationTable &table = table_;
-    table.reset(/*ii=*/0, width1);
+    ReservationTable table(machine_, /*ii=*/0, bank_of_, width1);
     std::vector<int32_t> start(static_cast<size_t>(n), -1);
     std::vector<int32_t> unplaced_preds(static_cast<size_t>(n), 0);
     std::vector<int32_t> earliest(static_cast<size_t>(n), 0);

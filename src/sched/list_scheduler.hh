@@ -14,6 +14,9 @@
  * A single trailing branch (loop back edge or conditional exit) is
  * placed so that its delay slots overlap trailing operations:
  * the block ends 1 + delaySlots cycles after the branch issues.
+ *
+ * Each schedule() call builds its own dependence graph and
+ * reservation table.
  */
 
 #ifndef VVSP_SCHED_LIST_SCHEDULER_HH
@@ -22,7 +25,6 @@
 #include <vector>
 
 #include "arch/machine_model.hh"
-#include "ir/dependence_graph.hh"
 #include "obs/stats_registry.hh"
 #include "sched/reservation_table.hh"
 #include "sched/schedule.hh"
@@ -47,10 +49,6 @@ class ListScheduler
   private:
     const MachineModel &machine_;
     BankOfFn bank_of_;
-    /** Pooled across schedule() calls; reset() per block. */
-    mutable ReservationTable table_;
-    /** Pooled across schedule() calls; rebuilt in place per block. */
-    mutable DependenceGraph ddg_;
     obs::StatsScope stats_;
 };
 

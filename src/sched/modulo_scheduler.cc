@@ -18,23 +18,20 @@ namespace vvsp
 namespace
 {
 
-/** Process-wide speculative II-search configuration. */
+/** Process-wide II-search pool (setIiSearch); null means width 1. */
 std::atomic<ThreadPool *> g_iiPool{nullptr};
-std::atomic<int> g_iiWidth{1};
 
 } // anonymous namespace
 
 void
-ModuloScheduler::setIiSearch(ThreadPool *pool, int width)
+ModuloScheduler::setIiSearch(ThreadPool *pool)
 {
     g_iiPool.store(pool, std::memory_order_release);
-    g_iiWidth.store(width, std::memory_order_release);
 }
 
 ModuloScheduler::ModuloScheduler(const MachineModel &machine,
                                  BankOfFn bank_of)
     : machine_(machine), bank_of_(std::move(bank_of)),
-      table_(machine_, /*ii=*/1, bank_of_),
       stats_(obs::globalScope("sched"))
 {
 }
@@ -143,15 +140,14 @@ bool
 ModuloScheduler::attempt(const std::vector<Operation> &ops,
                          const DependenceGraph &ddg, int ii,
                          const std::vector<int> &by_priority,
-                         ReservationTable &table, std::vector<int> *start,
-                         long *placements) const
+                         std::vector<int> *start, long *placements) const
 {
     const int n = static_cast<int>(ops.size());
     start->assign(static_cast<size_t>(n), -1);
     std::vector<int32_t> prev(static_cast<size_t>(n), -1);
     std::vector<int32_t> slot_of(static_cast<size_t>(n), -1);
     std::vector<int32_t> rank_of(static_cast<size_t>(n));
-    table.reset(ii);
+    ReservationTable table(machine_, ii, bank_of_);
 
     // Ops placed in each modulo row as intrusive doubly-linked lists:
     // forced placement evicts a row's occupants by walking its list
@@ -302,8 +298,8 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     }
 
     stats_.bump("modulo_runs");
-    ddg_.build(ops, machine_.latencyFn(), /*loop_carried=*/true);
-    const DependenceGraph &ddg = ddg_;
+    const DependenceGraph ddg(ops, machine_.latencyFn(),
+                              /*loop_carried=*/true);
     const int res_mii = resourceMii(ops);
     const int rec_mii = ddg.recurrenceMii();
     const int mii = std::max(res_mii, rec_mii);
@@ -348,9 +344,8 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         return result;
     };
 
-    // Feasible IIs are consumed in ascending order with the same
-    // control flow whether attempts ran sequentially or
-    // speculatively, so both paths return bit-identical schedules.
+    // Feasible IIs are consumed in ascending order, so every wave
+    // width returns the same schedule.
     BlockSchedule best;
     bool have_best = false;
     int pressure_retries = 0;
@@ -374,10 +369,9 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     };
 
     // Candidate-II budget, consumed in ascending II order at the
-    // point each candidate's result is (or would be) inspected — the
-    // same accounting in both search paths, so budgeted runs stay
-    // bit-identical at any thread count. The "sched/ii_attempt"
-    // failpoint is likewise evaluated once per candidate, in order.
+    // point each candidate's result is inspected. The
+    // "sched/ii_attempt" failpoint is likewise evaluated once per
+    // candidate, in order.
     long budget = ii_budget < 0 ? std::numeric_limits<long>::max()
                                 : ii_budget;
     bool exhausted = false;
@@ -394,71 +388,50 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         return s;
     };
 
+    // Attempt a wave of candidate IIs, as wide as the installed pool
+    // and never past the remaining budget, then replay the decision
+    // over the wave's results in ascending II order. attempt() is a
+    // pure function of (ops, ddg, ii) with its own table and scratch,
+    // so results past the deciding one are simply discarded. A wave
+    // of one runs inline on the calling thread.
     const int max_ii = mii + 2 * n + 16;
     ThreadPool *pool = g_iiPool.load(std::memory_order_acquire);
-    int width = g_iiWidth.load(std::memory_order_acquire);
-    if (pool != nullptr && width > 1) {
-        // Speculative search: attempt a wave of candidate IIs
-        // concurrently, then replay the sequential decision over the
-        // wave's results in ascending II order. attempt() is a pure
-        // function of (ops, ddg, ii) with its own table and local
-        // scratch, so extra speculative results are simply discarded.
-        for (int base = mii; base <= max_ii && !exhausted;) {
-            int wave = std::min(width, max_ii - base + 1);
-            std::vector<uint8_t> ok(static_cast<size_t>(wave), 0);
-            std::vector<long> steps(static_cast<size_t>(wave), 0);
-            std::vector<BlockSchedule> cands(
-                static_cast<size_t>(wave));
-            TaskGroup group(pool);
-            for (int k = 0; k < wave; ++k) {
-                group.submit([&, k, base] {
-                    int ii = base + k;
-                    ReservationTable tab(machine_, ii, bank_of_);
-                    std::vector<int> start;
-                    if (attempt(ops, ddg, ii, by_priority, tab, &start,
-                                &steps[static_cast<size_t>(k)])) {
-                        cands[static_cast<size_t>(k)] =
-                            build(ii, start);
-                        ok[static_cast<size_t>(k)] = 1;
-                    }
-                });
-            }
-            group.wait();
-            for (int k = 0; k < wave; ++k) {
-                if (budget-- <= 0) {
-                    exhausted = true;
-                    break;
-                }
-                ++attempts;
-                if (failpoint::evaluate("sched/ii_attempt"))
-                    continue; // forced infeasible.
-                placements += steps[static_cast<size_t>(k)];
-                if (!ok[static_cast<size_t>(k)])
-                    continue;
-                if (consume(std::move(cands[static_cast<size_t>(k)])))
-                    return finish(std::move(decided));
-            }
-            base += wave;
+    const int width = pool != nullptr ? pool->threadCount() : 1;
+    for (int base = mii; base <= max_ii;) {
+        if (budget <= 0) {
+            exhausted = true;
+            break;
         }
-    } else {
-        std::vector<int> start;
-        for (int ii = mii; ii <= max_ii; ++ii) {
-            if (budget-- <= 0) {
-                exhausted = true;
-                break;
-            }
+        const int wave = static_cast<int>(std::min<long>(
+            {width, max_ii - base + 1, budget}));
+        std::vector<uint8_t> ok(static_cast<size_t>(wave), 0);
+        std::vector<long> steps(static_cast<size_t>(wave), 0);
+        std::vector<BlockSchedule> cands(static_cast<size_t>(wave));
+        TaskGroup group(wave > 1 ? pool : nullptr);
+        for (int k = 0; k < wave; ++k) {
+            group.submit([&, k, base] {
+                int ii = base + k;
+                std::vector<int> start;
+                if (attempt(ops, ddg, ii, by_priority, &start,
+                            &steps[static_cast<size_t>(k)])) {
+                    cands[static_cast<size_t>(k)] = build(ii, start);
+                    ok[static_cast<size_t>(k)] = 1;
+                }
+            });
+        }
+        group.wait();
+        for (int k = 0; k < wave; ++k) {
+            --budget;
             ++attempts;
             if (failpoint::evaluate("sched/ii_attempt"))
                 continue; // forced infeasible.
-            long steps = 0;
-            bool ok = attempt(ops, ddg, ii, by_priority, table_,
-                              &start, &steps);
-            placements += steps;
-            if (!ok)
+            placements += steps[static_cast<size_t>(k)];
+            if (!ok[static_cast<size_t>(k)])
                 continue;
-            if (consume(build(ii, start)))
+            if (consume(std::move(cands[static_cast<size_t>(k)])))
                 return finish(std::move(decided));
         }
+        base += wave;
     }
     if (exhausted)
         stats_.bump("budget_exhausted");

@@ -13,6 +13,10 @@
  * reaches II = 1 on an unconstrained cluster and II = 2 when the
  * single load/store unit of the I4C8* clusters is the bottleneck
  * (Sec. 3.4.1).
+ *
+ * Each schedule() call builds its own dependence graph, and each
+ * candidate II its own reservation table, so the candidates of one
+ * call can run concurrently (setIiSearch).
  */
 
 #ifndef VVSP_SCHED_MODULO_SCHEDULER_HH
@@ -39,17 +43,16 @@ class ModuloScheduler
     ModuloScheduler(const MachineModel &machine, BankOfFn bank_of);
 
     /**
-     * Configure process-wide speculative II search: candidate IIs of
-     * one schedule() call are attempted concurrently on `pool` in
-     * waves of `width`, and the results are consumed in ascending II
-     * order with exactly the sequential search's control flow - each
-     * attempt is a pure function of (ops, ddg, ii), so the outcome is
-     * bit-identical to the sequential search at any thread count.
-     * width <= 1 or a null pool keeps the sequential path (the
-     * default). The pool must outlive scheduling; callers clear the
-     * configuration (nullptr, 1) when their pool goes away.
+     * Install the process-wide II-search pool: candidate IIs of one
+     * schedule() call are attempted in waves as wide as the pool's
+     * thread count, and the results are consumed in ascending II
+     * order. Each attempt is a pure function of (ops, ddg, ii), so the
+     * outcome is bit-identical at any width. A null pool (the default)
+     * means waves of one, run inline on the calling thread. The pool
+     * must outlive scheduling; callers clear it (nullptr) when their
+     * pool goes away.
      */
-    static void setIiSearch(ThreadPool *pool, int width);
+    static void setIiSearch(ThreadPool *pool);
 
     /**
      * Software-pipeline the loop-body ops (cluster fields assigned;
@@ -79,9 +82,8 @@ class ModuloScheduler
      * the best feasible schedule found so far is returned with its
      * `degraded` flag set; if no candidate was feasible, nullopt —
      * the caller falls back to an acyclic list schedule. The budget
-     * is consumed in ascending II order in both the sequential and
-     * the speculative search, so results stay bit-identical at any
-     * thread count.
+     * is consumed in ascending II order and no wave runs past it, so
+     * results stay bit-identical at any pool width.
      *
      * The "sched/ii_attempt" failpoint, evaluated once per candidate
      * II in ascending order, forces that candidate infeasible —
@@ -99,25 +101,18 @@ class ModuloScheduler
      * One II try. `by_priority` lists op indices sorted by height
      * (descending, ties in program order) - the scheduling priority,
      * which is static per dependence graph, so it is computed once
-     * in schedule() and shared by every attempt. The caller supplies
-     * the reservation table (the pooled member for the sequential
-     * search, a private table per speculative task); all other
-     * scratch is local to the call. `*placements` receives the
-     * placement steps taken; a failing try runs out its whole
-     * 32n+256 budget.
+     * in scheduleBudgeted() and shared by every attempt. The
+     * reservation table and all other scratch are local to the call.
+     * `*placements` receives the placement steps taken; a failing
+     * try runs out its whole 32n+256 budget.
      */
     bool attempt(const std::vector<Operation> &ops,
                  const DependenceGraph &ddg, int ii,
                  const std::vector<int> &by_priority,
-                 ReservationTable &table, std::vector<int> *start,
-                 long *placements) const;
+                 std::vector<int> *start, long *placements) const;
 
     const MachineModel &machine_;
     BankOfFn bank_of_;
-    /** Pooled across attempts; reset() per II tried. */
-    mutable ReservationTable table_;
-    /** Pooled across schedule() calls; rebuilt in place per block. */
-    mutable DependenceGraph ddg_;
     obs::StatsScope stats_;
 };
 

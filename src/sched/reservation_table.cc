@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <numeric>
 
 #include "support/logging.hh"
 
@@ -28,6 +29,8 @@ ReservationTable::ReservationTable(const MachineModel &machine, int ii,
     : machine_(machine), bank_of_(std::move(bank_of)), ii_(ii),
       width1_(width1)
 {
+    vvsp_assert(ii_ == 0 || !width1_,
+                "width-1 mode is for acyclic tables only (ii=%d)", ii_);
     clusters_ = machine_.clusters();
     slots_ = machine_.slotsPerCluster();
     stride_ = clusters_ * slots_;
@@ -93,16 +96,14 @@ ReservationTable::ReservationTable(const MachineModel &machine, int ii,
     // Size the flat state once; acyclic tables grow geometrically.
     int initial_rows = ii_ > 0 ? ii_ : 64;
     ensureRows(initial_rows);
-    resetModuloBits();
+    initModuloBits();
 }
 
 void
-ReservationTable::resetModuloBits()
+ReservationTable::initModuloBits()
 {
-    if (ii_ <= 0) {
-        rowWords_ = 0;
+    if (ii_ <= 0)
         return;
-    }
     rowWords_ = (ii_ + 63) / 64;
     size_t words = static_cast<size_t>(rowWords_);
     branchBits_.assign(words, 0);
@@ -142,28 +143,6 @@ ReservationTable::resetModuloBits()
                   static_cast<uint8_t>(class_size));
     }
     scanScratch_.resize(words);
-}
-
-void
-ReservationTable::reset(int ii, bool width1)
-{
-    ii_ = ii;
-    width1_ = width1;
-    if (rowsTouched_ > 0) {
-        size_t r = static_cast<size_t>(rowsTouched_);
-        std::memset(slotBusy_.data(), 0,
-                    r * static_cast<size_t>(stride_));
-        std::memset(sends_.data(), 0,
-                    r * static_cast<size_t>(clusters_));
-        std::memset(receives_.data(), 0,
-                    r * static_cast<size_t>(clusters_));
-        std::memset(branchBusy_.data(), 0, r);
-        std::memset(totalOps_.data(), 0, r * sizeof(int32_t));
-    }
-    rowsTouched_ = 0;
-    if (ii_ > 0)
-        ensureRows(ii_);
-    resetModuloBits();
 }
 
 void
@@ -327,15 +306,6 @@ ReservationTable::findFirstFit(const Operation &op, int estart,
     vvsp_assert(ii_ > 0 && rowWords_ > 0,
                 "findFirstFit needs a modulo table");
     vvsp_assert(estart >= 0, "negative estart %d", estart);
-    if (width1_) {
-        // width-1 gating is per-row op totals, not tracked in the
-        // bitmaps; keep the exact probing scan for this rare mode.
-        for (int t = estart; t < estart + ii_; ++t) {
-            if (tryReserve(op, t, slot_out))
-                return t;
-        }
-        return -1;
-    }
 
     // Bitmap of modulo rows that cannot take op: the incrementally
     // maintained per-class mask (all candidate slots busy), plus for
@@ -452,13 +422,46 @@ ReservationTable::release(const Operation &op, int cycle, int slot)
     }
 }
 
-int
-ReservationTable::opsAt(int cycle) const
+std::vector<int>
+witnessSlots(const std::vector<Operation> &ops,
+             const std::vector<PlacedOp> &placed, int ii,
+             const MachineModel &machine, const BankOfFn &bank_of,
+             bool width1)
 {
-    int r = row(cycle);
-    if (r >= rowsTouched_)
-        return 0;
-    return totalOps_[static_cast<size_t>(r)];
+    ReservationTable table(machine, ii, bank_of, width1);
+    auto hardness = [](const Operation &op) {
+        switch (op.info().fuClass) {
+          case FuClass::Mem:
+          case FuClass::Mult:
+          case FuClass::Shift:
+            return 0;
+          case FuClass::Xbar:
+            return 1;
+          default:
+            return 2;
+        }
+    };
+    auto row = [&placed, ii](size_t i) {
+        int c = placed[i].cycle;
+        return ii > 0 ? c % ii : c;
+    };
+    std::vector<size_t> order(ops.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         if (row(a) != row(b))
+                             return row(a) < row(b);
+                         return hardness(ops[a]) < hardness(ops[b]);
+                     });
+    std::vector<int> slots(ops.size(), -1);
+    for (size_t i : order) {
+        if (width1 && ops[i].info().isBranch)
+            continue;
+        bool ok = table.tryReserve(ops[i], placed[i].cycle, &slots[i]);
+        vvsp_assert(ok, "no witness slot for '%s' at cycle %d",
+                    ops[i].str().c_str(), placed[i].cycle);
+    }
+    return slots;
 }
 
 } // namespace vvsp

@@ -9,14 +9,10 @@
  * ("limited to one operation per instruction"). For modulo
  * scheduling the table wraps modulo the initiation interval.
  *
- * The table is built for reuse on the scheduler hot path: all
- * per-cycle state lives in flat arrays whose strides are fixed once
- * from the MachineModel (no per-row allocation when the backtracking
- * modulo search touches a fresh cycle), the slot-selection policy is
- * precomputed into per-operation-class candidate orders, and reset()
- * rewinds the table for the next scheduling attempt without
- * releasing storage. Schedulers therefore keep one pooled table per
- * instance instead of constructing one per attempt.
+ * All per-cycle state lives in flat arrays whose strides are fixed
+ * once from the MachineModel, and the slot-selection policy is
+ * precomputed into per-operation-class candidate orders. Each list
+ * schedule and each modulo II attempt builds its own table.
  */
 
 #ifndef VVSP_SCHED_RESERVATION_TABLE_HH
@@ -27,6 +23,7 @@
 #include <vector>
 
 #include "arch/machine_model.hh"
+#include "sched/schedule.hh"
 
 namespace vvsp
 {
@@ -42,16 +39,11 @@ class ReservationTable
      * @param machine the target datapath.
      * @param ii      initiation interval; 0 for acyclic scheduling.
      * @param bank_of resolves memory ops' buffers to banks.
-     * @param width1  global one-operation-per-cycle mode.
+     * @param width1  global one-operation-per-cycle mode (acyclic
+     *                tables only).
      */
     ReservationTable(const MachineModel &machine, int ii,
                      BankOfFn bank_of, bool width1 = false);
-
-    /**
-     * Rewind every reservation and switch to a new interval/width
-     * mode, keeping the allocated storage (the pooled-reuse path).
-     */
-    void reset(int ii, bool width1 = false);
 
     /**
      * Try to reserve resources for op at the given cycle; on success
@@ -76,13 +68,10 @@ class ReservationTable
     /** Release a previous reservation (modulo-scheduler eviction). */
     void release(const Operation &op, int cycle, int slot);
 
-    /** Number of operations currently reserved at a cycle. */
-    int opsAt(int cycle) const;
-
   private:
     int row(int cycle) const;
     void ensureRows(int rows);
-    void resetModuloBits();
+    void initModuloBits();
 
     /** Candidate slots for an op, in reservation-preference order. */
     const std::vector<int> &tryOrder(const Operation &op) const;
@@ -130,7 +119,7 @@ class ReservationTable
     std::vector<uint8_t> branchBusy_;///< rows.
     std::vector<int32_t> totalOps_;  ///< rows.
     int rows_ = 0;       ///< allocated row capacity.
-    int rowsTouched_ = 0;///< high-water mark, bounds reset() work.
+    int rowsTouched_ = 0;///< rows reserved in so far.
 
     /**
      * Modulo-mode row bitmaps, mirrored by tryReserve()/release()
@@ -152,6 +141,23 @@ class ReservationTable
     std::vector<uint8_t> classFreeCnt_;    ///< (class,cluster) x ii.
     std::vector<uint64_t> scanScratch_;    ///< findFirstFit workspace.
 };
+
+/**
+ * Re-derive an issue slot for every op of a placed group through a
+ * fresh table (`ii` 0 for acyclic groups): ops are reserved in order
+ * of (row, unit-class hardness), hardest-constrained classes first
+ * within each row. A set the scheduler accumulated greedily is
+ * feasible, and this order always finds a witness assignment
+ * (alternate-unit ops are slot-bound, ALUs fill the remaining slots).
+ * Returns the slot per op (-1 for the control slot). In width-1 mode
+ * the trailing branch's instruction is charged by the block-length
+ * formula, so it is not reserved and gets -1. Panics when an op finds
+ * no slot: the placement is not resource-legal.
+ */
+std::vector<int> witnessSlots(const std::vector<Operation> &ops,
+                              const std::vector<PlacedOp> &placed,
+                              int ii, const MachineModel &machine,
+                              const BankOfFn &bank_of, bool width1);
 
 } // namespace vvsp
 

@@ -263,22 +263,12 @@ BytecodeProgram::BytecodeProgram(const Function &fn)
     compiler.compile();
 }
 
-BytecodeEngine::BytecodeEngine(
-    std::shared_ptr<const BytecodeProgram> p)
-    : prog_(std::move(p))
-{
-    vvsp_assert(prog_ != nullptr, "null bytecode program");
-}
-
-BytecodeEngine::BytecodeEngine(const Function &fn)
-    : BytecodeEngine(std::make_shared<BytecodeProgram>(fn))
-{
-}
+BytecodeEngine::BytecodeEngine(const Function &fn) : prog_(fn) {}
 
 uint16_t
 BytecodeEngine::regValue(Vreg r) const
 {
-    vvsp_assert(r < prog_->numVregs(),
+    vvsp_assert(r < prog_.numVregs(),
                 "regValue of v%u out of range", r);
     return regs_[r];
 }
@@ -295,20 +285,11 @@ struct BufSpan
 
 } // anonymous namespace
 
-// Threaded dispatch: computed goto keeps one indirect branch per
-// handler (better-predicted than a shared switch branch). The switch
-// fallback compiles the same handler bodies.
-#if defined(__GNUC__) || defined(__clang__)
-#define VVSP_BC_THREADED 1
-#endif
-
-#if VVSP_BC_THREADED
+// Threaded dispatch: computed goto (a GCC/Clang extension, which
+// every supported compiler has) keeps one indirect branch per
+// handler, better-predicted than a shared switch branch.
 #define VVSP_BC_CASE(name) lbl_##name
 #define VVSP_BC_NEXT() goto *labels[ip->kind]
-#else
-#define VVSP_BC_CASE(name) case BcKind::k##name
-#define VVSP_BC_NEXT() goto dispatch
-#endif
 
 /** Shared predicate guard: nullify and fall through to the next op. */
 #define VVSP_BC_PRED_GUARD(inst)                                      \
@@ -323,7 +304,7 @@ struct BufSpan
 Profile
 BytecodeEngine::run(MemoryImage &mem)
 {
-    const BytecodeProgram &p = *prog_;
+    const BytecodeProgram &p = prog_;
     Profile profile(p.numNodeIds());
 
     // Register file: zero the vreg + zero-slot prefix, then preload
@@ -380,7 +361,6 @@ BytecodeEngine::run(MemoryImage &mem)
     const BcInst *const code = p.code().data();
     const BcInst *ip = code;
 
-#if VVSP_BC_THREADED
     static const void *const labels[] = {
 #define VVSP_BC_LABEL(name) &&lbl_##name,
         VVSP_BC_ALU_OPS(VVSP_BC_LABEL)
@@ -392,10 +372,6 @@ BytecodeEngine::run(MemoryImage &mem)
 #undef VVSP_BC_LABEL
     };
     VVSP_BC_NEXT();
-#else
-dispatch:
-    switch (static_cast<BcKind>(ip->kind)) {
-#endif
 
 // One handler per ALU opcode: the constant Opcode argument folds the
 // alu16::evaluate switch into straight-line code per case.
@@ -523,11 +499,6 @@ dispatch:
     VVSP_BC_CASE(Halt) : {
         goto done;
     }
-
-#if !VVSP_BC_THREADED
-    }
-    vvsp_panic("bytecode: bad instruction kind %u", ip->kind);
-#endif
 
 done:
     profile.dynamicOps = dynamic;

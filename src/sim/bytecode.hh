@@ -10,9 +10,9 @@
  * IR (blocks, loops, If arms, predication, Break) into a linear array
  * of fixed-width decoded instructions with all jump and back-edge
  * targets resolved at compile time, and BytecodeEngine replays it
- * with a threaded-dispatch loop (computed goto under GCC/Clang, a
- * switch fallback elsewhere) over a flat uint16_t register file and
- * raw MemoryImage spans.
+ * with a threaded-dispatch loop (computed goto, a GCC/Clang extension
+ * every supported compiler has) over a flat uint16_t register file
+ * and raw MemoryImage spans.
  *
  * Decisions that make the inner loop branch-light:
  *  - every source operand is an unconditional register-file index:
@@ -40,7 +40,6 @@
 #define VVSP_SIM_BYTECODE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,8 +119,7 @@ struct BcLoopInfo
 
 /**
  * A Function compiled to flat bytecode. Immutable after
- * construction; one program may be shared (by shared_ptr) across any
- * number of engines and threads.
+ * construction; each BytecodeEngine compiles and owns one.
  */
 class BytecodeProgram
 {
@@ -162,14 +160,12 @@ class BytecodeProgram
  * Replay state for one BytecodeProgram: register file, loop
  * counters, and buffer spans. Same contract as Interpreter: run()
  * executes against a MemoryImage (modified in place) and returns the
- * execution profile. Not thread-safe; one engine per worker, programs
- * shared.
+ * execution profile. Not thread-safe; one engine per worker.
  */
 class BytecodeEngine
 {
   public:
-    explicit BytecodeEngine(std::shared_ptr<const BytecodeProgram> p);
-    /** Compile-and-own convenience (tests, benches). */
+    /** Compile `fn` into the program this engine owns and replays. */
     explicit BytecodeEngine(const Function &fn);
 
     Profile run(MemoryImage &mem);
@@ -177,13 +173,13 @@ class BytecodeEngine
     /** Safety bound for dynamic loops (same default as the oracle). */
     void setMaxLoopIterations(uint64_t n) { max_iters_ = n; }
 
-    const BytecodeProgram &program() const { return *prog_; }
+    const BytecodeProgram &program() const { return prog_; }
 
     /** Last value of a virtual register (for tests). */
     uint16_t regValue(Vreg r) const;
 
   private:
-    std::shared_ptr<const BytecodeProgram> prog_;
+    BytecodeProgram prog_;
     std::vector<uint16_t> regs_;
     std::vector<uint64_t> loop_iter_;
     std::vector<uint64_t> loop_bound_;

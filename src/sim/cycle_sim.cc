@@ -108,59 +108,17 @@ struct CycleSim::Engine
     }
 
     /**
-     * Independently re-verify a schedule: resource legality via a
-     * fresh reservation table and dependence timing via a rebuilt
-     * dependence graph.
+     * Independently re-verify a schedule: resource legality by
+     * deriving a witness slot for every op (panics if one finds
+     * none) and dependence timing via a rebuilt dependence graph.
+     * Returns the witness slots, parallel to `ops`.
      */
-    void
+    std::vector<int>
     verifySchedule(const std::vector<Operation> &ops,
                    const BlockSchedule &sched, bool width1)
     {
-        ReservationTable table(machine, sched.ii, bankOf, width1);
-        // Reserve hardest-constrained classes first within each
-        // cycle: a set the scheduler accumulated greedily is
-        // feasible, and this order always finds the witness
-        // assignment (alternate-unit ops are slot-bound, ALUs fill
-        // the remaining slots).
-        auto hardness = [](const Operation &op) {
-            switch (op.info().fuClass) {
-              case FuClass::Mem:
-              case FuClass::Mult:
-              case FuClass::Shift:
-                return 0;
-              case FuClass::Xbar:
-                return 1;
-              default:
-                return 2;
-            }
-        };
-        std::vector<size_t> order(ops.size());
-        for (size_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        auto row = [&sched](size_t i) {
-            int c = sched.placed[i].cycle;
-            return sched.ii > 0 ? c % sched.ii : c;
-        };
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             if (row(a) != row(b))
-                                 return row(a) < row(b);
-                             return hardness(ops[a]) <
-                                    hardness(ops[b]);
-                         });
-        for (size_t i : order) {
-            // In width-1 mode the trailing branch's instruction slot
-            // is charged analytically by the block-length formula
-            // (it conceptually shifts the ops in its delay shadow),
-            // so its placement may share a cycle number here.
-            if (width1 && ops[i].info().isBranch)
-                continue;
-            int slot = -1;
-            bool ok = table.tryReserve(ops[i], sched.placed[i].cycle,
-                                       &slot);
-            vvsp_assert(ok, "resource violation for '%s' at cycle %d",
-                        ops[i].str().c_str(), sched.placed[i].cycle);
-        }
+        std::vector<int> slots = witnessSlots(ops, sched.placed, sched.ii,
+                                              machine, bankOf, width1);
         DependenceGraph ddg(ops, machine.latencyFn(), sched.ii > 0);
         int ii = sched.ii > 0 ? sched.ii : 1 << 20;
         for (const auto &e : ddg.edges()) {
@@ -172,6 +130,7 @@ struct CycleSim::Engine
                         e.from, e.to, e.latency, e.distance, tf, tt,
                         sched.ii);
         }
+        return slots;
     }
 
     /**
@@ -362,12 +321,16 @@ struct CycleSim::Engine
         if (mit == moduloCache.end()) {
             BlockSchedule sched =
                 msched.schedule(ops, machine.registersPerCluster());
-            verifySchedule(ops, sched, false);
+            std::vector<int> slots = verifySchedule(ops, sched, false);
             if (trace) {
+                // The placer records no slots; draw the witness ones.
+                BlockSchedule drawn = sched;
+                for (size_t i = 0; i < slots.size(); ++i)
+                    drawn.placed[i].slot = slots[i];
                 obs::scheduleToTrace(*trace, (*tracePid)++,
                                      *traceLabel + "/swp:" +
                                          loop.label,
-                                     ops, sched, machine);
+                                     ops, drawn, machine);
             }
             simStats.bump("swp_loop_schedules");
             std::vector<Operation> decoded;

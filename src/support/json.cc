@@ -231,6 +231,9 @@ class Parser
                 return true;
             if (c == '\n')
                 return fail("unterminated string");
+            // RFC 8259: control characters must be escaped.
+            if (static_cast<unsigned char>(c) < 0x20)
+                return fail("unescaped control character in string");
             if (c != '\\') {
                 out += c;
                 continue;

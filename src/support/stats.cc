@@ -1,68 +1,11 @@
 #include "support/stats.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/logging.hh"
 
 namespace vvsp
 {
-
-void
-RunningStat::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-}
-
-double
-RunningStat::min() const
-{
-    vvsp_assert(count_ > 0, "min() of empty RunningStat");
-    return min_;
-}
-
-double
-RunningStat::max() const
-{
-    vvsp_assert(count_ > 0, "max() of empty RunningStat");
-    return max_;
-}
-
-double
-RunningStat::mean() const
-{
-    vvsp_assert(count_ > 0, "mean() of empty RunningStat");
-    return sum_ / static_cast<double>(count_);
-}
-
-void
-CounterSet::bump(const std::string &name, uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-uint64_t
-CounterSet::get(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-std::string
-CounterSet::str() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters_)
-        os << name << " = " << value << "\n";
-    return os.str();
-}
 
 void
 IntStat::sample(uint64_t v)
@@ -111,35 +54,6 @@ IntStat::mean() const
 {
     vvsp_assert(count_ > 0, "mean() of empty IntStat");
     return static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-Histogram::Histogram(size_t buckets)
-    : counts_(buckets, 0)
-{
-}
-
-void
-Histogram::sample(size_t v)
-{
-    size_t b = std::min(v, counts_.size() - 1);
-    ++counts_[b];
-    ++total_;
-    weighted_ += v;
-}
-
-uint64_t
-Histogram::bucket(size_t v) const
-{
-    vvsp_assert(v < counts_.size(), "histogram bucket %zu out of range", v);
-    return counts_[v];
-}
-
-double
-Histogram::mean() const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(weighted_) / static_cast<double>(total_);
 }
 
 } // namespace vvsp

@@ -1,61 +1,16 @@
 /**
  * @file
- * Lightweight statistics accumulators used by the simulators and the
- * experiment harness.
+ * IntStat, the integer running statistics behind every
+ * obs::StatsRegistry distribution.
  */
 
 #ifndef VVSP_SUPPORT_STATS_HH
 #define VVSP_SUPPORT_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace vvsp
 {
-
-/** Scalar running statistics: count / sum / min / max / mean. */
-class RunningStat
-{
-  public:
-    void sample(double v);
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const;
-    double max() const;
-    double mean() const;
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/**
- * A named bag of integer counters, e.g. per-opcode issue counts in the
- * cycle simulator. Counters are created on first use.
- */
-class CounterSet
-{
-  public:
-    /** Add delta (default 1) to the named counter. */
-    void bump(const std::string &name, uint64_t delta = 1);
-
-    /** Value of the named counter; 0 if never bumped. */
-    uint64_t get(const std::string &name) const;
-
-    /** All counters in name order. */
-    const std::map<std::string, uint64_t> &all() const { return counters_; }
-
-    /** Render as "name = value" lines. */
-    std::string str() const;
-
-  private:
-    std::map<std::string, uint64_t> counters_;
-};
 
 /**
  * Integer-valued running statistics: count / sum / min / max. All
@@ -83,26 +38,6 @@ class IntStat
     uint64_t sum_ = 0;
     uint64_t min_ = 0;
     uint64_t max_ = 0;
-};
-
-/** Histogram over small non-negative integer values (e.g. issue width). */
-class Histogram
-{
-  public:
-    explicit Histogram(size_t buckets = 64);
-
-    void sample(size_t v);
-
-    uint64_t bucket(size_t v) const;
-    uint64_t total() const { return total_; }
-    double mean() const;
-
-    size_t numBuckets() const { return counts_.size(); }
-
-  private:
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
-    uint64_t weighted_ = 0;
 };
 
 } // namespace vvsp

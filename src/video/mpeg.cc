@@ -46,20 +46,6 @@ extractSearchWindow(const Plane &p, int mbx, int mby)
 }
 
 std::vector<uint16_t>
-extractBlock8(const Plane &p, int bx, int by)
-{
-    std::vector<uint16_t> blk(64);
-    for (int y = 0; y < 8; ++y) {
-        for (int x = 0; x < 8; ++x) {
-            int v = static_cast<int>(p.at(bx * 8 + x, by * 8 + y)) - 128;
-            blk[static_cast<size_t>(y * 8 + x)] =
-                static_cast<uint16_t>(v);
-        }
-    }
-    return blk;
-}
-
-std::vector<uint16_t>
 quantizeBlock(const std::vector<uint16_t> &dct)
 {
     vvsp_assert(dct.size() == 64, "quantizeBlock needs 64 coefficients");

@@ -33,9 +33,6 @@ std::vector<uint16_t> extractMacroblock(const Plane &p, int mbx, int mby);
 std::vector<uint16_t> extractSearchWindow(const Plane &p, int mbx,
                                           int mby);
 
-/** Extract an 8x8 block, level shifted by -128, as int16 words. */
-std::vector<uint16_t> extractBlock8(const Plane &p, int bx, int by);
-
 /**
  * Uniform quantizer: DC step 8, AC step 16. Produces the sparse
  * coefficient blocks the VBR coder consumes.

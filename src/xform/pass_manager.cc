@@ -85,23 +85,6 @@ findLoop(Function &fn, const std::string &label)
     return findLoopIn(fn.body, label);
 }
 
-LoopNode *
-innermostLoop(Function &fn)
-{
-    LoopNode *found = nullptr;
-    std::function<void(NodeList &)> walk = [&](NodeList &list) {
-        for (auto &n : list) {
-            if (n->kind() == NodeKind::Loop) {
-                auto &loop = static_cast<LoopNode &>(*n);
-                found = &loop;
-                walk(loop.body);
-            }
-        }
-    };
-    walk(fn.body);
-    return found;
-}
-
 void
 cleanup(Function &fn)
 {

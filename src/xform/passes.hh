@@ -41,9 +41,6 @@ std::vector<uint32_t> useCounts(const Function &fn);
 /** Find a loop by label; null if absent. */
 LoopNode *findLoop(Function &fn, const std::string &label);
 
-/** Innermost loop found on the first descending path; null if none. */
-LoopNode *innermostLoop(Function &fn);
-
 // ---- scalar optimizations -------------------------------------------
 
 /**

@@ -150,34 +150,6 @@ TEST(CsrAdjacency, DisconnectedOpsHaveEmptyRanges)
     }
 }
 
-TEST(CsrAdjacency, InPlaceRebuildMatchesFreshGraph)
-{
-    // The pooled-graph path: build() over a big graph, then over a
-    // small one, must leave no stale adjacency behind.
-    std::vector<Operation> big{mk(Opcode::Mov, 1, K(7)),
-                               mk(Opcode::Add, 2, R(1), K(1)),
-                               mk(Opcode::Add, 3, R(2), K(2)),
-                               mk(Opcode::Add, 4, R(3), R(2))};
-    std::vector<Operation> small{mk(Opcode::Mov, 1, K(7)),
-                                 mk(Opcode::Add, 2, R(1), K(1))};
-    DependenceGraph reused;
-    reused.build(big, unitLatency(), true);
-    reused.build(small, unitLatency(), false);
-    DependenceGraph fresh(small, unitLatency(), false);
-
-    ASSERT_EQ(reused.edges().size(), fresh.edges().size());
-    for (size_t e = 0; e < fresh.edges().size(); ++e) {
-        EXPECT_EQ(reused.edges()[e].from, fresh.edges()[e].from);
-        EXPECT_EQ(reused.edges()[e].to, fresh.edges()[e].to);
-        EXPECT_EQ(reused.edges()[e].latency, fresh.edges()[e].latency);
-        EXPECT_EQ(reused.edges()[e].distance,
-                  fresh.edges()[e].distance);
-    }
-    expectCsrConsistent(reused, 2);
-    for (int i = 0; i < 2; ++i)
-        EXPECT_EQ(reused.height(i), fresh.height(i));
-}
-
 // ---- findFirstFit vs the probing definition ---------------------------
 
 /** Deterministic 64-bit LCG (tests must not use random_device). */
@@ -331,11 +303,11 @@ TEST(IiSearchParallel, BitIdenticalToSequential)
         seq.push_back(sched.schedule(ops));
 
     ThreadPool pool(4);
-    ModuloScheduler::setIiSearch(&pool, pool.threadCount());
+    ModuloScheduler::setIiSearch(&pool);
     std::vector<BlockSchedule> par;
     for (const auto &ops : loops)
         par.push_back(sched.schedule(ops));
-    ModuloScheduler::setIiSearch(nullptr, 1);
+    ModuloScheduler::setIiSearch(nullptr);
 
     for (size_t l = 0; l < loops.size(); ++l) {
         const BlockSchedule &a = seq[l];

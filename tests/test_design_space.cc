@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/design_space.hh"
+#include "core/sweep.hh"
 
 namespace vvsp
 {
@@ -50,10 +51,13 @@ TEST(DesignSpace, ScorerFeedsFramesPerSecond)
     sweep.registerCounts = {128};
     sweep.localMemKb = {32};
     sweep.pipelineDepths = {4};
-    auto points = exploreDesignSpace(
-        sweep, [](const DatapathConfig &) { return 10e6; });
+    SweepOptions one_thread;
+    one_thread.threads = 1;
+    SweepRunner runner(one_thread);
+    auto points = exploreDesignSpace(sweep, &runner);
     ASSERT_EQ(points.size(), 1u);
     EXPECT_GT(points[0].framesPerSecond, 0);
+    EXPECT_EQ(exploreDesignSpace(sweep)[0].framesPerSecond, 0);
 }
 
 TEST(DesignSpace, ParetoFrontierIsMinimalAndSorted)

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <thread>
 #include <vector>
 
 #include "arch/models.hh"
@@ -221,6 +223,35 @@ TEST_F(Failpoint, HitsExportToGlobalStats)
     EXPECT_EQ(reg.counterValue(
                   "failpoint/disk_cache/store_enospc_hits"),
               2u);
+}
+
+TEST_F(Failpoint, ConcurrentEveryKHitsExactly)
+{
+    // Four threads share one every:3 site: the registry serializes
+    // evaluations, so exactly a third of them fire, whatever the
+    // interleaving.
+    failpoint::Spec spec;
+    std::string error;
+    ASSERT_TRUE(failpoint::parseSpec("every:3", spec, &error));
+    failpoint::configure("t/concurrent", spec);
+    constexpr int kThreads = 4, kEvals = 3000;
+    std::atomic<uint64_t> fired{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&fired] {
+            for (int i = 0; i < kEvals; ++i) {
+                if (failpoint::evaluate("t/concurrent"))
+                    fired++;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(failpoint::evalCount("t/concurrent"),
+              uint64_t{kThreads} * kEvals);
+    EXPECT_EQ(failpoint::hitCount("t/concurrent"),
+              uint64_t{kThreads} * kEvals / 3);
+    EXPECT_EQ(fired.load(), uint64_t{kThreads} * kEvals / 3);
 }
 
 // ---- classified retry --------------------------------------------------

@@ -47,7 +47,7 @@ seedModule()
     Function fn = lowerVariant(kernel, variant, machine);
     AvgProfile avg(fn.numNodeIds());
     FrameGeometry geom = FrameGeometry::ccir601();
-    BytecodeEngine engine(std::make_shared<const BytecodeProgram>(fn));
+    BytecodeEngine engine(fn);
     MemoryImage mem(fn);
     kernel.prepare(fn, mem, geom, 0);
     avg.accumulate(engine.run(mem));

@@ -1,6 +1,6 @@
 /**
  * @file
- * The ISA layer end to end: format JSON round trips, binary and
+ * The ISA layer end to end: format derivation, binary and
  * textual encode/decode identity across models and kernels, the
  * scheduler-estimate == encoder-ground-truth invariant, decoded
  * execution bit-identity in the cycle simulator, and the
@@ -46,7 +46,7 @@ pipelineModule(const KernelSpec &kernel, const VariantSpec &variant,
     Function fn = lowerVariant(kernel, variant, machine);
     AvgProfile avg(fn.numNodeIds());
     FrameGeometry geom = FrameGeometry::ccir601();
-    BytecodeEngine engine(std::make_shared<const BytecodeProgram>(fn));
+    BytecodeEngine engine(fn);
     for (int u = 0; u < profile_units; ++u) {
         MemoryImage mem(fn);
         kernel.prepare(fn, mem, geom, u);
@@ -79,7 +79,7 @@ expectBinaryRoundTrip(const IsaModule &module, const std::string &what)
     EXPECT_EQ(bytes, again) << what << ": re-encode diverged";
 }
 
-TEST(IsaFormat, DerivedFromConfigAndJsonRoundTrip)
+TEST(IsaFormat, DerivedFromConfig)
 {
     for (const char *name :
          {"I4C8S4", "I4C8S4C", "I4C8S5", "I2C16S4", "I2C16S5",
@@ -94,34 +94,7 @@ TEST(IsaFormat, DerivedFromConfigAndJsonRoundTrip)
         if (std::string(name) == "I4C8S4") {
             EXPECT_EQ(fmt.maskBits(), 33);
         }
-
-        std::string error;
-        std::optional<IsaFormat> back =
-            isaFormatFromJson(isaFormatToJson(fmt), &error);
-        ASSERT_TRUE(back.has_value()) << name << ": " << error;
-        EXPECT_EQ(*back, fmt) << name;
     }
-}
-
-TEST(IsaFormat, StrictJsonRejects)
-{
-    std::string error;
-
-    EXPECT_FALSE(isaFormatFromJson("{\"clusterz\": 8}", &error));
-    EXPECT_NE(error.find("unknown isa format key"), std::string::npos)
-        << error;
-
-    EXPECT_FALSE(
-        isaFormatFromJson("{\"clusters\": \"eight\"}", &error));
-    EXPECT_NE(error.find("wants an integer"), std::string::npos)
-        << error;
-
-    EXPECT_FALSE(isaFormatFromJson("{\"imm_bits\": 0}", &error));
-    EXPECT_NE(error.find("must be positive"), std::string::npos)
-        << error;
-
-    EXPECT_FALSE(isaFormatFromJson("[1, 2]", &error));
-    EXPECT_FALSE(isaFormatFromJson("{\"clusters\": 8", &error));
 }
 
 TEST(IsaRoundTrip, EveryModelEncodesColorConv)

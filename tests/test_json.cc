@@ -64,3 +64,17 @@ TEST(Json, ErrorsCarryLineNumbers)
     EXPECT_FALSE(json::parse("{\n  \"a\": 1,\n  \"b\": ?\n}", v, err));
     EXPECT_NE(err.find("line 3"), std::string::npos) << err;
 }
+
+TEST(Json, ControlCharactersMustBeEscaped)
+{
+    // RFC 8259 (and Python's json.load) reject a raw tab in a string;
+    // escape() writes the form parse() accepts back.
+    json::Value v;
+    std::string err;
+    EXPECT_FALSE(json::parse("{\"a\": \"x\ty\"}", v, err));
+    EXPECT_NE(err.find("control character"), std::string::npos) << err;
+    ASSERT_TRUE(json::parse("{\"a\": \"" + json::escape("x\ty\x01") + "\"}",
+                            v, err))
+        << err;
+    EXPECT_EQ(v.find("a")->asString(), "x\ty\x01");
+}

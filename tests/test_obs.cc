@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "obs/trace.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sim/cycle_sim.hh"
+#include "support/json.hh"
 #include "support/stats.hh"
 #include "support/thread_pool.hh"
 
@@ -367,6 +369,67 @@ TEST(SimTelemetry, ModuloSplitReadsTheScheduleBounds)
     s.recMii = 0;
     EXPECT_DEATH(obs::analyzeSchedule(ops, s, machine, bank_of),
                  "carries no II bounds");
+}
+
+/**
+ * A rendered software-pipelined group draws every op on the witness
+ * slot the verifier derived: no two ops of one cluster share a
+ * (modulo row, slot) track, and the loop branch sits on the control
+ * track.
+ */
+TEST(SimTelemetry, ModuloTraceDrawsWitnessSlots)
+{
+    const KernelSpec &k = kernelByName("Full Motion Search");
+    const VariantSpec &v = k.variant("SW pipelined & unrolled");
+    MachineModel machine(models::byName("I4C8S4"));
+    Function fn = lowerVariant(k, v, machine);
+    MemoryImage mem(fn);
+    k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
+    obs::TraceWriter tw;
+    CycleSim sim(machine, v.mode);
+    sim.setTrace(&tw, 0, "t");
+    sim.run(fn, mem);
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(tw.json(), doc, error)) << error;
+    const std::vector<json::Value> &events =
+        doc.find("traceEvents")->array();
+    std::set<int> swp_pids;
+    for (const json::Value &e : events) {
+        if (e.find("ph")->asString() == "M" &&
+            e.find("name")->asString() == "process_name" &&
+            e.find("args")->find("name")->asString().find("/swp:") !=
+                std::string::npos)
+            swp_pids.insert(static_cast<int>(e.find("pid")->asNumber()));
+    }
+    ASSERT_FALSE(swp_pids.empty());
+
+    const int control = machine.clusters() * machine.slotsPerCluster();
+    std::set<std::tuple<int, int, std::string>> tracks;
+    int ops = 0, branches = 0;
+    for (const json::Value &e : events) {
+        const int pid = static_cast<int>(e.find("pid")->asNumber());
+        if (e.find("ph")->asString() != "X" || !swp_pids.count(pid))
+            continue;
+        const int tid = static_cast<int>(e.find("tid")->asNumber());
+        const std::string &name = e.find("name")->asString();
+        if (name == opcodeName(Opcode::Br) ||
+            name == opcodeName(Opcode::BrCond)) {
+            EXPECT_EQ(tid, control) << "branch off the control track";
+            branches++;
+            continue;
+        }
+        const std::string &row =
+            e.find("args")->find("modulo_row")->asString();
+        EXPECT_NE(tid, control) << name;
+        EXPECT_TRUE(tracks.insert({pid, tid, row}).second)
+            << "pid " << pid << " track " << tid << " row " << row
+            << " holds two ops";
+        ops++;
+    }
+    EXPECT_GT(ops, 0);
+    EXPECT_EQ(branches, static_cast<int>(swp_pids.size()));
 }
 
 } // anonymous namespace

@@ -451,11 +451,11 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
                 // growing the II past feasible candidates until a
                 // two-candidate budget runs out.
                 auto seq_budgeted = sched.scheduleBudgeted(l.ops, 1, 2);
-                ModuloScheduler::setIiSearch(&pool, 4);
+                ModuloScheduler::setIiSearch(&pool);
                 BlockSchedule spec = sched.schedule(l.ops, target);
                 auto spec_budgeted =
                     sched.scheduleBudgeted(l.ops, 1, 2);
-                ModuloScheduler::setIiSearch(nullptr, 1);
+                ModuloScheduler::setIiSearch(nullptr);
 
                 expect_bounds(seq);
                 expect_bounds(spec);

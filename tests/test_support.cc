@@ -6,7 +6,6 @@
 
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 
 namespace vvsp
@@ -77,46 +76,6 @@ TEST(Rng, GaussianMoments)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.1);
     EXPECT_NEAR(sq / n, 4.0, 0.3);
-}
-
-TEST(RunningStat, Accumulates)
-{
-    RunningStat s;
-    for (double v : {3.0, 1.0, 2.0})
-        s.sample(v);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
-TEST(CounterSet, BumpAndGet)
-{
-    CounterSet c;
-    c.bump("a");
-    c.bump("a", 4);
-    EXPECT_EQ(c.get("a"), 5u);
-    EXPECT_EQ(c.get("missing"), 0u);
-    EXPECT_NE(c.str().find("a = 5"), std::string::npos);
-}
-
-TEST(Histogram, BucketsAndMean)
-{
-    Histogram h(8);
-    h.sample(1);
-    h.sample(1);
-    h.sample(3);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.total(), 3u);
-    EXPECT_NEAR(h.mean(), 5.0 / 3.0, 1e-9);
-}
-
-TEST(Histogram, ClampsOverflowToLastBucket)
-{
-    Histogram h(4);
-    h.sample(100);
-    EXPECT_EQ(h.bucket(3), 1u);
 }
 
 TEST(TextTable, AlignsColumns)

@@ -15,6 +15,8 @@
 #include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "arch/models.hh"
 #include "core/disk_cache.hh"
@@ -247,6 +249,52 @@ TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
     EXPECT_TRUE(first.passed);
     expectBitIdentical(first, second);
     expectBitIdentical(first, runExperiment(req));
+}
+
+TEST(ExperimentCacheTest, ProfileMemoUnderContention)
+{
+    // Four threads look up and store one shared key and one key of
+    // their own, over and over. The first store of the shared key
+    // wins (every later read sees it), and every lookup is counted
+    // exactly once as a hit or a miss.
+    ExperimentCache cache;
+    constexpr int kThreads = 4, kRounds = 200;
+    std::vector<std::vector<std::string>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&cache, &seen, t] {
+            const std::string mine = "thread-" + std::to_string(t);
+            UnitProfileEntry entry;
+            entry.note = mine;
+            for (int r = 0; r < kRounds; ++r) {
+                UnitProfileEntry got;
+                if (!cache.findProfile("shared", got))
+                    cache.storeProfile("shared", entry);
+                if (!cache.findProfile(mine, got))
+                    cache.storeProfile(mine, entry);
+                ASSERT_TRUE(cache.findProfile("shared", got));
+                seen[static_cast<size_t>(t)].push_back(got.note);
+                ASSERT_TRUE(cache.findProfile(mine, got));
+                EXPECT_EQ(got.note, mine);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    const std::string winner = seen[0].front();
+    EXPECT_EQ(winner.rfind("thread-", 0), 0u) << winner;
+    for (const auto &notes : seen) {
+        for (const std::string &note : notes)
+            EXPECT_EQ(note, winner);
+    }
+    ExperimentCacheStats s = cache.stats();
+    EXPECT_EQ(s.profileHits + s.profileMisses,
+              uint64_t{4} * kThreads * kRounds);
+    // Each thread misses its own key once; the shared key misses at
+    // least once and at most once per thread.
+    EXPECT_GE(s.profileMisses, uint64_t{kThreads} + 1);
+    EXPECT_LE(s.profileMisses, uint64_t{2} * kThreads);
 }
 
 TEST(SweepRunnerTest, Table1GridIsDeterministicAcrossThreadCounts)
