@@ -113,6 +113,8 @@ struct Operation
     const OpcodeInfo &info() const { return opcodeInfo(op); }
     bool isPredicated() const { return !pred.isNone(); }
 
+    bool operator==(const Operation &o) const = default;
+
     /** Printable form, e.g. "v7 = add v3, #4 if v9". */
     std::string str() const;
 };

@@ -47,6 +47,29 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
 
     stats_.bump("list_runs");
     ReservationTable table(machine_, /*ii=*/0, bank_of_, width1);
+
+    // Within a cycle the walk only adds reservations, so a failed
+    // probe stays failed until the cycle ends. For an op that is not
+    // a transfer, a probe fails exactly when every slot of its class
+    // on its cluster is busy: the first failure stamps the op's
+    // (cluster, class) key with the cycle, and later ops with that key
+    // skip the probe. Transfers also fail on crossbar ports, which are
+    // not per class, so they always probe (key -1). A width-1 table
+    // refuses every op once the cycle holds one, so there one stamp
+    // covers the whole cycle.
+    const int classes = table.numClasses();
+    std::vector<int32_t> key(static_cast<size_t>(n), -1);
+    for (int i = 0; i < n; ++i) {
+        const Operation &op = ops[static_cast<size_t>(i)];
+        if (op.op != Opcode::Xfer)
+            key[static_cast<size_t>(i)] =
+                op.cluster * classes + table.opClassId(op);
+    }
+    std::vector<int32_t> full_in(
+        static_cast<size_t>(machine_.clusters() * classes), -1);
+    int cycle_full = -1;
+    uint64_t probes = 0;
+
     std::vector<int32_t> start(static_cast<size_t>(n), -1);
     std::vector<int32_t> unplaced_preds(static_cast<size_t>(n), 0);
     std::vector<int32_t> earliest(static_cast<size_t>(n), 0);
@@ -89,13 +112,19 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
         size_t keep = 0;
         for (size_t rdi = 0; rdi < ready.size(); ++rdi) {
             int i = ready[rdi];
-            if (earliest[static_cast<size_t>(i)] > cycle) {
+            const int32_t k = key[static_cast<size_t>(i)];
+            if (earliest[static_cast<size_t>(i)] > cycle ||
+                cycle_full == cycle ||
+                (k >= 0 && full_in[static_cast<size_t>(k)] == cycle)) {
                 ready[keep++] = i;
                 continue;
             }
             int slot = -1;
+            ++probes;
             if (table.tryReserve(ops[static_cast<size_t>(i)], cycle,
                                  &slot)) {
+                if (width1)
+                    cycle_full = cycle;
                 start[static_cast<size_t>(i)] = cycle;
                 result.placed[static_cast<size_t>(i)] =
                     PlacedOp{cycle, ops[static_cast<size_t>(i)].cluster,
@@ -115,6 +144,8 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
                     }
                 }
             } else {
+                if (k >= 0)
+                    full_in[static_cast<size_t>(k)] = cycle;
                 ready[keep++] = i;
             }
         }
@@ -127,6 +158,7 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
         pending.clear();
         ++cycle;
     }
+    stats_.bump("list_probes", probes);
 
     int issue_max = 0;
     int completion_max = 0;

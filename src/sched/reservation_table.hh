@@ -68,6 +68,18 @@ class ReservationTable
     /** Release a previous reservation (modulo-scheduler eviction). */
     void release(const Operation &op, int cycle, int slot);
 
+    /**
+     * Dense id in [0, numClasses()) of the op's candidate-slot class.
+     * Ops of one class on one cluster compete for the same slots: an
+     * op other than a transfer or a branch fits in a cycle exactly
+     * when some slot of its class on its cluster is free there (and,
+     * in width-1 mode, the cycle holds no op yet).
+     */
+    int opClassId(const Operation &op) const;
+
+    /** Number of candidate-slot classes. */
+    int numClasses() const { return numClasses_; }
+
   private:
     int row(int cycle) const;
     void ensureRows(int rows);
@@ -75,9 +87,6 @@ class ReservationTable
 
     /** Candidate slots for an op, in reservation-preference order. */
     const std::vector<int> &tryOrder(const Operation &op) const;
-
-    /** Dense id of the op's candidate-slot class (tryOrder list). */
-    int opClassId(const Operation &op) const;
 
     const MachineModel &machine_;
     BankOfFn bank_of_;

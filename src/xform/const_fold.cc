@@ -51,10 +51,12 @@ class Folder
   public:
     explicit Folder(Function &fn) : fn_(fn) {}
 
-    void
+    /** Fold the whole function; returns whether anything changed. */
+    bool
     run()
     {
         foldList(fn_.body);
+        return changed_;
     }
 
   private:
@@ -102,6 +104,7 @@ class Folder
         if (k.value.isReg() && genOf(k.value.reg) > k.stamp)
             return; // copy source redefined since recorded.
         o = k.value;
+        changed_ = true;
     }
 
     /** Try algebraic identities; returns true if rewritten. */
@@ -178,6 +181,10 @@ class Folder
     foldBlock(BlockNode &block, Known &known)
     {
         for (auto &op : block.ops) {
+            // Folding an op that is already folded (a Mov of a
+            // constant) rewrites it to itself, so compare instead of
+            // flagging.
+            const Operation before = op;
             const OpcodeInfo &inf = op.info();
             for (int i = 0; i < 3; ++i)
                 substitute(op.src[static_cast<size_t>(i)], known);
@@ -193,6 +200,7 @@ class Folder
                     op.dst = kNoVreg;
                     op.src = {};
                     op.buffer = -1;
+                    changed_ = true;
                     continue;
                 }
             }
@@ -216,6 +224,8 @@ class Folder
                     known[op.dst] = KnownVal{op.src[0], tick_};
                 }
             }
+            if (!(op == before))
+                changed_ = true;
         }
     }
 
@@ -240,6 +250,7 @@ class Folder
                                                    : iff.elseBody);
                     list.erase(list.begin() +
                                static_cast<long>(i));
+                    changed_ = true;
                     for (size_t k = 0; k < arm.size(); ++k) {
                         list.insert(list.begin() +
                                         static_cast<long>(i + k),
@@ -259,6 +270,7 @@ class Folder
                 auto &loop = static_cast<LoopNode &>(n);
                 if (loop.tripCount == 0) {
                     list.erase(list.begin() + static_cast<long>(i));
+                    changed_ = true;
                     break;
                 }
                 foldList(loop.body);
@@ -271,6 +283,7 @@ class Folder
                 auto &brk = static_cast<BreakNode &>(n);
                 substitute(brk.cond, known);
                 if (brk.cond.isImm()) {
+                    changed_ = true;
                     bool fires = (brk.cond.imm != 0) == brk.sense;
                     if (fires) {
                         brk.cond = Operand::none();
@@ -293,14 +306,15 @@ class Folder
     Function &fn_;
     std::vector<uint32_t> regGen_;
     uint32_t tick_ = 0;
+    bool changed_ = false;
 };
 
 } // anonymous namespace
 
-void
+bool
 constFold(Function &fn)
 {
-    Folder(fn).run();
+    return Folder(fn).run();
 }
 
 } // namespace passes

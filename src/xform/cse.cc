@@ -127,7 +127,8 @@ exprKey(const Operation &op)
     return key;
 }
 
-void
+/** Value-number one block; returns whether it rewrote an op. */
+bool
 cseBlock(BlockNode &block)
 {
     // expression key -> (holding vreg, insertion stamp).
@@ -171,6 +172,7 @@ cseBlock(BlockNode &block)
         return true;
     };
 
+    bool changed = false;
     for (auto &op : block.ops) {
         if (op.op == Opcode::Store) {
             // Kill loads that may alias this store.
@@ -194,6 +196,7 @@ cseBlock(BlockNode &block)
                       Operand::none()};
             op.buffer = -1;
             invalidate_reg(op.dst);
+            changed = true;
             continue;
         }
 
@@ -201,14 +204,19 @@ cseBlock(BlockNode &block)
         if (!op.isPredicated())
             table[key] = Entry{op.dst, tick};
     }
+    return changed;
 }
 
 } // anonymous namespace
 
-void
+bool
 localCse(Function &fn)
 {
-    forEachBlock(fn, cseBlock);
+    bool changed = false;
+    forEachBlock(fn, [&changed](BlockNode &block) {
+        changed = cseBlock(block) || changed;
+    });
+    return changed;
 }
 
 } // namespace passes

@@ -117,15 +117,18 @@ pruneEmptyNodes(NodeList &list, std::vector<uint32_t> &counts)
 
 } // anonymous namespace
 
-void
+bool
 deadCodeElim(Function &fn)
 {
     // Removing an op can make its producers dead; iterate on the
     // incrementally-maintained counts until nothing changes.
     std::vector<uint32_t> counts = useCounts(fn);
+    bool changed = false;
     while (removeDeadOps(fn, counts) ||
            pruneEmptyNodes(fn.body, counts)) {
+        changed = true;
     }
+    return changed;
 }
 
 } // namespace passes

@@ -88,12 +88,16 @@ findLoop(Function &fn, const std::string &label)
 void
 cleanup(Function &fn)
 {
-    // Each constituent pass is idempotent once nothing changes; a few
-    // rounds reach the fixed point on kernel-sized functions.
+    // Each pass is a function of the IR alone, so once a round
+    // changes nothing every later round would change nothing either.
+    // Most kernel-sized functions settle within a round or two; the
+    // few that still change in the fourth stop there.
     for (int round = 0; round < 4; ++round) {
-        constFold(fn);
-        localCse(fn);
-        deadCodeElim(fn);
+        bool changed = constFold(fn);
+        changed = localCse(fn) || changed;
+        changed = deadCodeElim(fn) || changed;
+        if (!changed)
+            return;
     }
 }
 

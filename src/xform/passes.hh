@@ -45,19 +45,24 @@ LoopNode *findLoop(Function &fn, const std::string &label);
 
 /**
  * Constant folding, copy/constant propagation within blocks, and
- * algebraic identity simplification (x+0, x*1, x<<0, ...).
+ * algebraic identity simplification (x+0, x*1, x<<0, ...). Returns
+ * whether the function changed.
  */
-void constFold(Function &fn);
+bool constFold(Function &fn);
 
-/** Remove pure operations whose results are never read. */
-void deadCodeElim(Function &fn);
+/**
+ * Remove pure operations whose results are never read. Returns
+ * whether the function changed.
+ */
+bool deadCodeElim(Function &fn);
 
 /**
  * Local common-subexpression elimination (redundancy becomes a Mov
  * that later passes propagate away). Loads participate until a store
- * to the same buffer/token intervenes.
+ * to the same buffer/token intervenes. Returns whether the function
+ * changed.
  */
-void localCse(Function &fn);
+bool localCse(Function &fn);
 
 /** Rewrite multiplies by simple constants into shifts and adds. */
 void strengthReduce(Function &fn);
@@ -71,7 +76,10 @@ void strengthReduce(Function &fn);
  */
 void licm(Function &fn, int max_loads = 8);
 
-/** Run constFold + localCse + deadCodeElim to a fixed point. */
+/**
+ * Run rounds of constFold + localCse + deadCodeElim until a round
+ * changes nothing, at most four.
+ */
 void cleanup(Function &fn);
 
 // ---- loop restructuring ----------------------------------------------

@@ -10,6 +10,8 @@
 #include "arch/models.hh"
 #include "ir/builder.hh"
 #include "ir/verifier.hh"
+#include "kernels/kernel.hh"
+#include "sim/bytecode.hh"
 #include "sim/interpreter.hh"
 #include "xform/passes.hh"
 
@@ -754,6 +756,78 @@ TEST(AddrMode, DoesNotFoldMultiUseAdds)
     MachineModel machine(models::i4c8s5());
     passes::lowerAddressing(fn, machine);
     EXPECT_EQ(countOps(fn, Opcode::Add), 2u);
+}
+
+// ---- cleanup ------------------------------------------------------------
+
+/**
+ * One constFold + localCse + deadCodeElim round. Each pass must
+ * report a change exactly when it moved the function's fingerprint.
+ */
+void
+cleanupRound(Function &fn)
+{
+    for (auto pass : {passes::constFold, passes::localCse,
+                      passes::deadCodeElim}) {
+        const uint64_t before = functionFingerprint(fn);
+        const bool changed = pass(fn);
+        EXPECT_EQ(changed, functionFingerprint(fn) != before);
+    }
+}
+
+/**
+ * cleanup(fn) must produce exactly the IR of four unconditional
+ * rounds; where the rounds settle before the fourth, one more round
+ * after cleanup must change nothing.
+ */
+void
+expectCleanupMatchesFourRounds(const Function &input)
+{
+    Function want = input.clone();
+    bool settled = false;
+    for (int round = 0; round < 4; ++round) {
+        uint64_t before = functionFingerprint(want);
+        cleanupRound(want);
+        settled = settled || functionFingerprint(want) == before;
+    }
+    Function got = input.clone();
+    passes::cleanup(got);
+    const uint64_t h = functionFingerprint(got);
+    EXPECT_EQ(h, functionFingerprint(want));
+    if (settled) {
+        cleanupRound(got);
+        EXPECT_EQ(functionFingerprint(got), h);
+    }
+}
+
+/**
+ * Every kernel variant, lowered on a simple-addressing 8-bit-multiply
+ * datapath and on a complex-addressing 16-bit-multiply one: the
+ * inputs of each cleanup call of lowerVariant (after the variant's
+ * own transform, and after the machine-dependent lowerings) plus the
+ * freshly built function.
+ */
+TEST(Cleanup, EqualsFourRoundsOnEveryLowering)
+{
+    for (const char *model : {"I4C8S4", "I4C8S5M16"}) {
+        MachineModel machine(models::byName(model));
+        for (const KernelSpec &k : allKernels()) {
+            for (const VariantSpec &v : k.variants) {
+                SCOPED_TRACE(std::string(model) + " " + k.name + " " +
+                             v.name);
+                Function fn = v.build();
+                expectCleanupMatchesFourRounds(fn);
+                if (v.transform)
+                    v.transform(fn);
+                expectCleanupMatchesFourRounds(fn);
+                passes::cleanup(fn);
+                passes::strengthReduce(fn);
+                passes::decomposeMultiplies(fn, machine);
+                passes::lowerAddressing(fn, machine);
+                expectCleanupMatchesFourRounds(fn);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -331,8 +331,10 @@ TEST(LedgerCli, SweepTwiceDiffCleanThenSyntheticSlowdownFails)
     ASSERT_EQ(runCommand(sweep), 0);
 
     // --threshold=4 keeps scheduler-noise between two honest runs
-    // from flaking the test; the synthetic tamper below adds an
-    // absolute +100ms, far beyond any threshold.
+    // from flaking the test, and ctest runs it alone (RUN_SERIAL in
+    // tests/CMakeLists.txt) so no neighbour preempts a sub-millisecond
+    // phase; the synthetic tamper below adds an absolute +100ms, far
+    // beyond any threshold.
     const std::string diff = "\"" + vvsp + "\" diff --threshold=4" +
                              " --ledger=\"" + ledger +
                              "\" > /dev/null 2>&1";

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <random>
 #include <string>
 
 #include "arch/models.hh"
 #include "core/experiment.hh"
 #include "ir/builder.hh"
 #include "kernels/composer.hh"
+#include "obs/stats_registry.hh"
 #include "sched/list_scheduler.hh"
 #include "sched/modulo_scheduler.hh"
 #include "sched/reg_pressure.hh"
@@ -308,6 +310,205 @@ TEST(ListScheduler, DeterministicAcrossRuns)
         EXPECT_EQ(a.placed[i].cycle, b.placed[i].cycle);
 }
 
+/**
+ * The list scheduler's ready walk without any skipping: every ready
+ * op whose operands are available probes the reservation table in
+ * every cycle, in height order, and ops that become ready join the
+ * walk from the next cycle on. Returns the placements and the block
+ * length (-1 if the walk does not converge).
+ */
+BlockSchedule
+probeEveryOpSchedule(const std::vector<Operation> &ops,
+                     const MachineModel &machine, const BankOfFn &bank_of,
+                     bool width1)
+{
+    const size_t n = ops.size();
+    const DependenceGraph ddg(ops, machine.latencyFn(), false);
+    int branch = -1;
+    for (size_t i = 0; i < n; ++i) {
+        if (ops[i].info().isBranch)
+            branch = static_cast<int>(i);
+    }
+    std::vector<int> preds(n, 0), earliest(n, 0);
+    for (const DepEdge &e : ddg.edges()) {
+        if (e.distance == 0 && e.from != branch)
+            preds[static_cast<size_t>(e.to)]++;
+    }
+    auto before = [&ddg](int a, int b) {
+        if (ddg.height(a) != ddg.height(b))
+            return ddg.height(a) > ddg.height(b);
+        return a < b;
+    };
+
+    BlockSchedule s;
+    s.placed.assign(n, PlacedOp{});
+    s.length = -1;
+    ReservationTable table(machine, 0, bank_of, width1);
+    std::vector<int> ready;
+    for (size_t i = 0; i < n; ++i) {
+        if (static_cast<int>(i) != branch && preds[i] == 0)
+            ready.push_back(static_cast<int>(i));
+    }
+    size_t placed = branch >= 0 ? 1 : 0;
+    int issue_max = 0, completion_max = 0;
+    for (int cycle = 0; placed < n; ++cycle) {
+        if (cycle > 64 * static_cast<int>(n) + 1024)
+            return s;
+        std::sort(ready.begin(), ready.end(), before);
+        std::vector<int> next;
+        for (int i : ready) {
+            const Operation &op = ops[static_cast<size_t>(i)];
+            int slot = -1;
+            if (earliest[static_cast<size_t>(i)] > cycle ||
+                !table.tryReserve(op, cycle, &slot)) {
+                next.push_back(i);
+                continue;
+            }
+            s.placed[static_cast<size_t>(i)] =
+                PlacedOp{cycle, op.cluster, slot};
+            placed++;
+            issue_max = std::max(issue_max, cycle);
+            if (op.info().hasDst)
+                completion_max = std::max(completion_max,
+                                          cycle + machine.latency(op));
+            for (int e : ddg.succEdges(i)) {
+                const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
+                if (edge.distance != 0)
+                    continue;
+                auto t = static_cast<size_t>(edge.to);
+                earliest[t] = std::max(earliest[t], cycle + edge.latency);
+                if (--preds[t] == 0 && edge.to != branch)
+                    next.push_back(edge.to);
+            }
+        }
+        ready = std::move(next);
+    }
+
+    const int delay = machine.branchDelaySlots();
+    if (branch >= 0) {
+        int cond_ready = 0;
+        for (int e : ddg.predEdges(branch)) {
+            const DepEdge &edge = ddg.edges()[static_cast<size_t>(e)];
+            if (edge.distance == 0)
+                cond_ready = std::max(
+                    cond_ready,
+                    s.placed[static_cast<size_t>(edge.from)].cycle +
+                        edge.latency);
+        }
+        int bc = width1 ? std::max(cond_ready, issue_max + 1 - delay)
+                        : std::max(cond_ready,
+                                   std::max(0, issue_max - delay));
+        s.placed[static_cast<size_t>(branch)] = PlacedOp{bc, 0, -1};
+        s.length = std::max(issue_max + (width1 ? 2 : 1), bc + 1 + delay);
+    } else {
+        s.length = issue_max + 1;
+    }
+    s.length = std::max(s.length, completion_max);
+    return s;
+}
+
+/**
+ * A seeded random block over every slot class: ALU ops, abs-diffs,
+ * multiplies, shifts, loads and stores on every memory bank, and
+ * transfers, spread over a few clusters so that transfers contend
+ * for crossbar ports; odd seeds end in a conditional branch.
+ */
+std::vector<Operation>
+randomBlock(uint32_t seed, const MachineModel &machine)
+{
+    std::mt19937 rng(seed);
+    auto pick = [&rng](int n) {
+        return static_cast<int>(rng() % static_cast<uint32_t>(n));
+    };
+    std::vector<int> clusters;
+    const int active = std::min(machine.clusters(), 2 + pick(3));
+    while (static_cast<int>(clusters.size()) < active) {
+        int c = pick(machine.clusters());
+        if (std::find(clusters.begin(), clusters.end(), c) ==
+            clusters.end())
+            clusters.push_back(c);
+    }
+    const int regs = 6 + pick(20);
+    auto reg = [&] { return static_cast<Vreg>(1 + pick(regs)); };
+    auto src = [&] { return pick(4) == 0 ? K(pick(16)) : R(reg()); };
+    auto addr = [&] { return pick(2) ? R(reg()) : K(pick(64)); };
+
+    std::vector<Operation> ops;
+    const int n = 20 + pick(140);
+    for (int i = 0; i < n; ++i) {
+        Operation op;
+        switch (pick(9)) {
+          case 0:
+            op = mk(Opcode::AbsDiff, reg(), src(), src());
+            break;
+          case 1:
+            op = mk(Opcode::Mul8, reg(), src(), src());
+            break;
+          case 2:
+            op = mk(Opcode::Shl, reg(), R(reg()), K(1 + pick(3)));
+            break;
+          case 3:
+            op = mkLoad(reg(), pick(4), addr());
+            op.aliasToken = pick(2);
+            break;
+          case 4:
+            op = mk(Opcode::Store, kNoVreg, R(reg()), addr());
+            op.buffer = pick(4);
+            op.aliasToken = pick(2);
+            break;
+          case 5:
+          case 6:
+            op = mk(Opcode::Xfer, reg(), R(reg()));
+            break;
+          default:
+            op = mk(pick(2) ? Opcode::Add : Opcode::CmpLt, reg(), src(),
+                    src());
+            break;
+        }
+        const int home = pick(active);
+        op.cluster = clusters[static_cast<size_t>(home)];
+        if (op.op == Opcode::Xfer) {
+            op.dstCluster = clusters[static_cast<size_t>(
+                (home + 1 + pick(active - 1)) % active)];
+        }
+        ops.push_back(op);
+    }
+    if (seed % 2)
+        ops.push_back(mk(Opcode::BrCond, kNoVreg, R(reg())));
+    return ops;
+}
+
+TEST(ListScheduler, MatchesProbeEveryOpWalkOnRandomBlocks)
+{
+    for (const char *model : {"I4C8S4", "I2C16S4"}) {
+        MachineModel machine(models::withAbsDiff(models::byName(model)));
+        const int banks = machine.memBanks();
+        BankOfFn bank_of = [banks](int buffer) { return buffer % banks; };
+        ListScheduler sched(machine, bank_of);
+        for (bool width1 : {false, true}) {
+            for (uint32_t seed = 0; seed < 300; ++seed) {
+                SCOPED_TRACE(std::string(model) +
+                             (width1 ? " width-1" : " wide") + " seed " +
+                             std::to_string(seed));
+                std::vector<Operation> ops = randomBlock(seed, machine);
+                BlockSchedule want =
+                    probeEveryOpSchedule(ops, machine, bank_of, width1);
+                ASSERT_GT(want.length, 0);
+                BlockSchedule got = sched.schedule(ops, width1);
+                ASSERT_EQ(got.length, want.length);
+                for (size_t i = 0; i < ops.size(); ++i) {
+                    ASSERT_EQ(got.placed[i].cycle, want.placed[i].cycle)
+                        << "op " << i << ": " << ops[i].str();
+                    ASSERT_EQ(got.placed[i].cluster,
+                              want.placed[i].cluster);
+                    ASSERT_EQ(got.placed[i].slot, want.placed[i].slot)
+                        << "op " << i << ": " << ops[i].str();
+                }
+            }
+        }
+    }
+}
+
 // ---- modulo scheduler -------------------------------------------------------
 
 TEST(ModuloScheduler, ResMiiFromLoadBandwidth)
@@ -553,6 +754,56 @@ TEST(ModuloScheduler, WidenedDctSchedulesArePinned)
         }
     }
     EXPECT_EQ(next, std::size(pins));
+}
+
+/**
+ * The DCT-traditional "+arithmetic optimization" row lowers to one
+ * straight-line block of 11766 ops, the largest group the list
+ * scheduler sees: its ready list holds hundreds of ops while the
+ * multipliers and load/store units admit one op each per cycle. Its
+ * length and every placement are pinned on two datapaths, and so is
+ * an upper bound on its reservation probes: skipping ops whose slot
+ * class already failed in the cycle keeps them near two per op,
+ * where probing every ready op made millions.
+ */
+TEST(ListScheduler, ArithmeticDctBlocksArePinned)
+{
+    struct Pin
+    {
+        const char *model;
+        size_t ops;
+        int length;
+        uint64_t hash;
+        uint64_t maxProbes;
+    };
+    const Pin pins[] = {
+        {"I4C8S5", 11766, 3508, 0x47097c6cade6d78eULL, 40000},
+        {"I2C16S4", 11766, 5888, 0x668f5b80f1a8c44cULL, 70000},
+    };
+    const KernelSpec &k = kernelByName("DCT - traditional");
+    const VariantSpec &v = k.variant("+arithmetic optimization");
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.model);
+        MachineModel machine(models::byName(pin.model));
+        Function fn = lowerVariant(k, v, machine);
+        ASSERT_EQ(fn.body.size(), 1u);
+        ASSERT_EQ(fn.body[0]->kind(), NodeKind::Block);
+        const auto &ops = static_cast<const BlockNode &>(*fn.body[0]).ops;
+        obs::StatsRegistry stats;
+        obs::setGlobalStats(&stats);
+        ListScheduler sched(machine, [&fn](int buffer) {
+            return fn.buffer(buffer).bank;
+        });
+        BlockSchedule s = sched.schedule(ops, false);
+        obs::setGlobalStats(nullptr);
+        EXPECT_EQ(ops.size(), pin.ops);
+        EXPECT_EQ(s.length, pin.length);
+        EXPECT_EQ(placementHash(s), pin.hash)
+            << std::hex << placementHash(s);
+        const uint64_t probes = stats.counterValue("sched/list_probes");
+        EXPECT_GE(probes, ops.size());
+        EXPECT_LE(probes, pin.maxProbes);
+    }
 }
 
 TEST(RegPressure, CountsOverlappingLifetimes)
