@@ -55,11 +55,7 @@ cmdSweep(const DriverOptions &opts)
     Observability sinks(opts);
     sinks.setMachines(machines);
     DiskCacheAttachment disk(opts);
-    for (const SpecSection *s : sections) {
-        SectionGrid grid =
-            lowerSection(spec, *s, machines, opts.variant);
-        runSectionGrid(s->kernel, grid, opts, sinks);
-    }
+    runSections(spec, sections, machines, opts, sinks);
     return 0;
 }
 

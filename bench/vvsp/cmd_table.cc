@@ -59,11 +59,7 @@ cmdTable(const ExperimentSpec &spec, const DriverOptions &opts)
     Observability sinks(opts);
     sinks.setMachines(machines);
     DiskCacheAttachment disk(opts);
-    for (const SpecSection *s : selectSections(spec, opts)) {
-        SectionGrid grid =
-            lowerSection(spec, *s, machines, opts.variant);
-        runSectionGrid(s->kernel, grid, opts, sinks);
-    }
+    runSections(spec, selectSections(spec, opts), machines, opts, sinks);
     return 0;
 }
 

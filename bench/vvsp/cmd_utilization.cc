@@ -5,16 +5,17 @@
  * restricts the set). For every model, cycle-simulates each kernel's
  * most-optimized variant and prints issue-slot, crossbar,
  * memory-port, and register-file-port utilization plus the
- * stall-attribution breakdown. A second section reproduces the
- * paper's conclusion that real-time full motion search keeps
- * "between 33% and 46% of the compute" busy at 30 frames/s; the
- * check fails (exit 1) if the reference I4C8S4 datapath leaves the
- * band. --trace=FILE additionally renders every scheduled group of
- * the simulated kernels as a pipeline diagram.
+ * stall-attribution breakdown. The (model, kernel) simulations run
+ * as tasks on one --threads-wide pool and print in unit order, so
+ * the report is the same at any thread count. A second section
+ * reproduces the paper's conclusion that real-time full motion
+ * search keeps "between 33% and 46% of the compute" busy at 30
+ * frames/s; the check fails (exit 1) if the reference I4C8S4
+ * datapath leaves the band. --trace=FILE additionally renders every
+ * scheduled group of the simulated kernels as a pipeline diagram.
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,41 @@ pct(double x)
     return 100.0 * x;
 }
 
+/** One (model, kernel) simulation; a pool task fills its slot. */
+struct Unit
+{
+    const DatapathConfig *model = nullptr;
+    const KernelSpec *kernel = nullptr;
+    CycleSimReport report;
+    obs::GroupTelemetry telemetry;
+    /** --trace: the unit's pipeline diagrams, numbered from pid 0. */
+    obs::TraceWriter trace;
+    int tracePids = 0; ///< trace process ids the unit used.
+};
+
+/** Cycle-simulate the kernel's most-optimized variant on the model. */
+void
+simulate(Unit &unit, const FrameGeometry &geom, bool traced)
+{
+    const KernelSpec &k = *unit.kernel;
+    // Variants are ordered as the paper's rows: least to most
+    // optimized. Take the last.
+    const VariantSpec &v = k.variants.back();
+    DatapathConfig cfg = *unit.model;
+    if (v.needsAbsDiff && !cfg.cluster.hasAbsDiff)
+        cfg.cluster.hasAbsDiff = true;
+    MachineModel machine(cfg);
+
+    Function fn = lowerVariant(k, v, machine);
+    MemoryImage mem(fn);
+    k.prepare(fn, mem, geom, 0);
+    CycleSim sim(machine, v.mode);
+    if (traced)
+        sim.setTrace(&unit.trace, 0, unit.model->name + "/" + k.name);
+    unit.report = sim.run(fn, mem, &unit.telemetry);
+    unit.tracePids = sim.nextTracePid();
+}
+
 } // anonymous namespace
 
 int
@@ -68,15 +104,38 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
         obs::setGlobalStats(&sinks.stats());
 
     const FrameGeometry geom{48, 32};
-    int trace_pid = 100; // sweep timeline owns the low pids.
+    const bool traced = !opts.traceFile.empty();
+    const auto &kernels = allKernels();
 
-    // CycleSim's modulo schedulers borrow this pool for speculative
-    // II waves, bit-identical at any width (see
-    // ModuloScheduler::setIiSearch); --threads=1 runs waves of one.
-    // Cleared and joined before the full-search sweep below opens its
-    // own pool.
-    auto ii_pool = std::make_unique<ThreadPool>(opts.threads);
-    ModuloScheduler::setIiSearch(ii_pool.get());
+    // Every (model, kernel) unit is one task on one pool, and the
+    // units' modulo schedulers borrow the same pool for speculative
+    // II waves: TaskGroup's caller-runs wait keeps that nesting
+    // deadlock-free, and the waves are bit-identical at any width
+    // (see ModuloScheduler::setIiSearch). Joined before the
+    // full-search sweep below opens its own pool.
+    std::vector<Unit> units(model_set.size() * kernels.size());
+    {
+        ThreadPool pool(opts.threads);
+        ModuloScheduler::setIiSearch(&pool);
+        for (size_t u = 0; u < units.size(); ++u) {
+            units[u].model = &model_set[u / kernels.size()];
+            units[u].kernel = &kernels[u % kernels.size()];
+            pool.submit([&units, &geom, traced, u] {
+                simulate(units[u], geom, traced);
+            });
+        }
+        pool.wait();
+        ModuloScheduler::setIiSearch(nullptr);
+    }
+    if (traced) {
+        // Unit order, renumbered from pid 100 (the sweep timeline
+        // owns the low pids) exactly as one serial run numbers them.
+        int pid = 100;
+        for (const Unit &u : units) {
+            sinks.trace().append(u.trace, pid);
+            pid += u.tracePids;
+        }
+    }
 
     if (!opts.json) {
         std::printf("Datapath utilization, most-optimized variant "
@@ -96,29 +155,12 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
             std::printf("{\"model\": \"%s\", \"kernels\": [\n",
                         json::escape(model_name).c_str());
 
-        const auto &kernels = allKernels();
         for (size_t ki = 0; ki < kernels.size(); ++ki) {
             const KernelSpec &k = kernels[ki];
-            // Variants are ordered as the paper's rows: least to
-            // most optimized. Take the last.
             const VariantSpec &v = k.variants.back();
-            DatapathConfig cfg = model_set[mi];
-            if (v.needsAbsDiff && !cfg.cluster.hasAbsDiff)
-                cfg.cluster.hasAbsDiff = true;
-            MachineModel machine(cfg);
-
-            Function fn = lowerVariant(k, v, machine);
-            MemoryImage mem(fn);
-            k.prepare(fn, mem, geom, 0);
-            CycleSim sim(machine, v.mode);
-            if (!opts.traceFile.empty()) {
-                sim.setTrace(&sinks.trace(), trace_pid,
-                             model_name + "/" + k.name);
-            }
-            obs::GroupTelemetry t;
-            CycleSimReport rep = sim.run(fn, mem, &t);
-            if (!opts.traceFile.empty())
-                trace_pid = sim.nextTracePid();
+            const Unit &unit = units[mi * kernels.size() + ki];
+            const CycleSimReport &rep = unit.report;
+            const obs::GroupTelemetry &t = unit.telemetry;
             model_total.addScaled(t, 1);
             if (opts.stats) {
                 t.recordTo(sinks.stats().scope(
@@ -189,8 +231,6 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
                         pct(model_total.rfReadPortUtilization()));
         }
     }
-    ModuloScheduler::setIiSearch(nullptr);
-    ii_pool.reset();
     if (opts.json)
         std::printf("],\n");
 

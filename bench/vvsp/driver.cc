@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <span>
 #include <thread>
 
 #include "arch/config_json.hh"
@@ -376,11 +377,11 @@ namespace
 
 /**
  * Emit one kernel section's cells as a JSON object on stdout, in the
- * old per-table binaries' exact format.
+ * old per-table binaries' exact format, up to its closing brace.
  */
 void
 printJsonCells(const std::string &kernel_name,
-               const std::vector<ExperimentResult> &results,
+               std::span<const ExperimentResult> results,
                const std::vector<double> &paper_values)
 {
     std::printf("{\"kernel\": \"%s\", \"cells\": [\n",
@@ -409,25 +410,15 @@ printJsonCells(const std::string &kernel_name,
                                                : "",
                     i + 1 < results.size() ? "," : "");
     }
-    std::printf("]}\n");
+    std::printf("]}");
 }
 
-} // anonymous namespace
-
+/** Print one section's paper-style text table and flag legend. */
 void
-runSectionGrid(const std::string &kernel_name,
-               const SectionGrid &grid, const DriverOptions &opts,
-               Observability &sinks)
+printTextSection(const std::string &kernel_name,
+                 const SectionGrid &grid,
+                 std::span<const ExperimentResult> results)
 {
-    SweepOptions sopts = sweepOptions(opts, sinks);
-    SweepRunner runner(sopts);
-    std::vector<ExperimentResult> results = runner.run(grid.requests);
-
-    if (opts.json) {
-        printJsonCells(kernel_name, results, grid.paperCycles);
-        return;
-    }
-
     std::printf("%s (cycles per 720x480 frame; 'paper' = HPCA'97 "
                 "Table value)\n\n",
                 kernel_name.c_str());
@@ -470,6 +461,50 @@ runSectionGrid(const std::string &kernel_name,
                 "* register pressure exceeds file, ~ degraded "
                 "(scheduling budget exhausted); 'code' = measured "
                 "instruction words\n\n");
+}
+
+} // anonymous namespace
+
+void
+runSections(const ExperimentSpec &spec,
+            const std::vector<const SpecSection *> &sections,
+            const std::vector<DatapathConfig> &machines,
+            const DriverOptions &opts, Observability &sinks)
+{
+    // Every selected section's cells as one batch, in paper order.
+    std::vector<SectionGrid> grids;
+    std::vector<ExperimentRequest> requests;
+    for (const SpecSection *s : sections) {
+        grids.push_back(lowerSection(spec, *s, machines, opts.variant));
+        const SectionGrid &g = grids.back();
+        requests.insert(requests.end(), g.requests.begin(),
+                        g.requests.end());
+    }
+    SweepOptions sopts = sweepOptions(opts, sinks);
+    SweepRunner runner(sopts);
+    const std::vector<ExperimentResult> results = runner.run(requests);
+
+    // Several sections under --json form one array of the
+    // per-section objects; a single section prints its object alone.
+    const bool json_array = opts.json && sections.size() > 1;
+    if (json_array)
+        std::printf("[\n");
+    size_t offset = 0;
+    for (size_t i = 0; i < sections.size(); ++i) {
+        const SectionGrid &grid = grids[i];
+        const std::span<const ExperimentResult> slice(
+            results.data() + offset, grid.requests.size());
+        offset += grid.requests.size();
+        if (!opts.json) {
+            printTextSection(sections[i]->kernel, grid, slice);
+            continue;
+        }
+        printJsonCells(sections[i]->kernel, slice, grid.paperCycles);
+        std::printf(json_array && i + 1 < sections.size() ? ",\n"
+                                                          : "\n");
+    }
+    if (json_array)
+        std::printf("]\n");
 }
 
 } // namespace cli

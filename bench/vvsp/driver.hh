@@ -167,14 +167,19 @@ SweepOptions sweepOptions(const DriverOptions &opts,
                           Observability &sinks);
 
 /**
- * Run one lowered section grid and print it: the paper-style text
+ * Lower the selected sections of a Table-kind spec on `machines`
+ * (the spec's columns when empty) with the --variant filter, run all
+ * their cells as one SweepRunner batch in section order, and print
+ * each section from its slice of the results: the paper-style text
  * table (with the `!`/`^`/`*` flag legend) or, with --json, one
- * `{"kernel": ..., "cells": [...]}` object — both byte-identical to
- * the old per-table binaries.
+ * `{"kernel": ..., "cells": [...]}` object, byte-identical to the old
+ * per-table binaries. Under --json, more than one section prints one
+ * JSON array of those objects.
  */
-void runSectionGrid(const std::string &kernel_name,
-                    const SectionGrid &grid, const DriverOptions &opts,
-                    Observability &sinks);
+void runSections(const ExperimentSpec &spec,
+                 const std::vector<const SpecSection *> &sections,
+                 const std::vector<DatapathConfig> &machines,
+                 const DriverOptions &opts, Observability &sinks);
 
 // Subcommand entry points (cmd_*.cc). Each returns the process exit
 // status.

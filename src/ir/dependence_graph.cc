@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 
 #include "support/logging.hh"
@@ -21,28 +22,6 @@ complementaryPreds(const Operation &a, const Operation &b)
            a.pred == b.pred && a.predSense != b.predSense;
 }
 
-/** Exact pack of an edge identity (from, to, distance, kind). */
-uint64_t
-edgeKey(int from, int to, int distance, DepKind kind)
-{
-    vvsp_assert(from >= 0 && from < (1 << 28) && to >= 0 &&
-                    to < (1 << 28) && distance >= 0 && distance < 4,
-                "edge key overflow (%d -> %d dist %d)", from, to,
-                distance);
-    return (static_cast<uint64_t>(from) << 34) |
-           (static_cast<uint64_t>(to) << 6) |
-           (static_cast<uint64_t>(distance) << 2) |
-           static_cast<uint64_t>(kind);
-}
-
-/** Per-register dependence state, indexed directly by vreg. */
-struct RegState
-{
-    std::vector<int> writers;
-    std::vector<int> readers;     ///< pruned at unconditional kills.
-    std::vector<int> all_readers; ///< kept for carried analysis.
-};
-
 /** Memory-ordering chain state for one (buffer, aliasToken) class. */
 struct MemChain
 {
@@ -53,6 +32,20 @@ struct MemChain
     std::vector<int> allOps; ///< for the carried all-pairs pass.
 };
 
+/** Calls fn(r) for every register an op reads: sources, then the
+ *  predicate. An op that reads one vreg twice reports it twice. */
+template <typename Fn>
+void
+forEachRead(const Operation &op, Fn &&fn)
+{
+    for (const auto &s : op.src) {
+        if (s.isReg())
+            fn(s.reg);
+    }
+    if (op.pred.isReg())
+        fn(op.pred.reg);
+}
+
 } // anonymous namespace
 
 DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
@@ -60,8 +53,6 @@ DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
                                  bool loop_carried)
     : num_ops_(ops.size())
 {
-    edge_index_.reserve(ops.size() * 4);
-
     const int n = static_cast<int>(ops.size());
     opLatency_.resize(ops.size());
     for (int i = 0; i < n; ++i)
@@ -72,55 +63,89 @@ DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
     for (const auto &op : ops) {
         if (op.info().hasDst)
             max_reg = std::max(max_reg, op.dst);
-        for (const auto &s : op.src) {
-            if (s.isReg())
-                max_reg = std::max(max_reg, s.reg);
-        }
-        if (op.pred.isReg())
-            max_reg = std::max(max_reg, op.pred.reg);
+        forEachRead(op, [&](Vreg r) { max_reg = std::max(max_reg, r); });
     }
-    std::vector<RegState> regs(static_cast<size_t>(max_reg) + 1);
+    const size_t num_regs = static_cast<size_t>(max_reg) + 1;
 
-    auto reads = [&](const Operation &op, auto &&fn) {
-        for (const auto &s : op.src) {
-            if (s.isReg())
-                fn(s.reg);
-        }
-        if (op.pred.isReg())
-            fn(op.pred.reg);
-    };
+    // Every register's reads and writes as CSR rows of op indices in
+    // program order (an op that reads a vreg twice appears twice):
+    // count, prefix-sum, then fill with the offsets as cursors and
+    // shift them back.
+    std::vector<int32_t> read_off(num_regs + 1, 0);
+    std::vector<int32_t> write_off(num_regs + 1, 0);
+    for (const auto &op : ops) {
+        forEachRead(op, [&](Vreg r) { read_off[r + 1]++; });
+        if (op.info().hasDst)
+            write_off[op.dst + 1]++;
+    }
+    for (size_t r = 0; r < num_regs; ++r) {
+        read_off[r + 1] += read_off[r];
+        write_off[r + 1] += write_off[r];
+    }
+    std::vector<int32_t> reads(static_cast<size_t>(read_off.back()));
+    std::vector<int32_t> writes(static_cast<size_t>(write_off.back()));
+    for (int i = 0; i < n; ++i) {
+        const Operation &op = ops[static_cast<size_t>(i)];
+        forEachRead(op, [&](Vreg r) {
+            reads[static_cast<size_t>(read_off[r]++)] = i;
+        });
+        if (op.info().hasDst)
+            writes[static_cast<size_t>(write_off[op.dst]++)] = i;
+    }
+    for (size_t r = num_regs; r > 0; --r) {
+        read_off[r] = read_off[r - 1];
+        write_off[r] = write_off[r - 1];
+    }
+    read_off[0] = 0;
+    write_off[0] = 0;
+
+    // Kill cursors: the live readers of r are its reads from
+    // read_kill[r] on (those since its last unconditional write), its
+    // live writers its writes from write_kill[r] on (that write and
+    // the predicated ones after it). Walking processes ops in order,
+    // so the live entries visible to op i are those before i in the
+    // row (for readers: at or before i, as i reads before it writes).
+    std::vector<int32_t> read_kill(read_off.begin(), read_off.end() - 1);
+    std::vector<int32_t> write_kill(write_off.begin(),
+                                    write_off.end() - 1);
 
     for (int i = 0; i < n; ++i) {
         const Operation &op = ops[static_cast<size_t>(i)];
 
-        reads(op, [&](Vreg r) {
-            RegState &st = regs[r];
-            for (int w : st.writers) {
+        forEachRead(op, [&](Vreg r) {
+            for (int32_t k = write_kill[r];
+                 k < write_off[r + 1] && writes[static_cast<size_t>(k)] < i;
+                 ++k) {
+                const int w = writes[static_cast<size_t>(k)];
                 addEdge(w, i, opLatency_[static_cast<size_t>(w)], 0,
                         DepKind::True);
             }
-            st.readers.push_back(i);
-            st.all_readers.push_back(i);
         });
 
         if (op.info().hasDst) {
-            RegState &st = regs[op.dst];
-            for (int rd : st.readers) {
+            const Vreg r = op.dst;
+            int32_t rk = read_kill[r];
+            for (; rk < read_off[r + 1] &&
+                   reads[static_cast<size_t>(rk)] <= i;
+                 ++rk) {
+                const int rd = reads[static_cast<size_t>(rk)];
                 if (rd != i)
                     addEdge(rd, i, 0, 0, DepKind::Anti);
             }
-            for (int w : st.writers) {
+            int32_t wk = write_kill[r];
+            for (; writes[static_cast<size_t>(wk)] < i; ++wk) {
+                const int w = writes[static_cast<size_t>(wk)];
                 int lat = complementaryPreds(
                               ops[static_cast<size_t>(w)], op)
                               ? 0
                               : 1;
                 addEdge(w, i, lat, 0, DepKind::Output);
             }
-            if (op.isPredicated()) {
-                st.writers.push_back(i);
-            } else {
-                st.writers = {i};
-                st.readers.clear();
+            // writes[wk] == i: an unconditional write kills every
+            // earlier reader and writer.
+            if (!op.isPredicated()) {
+                write_kill[r] = wk;
+                read_kill[r] = rk;
             }
         }
     }
@@ -202,18 +227,19 @@ DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
         }
 
         // Register values live around the back edge: a reader at or
-        // before a writer consumes the previous iteration's value.
-        for (Vreg r = 0; r < regs.size(); ++r) {
-            const RegState &st = regs[static_cast<size_t>(r)];
-            if (st.writers.empty() || st.all_readers.empty())
-                continue;
-            for (int w : st.writers) {
-                for (int rd : st.all_readers) {
-                    if (rd <= w) {
-                        addEdge(w, rd,
-                                opLatency_[static_cast<size_t>(w)], 1,
-                                DepKind::True);
-                    }
+        // before a final writer consumes the previous iteration's
+        // value. Reads are in program order, so each writer's scan
+        // stops at the first later reader.
+        for (size_t r = 0; r < num_regs; ++r) {
+            for (int32_t k = write_kill[r]; k < write_off[r + 1]; ++k) {
+                const int w = writes[static_cast<size_t>(k)];
+                for (int32_t j = read_off[r];
+                     j < read_off[r + 1] &&
+                     reads[static_cast<size_t>(j)] <= w;
+                     ++j) {
+                    addEdge(w, reads[static_cast<size_t>(j)],
+                            opLatency_[static_cast<size_t>(w)], 1,
+                            DepKind::True);
                 }
             }
         }
@@ -239,6 +265,7 @@ DependenceGraph::DependenceGraph(const std::vector<Operation> &ops,
         }
     }
 
+    dedupEdges();
     buildCsr();
     computeHeights();
 }
@@ -249,18 +276,49 @@ DependenceGraph::addEdge(int from, int to, int latency, int distance,
 {
     vvsp_assert(distance > 0 || from < to || (from == to && distance > 0),
                 "distance-0 edge must run forward (%d -> %d)", from, to);
-    // Each (from, to, distance, kind) identity keeps one edge at the
-    // running-max latency; every producer of a given identity supplies
-    // the same latency, so this reproduces the drop-duplicates scan.
-    auto [it, fresh] = edge_index_.try_emplace(
-        edgeKey(from, to, distance, kind),
-        static_cast<int>(edges_.size()));
-    if (!fresh) {
-        DepEdge &existing = edges_[static_cast<size_t>(it->second)];
-        existing.latency = std::max(existing.latency, latency);
-        return;
-    }
     edges_.push_back(DepEdge{from, to, latency, distance, kind});
+}
+
+void
+DependenceGraph::dedupEdges()
+{
+    // Positions sorted by edge identity (from, to, distance, kind),
+    // ascending within an identity, so each run starts at the
+    // identity's first position. That edge stays there with the
+    // largest latency of its run (every producer of an identity
+    // supplies the same latency today); the rest are dropped.
+    auto identity = [this](int32_t e) {
+        const DepEdge &d = edges_[static_cast<size_t>(e)];
+        return std::tie(d.from, d.to, d.distance, d.kind);
+    };
+    std::vector<int32_t> order(edges_.size());
+    for (size_t e = 0; e < order.size(); ++e)
+        order[e] = static_cast<int32_t>(e);
+    std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+        const auto ka = identity(a);
+        const auto kb = identity(b);
+        return ka != kb ? ka < kb : a < b;
+    });
+    bool dropped = false;
+    for (size_t k = 0; k < order.size();) {
+        DepEdge &kept = edges_[static_cast<size_t>(order[k])];
+        size_t j = k + 1;
+        for (; j < order.size() && identity(order[j]) == identity(order[k]);
+             ++j) {
+            DepEdge &dup = edges_[static_cast<size_t>(order[j])];
+            kept.latency = std::max(kept.latency, dup.latency);
+            dup.from = -1; // marks the duplicate for removal.
+            dropped = true;
+        }
+        k = j;
+    }
+    if (dropped) {
+        edges_.erase(std::remove_if(edges_.begin(), edges_.end(),
+                                    [](const DepEdge &e) {
+                                        return e.from < 0;
+                                    }),
+                     edges_.end());
+    }
 }
 
 void

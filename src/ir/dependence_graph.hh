@@ -21,7 +21,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/operation.hh"
@@ -115,15 +114,19 @@ class DependenceGraph
     std::string str() const;
 
   private:
+    /** Append an edge; duplicates are merged by dedupEdges(). */
     void addEdge(int from, int to, int latency, int distance,
                  DepKind kind);
+    /**
+     * Keep each (from, to, distance, kind) once, at its first
+     * position, with the largest latency any producer gave it.
+     */
+    void dedupEdges();
     void buildCsr();
     void computeHeights();
 
     size_t num_ops_ = 0;
     std::vector<DepEdge> edges_;
-    /** (from, to, distance, kind) -> edge index, for O(1) dedup. */
-    std::unordered_map<uint64_t, int> edge_index_;
 
     /**
      * CSR adjacency: op i's successor edge indices live in

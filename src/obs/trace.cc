@@ -38,6 +38,21 @@ TraceWriter::threadName(int pid, int tid, const std::string &name)
     metadata_.push_back(Metadata{"thread_name", pid, tid, name});
 }
 
+void
+TraceWriter::append(const TraceWriter &other, int pid_offset)
+{
+    vvsp_assert(&other != this, "trace appended to itself");
+    std::scoped_lock lock(mutex_, other.mutex_);
+    for (Event e : other.events_) {
+        e.pid += pid_offset;
+        events_.push_back(std::move(e));
+    }
+    for (Metadata m : other.metadata_) {
+        m.pid += pid_offset;
+        metadata_.push_back(std::move(m));
+    }
+}
+
 size_t
 TraceWriter::sliceCount() const
 {

@@ -50,6 +50,13 @@ class TraceWriter
     /** Name a thread track within a process (metadata event). */
     void threadName(int pid, int tid, const std::string &name);
 
+    /**
+     * Append every record of `other` with its process ids shifted by
+     * `pid_offset`: merges traces that independent tasks recorded
+     * from pid 0, in the order the caller appends them.
+     */
+    void append(const TraceWriter &other, int pid_offset);
+
     /** Number of slices recorded so far (metadata excluded). */
     size_t sliceCount() const;
 

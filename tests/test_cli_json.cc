@@ -3,7 +3,9 @@
  * `--json` and `--stats=json` stay valid JSON whatever a machine is
  * called: the real `vvsp` binary (VVSP_CLI_PATH) runs on a JSON
  * machine file whose name holds a tab, and its stdout must parse
- * with json::parse and give the name back unchanged.
+ * with json::parse and give the name back unchanged. A multi-section
+ * `--json` run is one document, and `utilization --trace` draws the
+ * same pipeline diagrams at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +19,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/experiment_spec.hh"
 #include "support/json.hh"
 
 namespace vvsp
@@ -104,6 +108,108 @@ TEST(CliJson, StatsJsonEscapesMachineName)
             named++;
     }
     EXPECT_GT(named, 0) << "no sim/<model>/ counter carries the name";
+}
+
+TEST(CliJson, MultiSectionJsonIsOneDocument)
+{
+    // A row no section has: six empty sections, cheap to run.
+    auto [code, out] = runVvsp("table1 --json --variant=NoSuchRow "
+                               "--threads=1 --no-disk-cache");
+    ASSERT_EQ(code, 0) << out;
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(out, doc, error)) << error << "\n" << out;
+    ASSERT_TRUE(doc.isArray()) << out;
+    const ExperimentSpec &spec = *findExperimentSpec("table1");
+    ASSERT_EQ(spec.sections.size(), 6u);
+    ASSERT_EQ(doc.array().size(), spec.sections.size());
+    for (size_t i = 0; i < spec.sections.size(); ++i) {
+        const json::Value *kernel = doc.array()[i].find("kernel");
+        ASSERT_NE(kernel, nullptr);
+        EXPECT_EQ(kernel->asString(), spec.sections[i].kernel);
+        const json::Value *cells = doc.array()[i].find("cells");
+        ASSERT_NE(cells, nullptr);
+        EXPECT_TRUE(cells->array().empty());
+    }
+}
+
+/** A JSON value written back out, members in document order. */
+std::string
+render(const json::Value &v)
+{
+    switch (v.kind()) {
+    case json::Value::Kind::Null:
+        return "null";
+    case json::Value::Kind::Bool:
+        return v.asBool() ? "true" : "false";
+    case json::Value::Kind::Number: {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", v.asNumber());
+        return buf;
+    }
+    case json::Value::Kind::String:
+        return "\"" + json::escape(v.asString()) + "\"";
+    case json::Value::Kind::Array: {
+        std::string out = "[";
+        for (const json::Value &e : v.array())
+            out += render(e) + ",";
+        return out + "]";
+    }
+    case json::Value::Kind::Object: {
+        std::string out = "{";
+        for (const auto &[key, value] : v.members())
+            out += "\"" + json::escape(key) + "\":" + render(value) + ",";
+        return out + "}";
+    }
+    }
+    return "";
+}
+
+/** The CycleSim pipeline-diagram records of a trace file: every
+ *  event at pid 100 and above, in file order. */
+std::vector<std::string>
+simTraceEvents(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    json::Value doc;
+    std::string error;
+    EXPECT_TRUE(json::parse(text.str(), doc, error)) << error;
+    std::vector<std::string> events;
+    const json::Value *all = doc.find("traceEvents");
+    if (all == nullptr)
+        return events;
+    for (const json::Value &e : all->array()) {
+        const json::Value *pid = e.find("pid");
+        if (pid != nullptr && pid->asNumber() >= 100)
+            events.push_back(render(e));
+    }
+    return events;
+}
+
+TEST(CliTrace, UtilizationDiagramsMatchAcrossThreadCounts)
+{
+    // The units run concurrently at --threads=4 and each records its
+    // own trace; merged, the diagrams must equal the serial run's.
+    // The sweep timeline below pid 100 is wall-clock and differs.
+    std::vector<std::string> events[2];
+    const int threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+        const std::string trace =
+            tempPath("vvsp-util-trace-" + std::to_string(threads[i])) +
+            ".json";
+        auto [code, out] = runVvsp(
+            "utilization --model=I4C8S4 --no-disk-cache --threads=" +
+            std::to_string(threads[i]) + " --trace=\"" + trace + "\"");
+        ASSERT_EQ(code, 0) << out;
+        events[i] = simTraceEvents(trace);
+        std::remove(trace.c_str());
+    }
+    EXPECT_GT(events[0].size(), 1000u);
+    EXPECT_TRUE(events[0] == events[1])
+        << events[0].size() << " vs " << events[1].size() << " events";
 }
 
 #endif // VVSP_CLI_PATH

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/machine_model.hh"
 #include "arch/models.hh"
+#include "core/experiment.hh"
 #include "ir/builder.hh"
 #include "ir/dependence_graph.hh"
+#include "kernels/composer.hh"
+#include "kernels/kernel.hh"
 #include "support/random.hh"
 
 namespace vvsp
@@ -420,6 +425,380 @@ TEST(RecurrenceMii, CycleCrossingSeveralCarriedEdges)
     EXPECT_TRUE(hasEdge(g, 1, 0, DepKind::True, 1));
     EXPECT_EQ(g.recurrenceMii(), 5);
     EXPECT_EQ(referenceRecurrenceMii(g), 5);
+}
+
+
+// ---- Construction against the reference build --------------------------
+
+/**
+ * A graph as the per-register-vector construction built it, with the
+ * CSR rows and heights derived from its edge list.
+ */
+struct ReferenceGraph
+{
+    std::vector<DepEdge> edges;
+    std::vector<std::vector<int32_t>> succ; ///< edge indices, in order.
+    std::vector<std::vector<int32_t>> pred;
+    std::vector<int> heights;
+};
+
+/**
+ * The construction DependenceGraph used before its build went to CSR
+ * read/write lists, kept as the oracle: one RegState (writers,
+ * readers since the last unconditional write, all readers) per vreg,
+ * and an edge-identity hash that keeps each (from, to, distance,
+ * kind) at its first position with the largest latency any producer
+ * gave it.
+ */
+ReferenceGraph
+referenceGraph(const std::vector<Operation> &ops, const LatencyFn &latency,
+               bool loop_carried)
+{
+    struct RegState
+    {
+        std::vector<int> writers;
+        std::vector<int> readers;     ///< pruned at unconditional kills.
+        std::vector<int> all_readers; ///< kept for carried analysis.
+    };
+    struct MemChain
+    {
+        int buffer = 0;
+        int aliasToken = 0;
+        int lastStore = -1;
+        std::vector<int> readersSinceStore;
+        std::vector<int> allOps;
+    };
+
+    ReferenceGraph g;
+    std::unordered_map<uint64_t, size_t> edge_index;
+    auto add = [&](int from, int to, int lat, int distance,
+                   DepKind kind) {
+        const uint64_t key = (static_cast<uint64_t>(from) << 34) |
+                             (static_cast<uint64_t>(to) << 6) |
+                             (static_cast<uint64_t>(distance) << 2) |
+                             static_cast<uint64_t>(kind);
+        auto [it, fresh] = edge_index.try_emplace(key, g.edges.size());
+        if (!fresh) {
+            DepEdge &e = g.edges[it->second];
+            e.latency = std::max(e.latency, lat);
+            return;
+        }
+        g.edges.push_back(DepEdge{from, to, lat, distance, kind});
+    };
+    auto complementary = [](const Operation &a, const Operation &b) {
+        return a.isPredicated() && b.isPredicated() && a.pred == b.pred &&
+               a.predSense != b.predSense;
+    };
+
+    const int n = static_cast<int>(ops.size());
+    std::vector<int> op_lat(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i)
+        op_lat[i] = latency(ops[i]);
+
+    Vreg max_reg = 0;
+    for (const auto &op : ops) {
+        if (op.info().hasDst)
+            max_reg = std::max(max_reg, op.dst);
+        for (const auto &s : op.src) {
+            if (s.isReg())
+                max_reg = std::max(max_reg, s.reg);
+        }
+        if (op.pred.isReg())
+            max_reg = std::max(max_reg, op.pred.reg);
+    }
+    std::vector<RegState> regs(static_cast<size_t>(max_reg) + 1);
+    auto reads = [&](const Operation &op, auto &&fn) {
+        for (const auto &s : op.src) {
+            if (s.isReg())
+                fn(s.reg);
+        }
+        if (op.pred.isReg())
+            fn(op.pred.reg);
+    };
+
+    for (int i = 0; i < n; ++i) {
+        const Operation &op = ops[static_cast<size_t>(i)];
+        reads(op, [&](Vreg r) {
+            RegState &st = regs[r];
+            for (int w : st.writers)
+                add(w, i, op_lat[static_cast<size_t>(w)], 0,
+                    DepKind::True);
+            st.readers.push_back(i);
+            st.all_readers.push_back(i);
+        });
+        if (op.info().hasDst) {
+            RegState &st = regs[op.dst];
+            for (int rd : st.readers) {
+                if (rd != i)
+                    add(rd, i, 0, 0, DepKind::Anti);
+            }
+            for (int w : st.writers)
+                add(w, i,
+                    complementary(ops[static_cast<size_t>(w)], op) ? 0 : 1,
+                    0, DepKind::Output);
+            if (op.isPredicated()) {
+                st.writers.push_back(i);
+            } else {
+                st.writers = {i};
+                st.readers.clear();
+            }
+        }
+    }
+
+    std::vector<MemChain> chains;
+    std::unordered_map<uint64_t, size_t> chain_of;
+    for (int i = 0; i < n; ++i) {
+        const Operation &op = ops[static_cast<size_t>(i)];
+        if (!op.info().isMemory)
+            continue;
+        const uint64_t key =
+            (static_cast<uint64_t>(static_cast<uint32_t>(op.buffer))
+             << 32) |
+            static_cast<uint32_t>(op.aliasToken);
+        auto [it, fresh] = chain_of.try_emplace(key, chains.size());
+        if (fresh) {
+            chains.emplace_back();
+            chains.back().buffer = op.buffer;
+            chains.back().aliasToken = op.aliasToken;
+        }
+        MemChain &chain = chains[it->second];
+        chain.allOps.push_back(i);
+        if (loop_carried)
+            continue;
+        if (op.op == Opcode::Store) {
+            for (int rd : chain.readersSinceStore)
+                add(rd, i, 0, 0, DepKind::Memory);
+            if (chain.lastStore >= 0)
+                add(chain.lastStore, i, 1, 0, DepKind::Memory);
+            chain.lastStore = i;
+            chain.readersSinceStore.clear();
+        } else {
+            if (chain.lastStore >= 0)
+                add(chain.lastStore, i, 1, 0, DepKind::Memory);
+            chain.readersSinceStore.push_back(i);
+        }
+    }
+
+    if (loop_carried) {
+        std::vector<size_t> class_order(chains.size());
+        for (size_t c = 0; c < chains.size(); ++c)
+            class_order[c] = c;
+        std::sort(class_order.begin(), class_order.end(),
+                  [&chains](size_t a, size_t b) {
+                      if (chains[a].buffer != chains[b].buffer)
+                          return chains[a].buffer < chains[b].buffer;
+                      return chains[a].aliasToken < chains[b].aliasToken;
+                  });
+        auto is_store = [&ops](int i) {
+            return ops[static_cast<size_t>(i)].op == Opcode::Store;
+        };
+        for (size_t c : class_order) {
+            const std::vector<int> &idxs = chains[c].allOps;
+            for (size_t a = 0; a < idxs.size(); ++a) {
+                for (size_t b = a + 1; b < idxs.size(); ++b) {
+                    if (!is_store(idxs[a]) && !is_store(idxs[b]))
+                        continue;
+                    add(idxs[a], idxs[b], is_store(idxs[a]) ? 1 : 0, 0,
+                        DepKind::Memory);
+                }
+            }
+        }
+        for (size_t r = 0; r < regs.size(); ++r) {
+            for (int w : regs[r].writers) {
+                for (int rd : regs[r].all_readers) {
+                    if (rd <= w)
+                        add(w, rd, op_lat[static_cast<size_t>(w)], 1,
+                            DepKind::True);
+                }
+            }
+        }
+        for (size_t c : class_order) {
+            const std::vector<int> &idxs = chains[c].allOps;
+            for (int a : idxs) {
+                for (int b : idxs) {
+                    if (!is_store(a) && !is_store(b))
+                        continue;
+                    if (ops[static_cast<size_t>(a)].noCarriedAlias &&
+                        ops[static_cast<size_t>(b)].noCarriedAlias)
+                        continue;
+                    add(a, b, is_store(a) ? 1 : 0, 1, DepKind::Memory);
+                }
+            }
+        }
+    }
+
+    g.succ.resize(ops.size());
+    g.pred.resize(ops.size());
+    for (size_t e = 0; e < g.edges.size(); ++e) {
+        g.succ[static_cast<size_t>(g.edges[e].from)].push_back(
+            static_cast<int32_t>(e));
+        g.pred[static_cast<size_t>(g.edges[e].to)].push_back(
+            static_cast<int32_t>(e));
+    }
+    g.heights.assign(ops.size(), 1);
+    for (int i = n - 1; i >= 0; --i) {
+        for (int32_t e : g.succ[static_cast<size_t>(i)]) {
+            const DepEdge &edge = g.edges[static_cast<size_t>(e)];
+            if (edge.distance == 0)
+                g.heights[static_cast<size_t>(i)] = std::max(
+                    g.heights[static_cast<size_t>(i)],
+                    edge.latency +
+                        g.heights[static_cast<size_t>(edge.to)]);
+        }
+    }
+    return g;
+}
+
+/** Every edge (fields and order), CSR row and height of the graph
+ *  built from `ops` equals the reference construction's. */
+::testing::AssertionResult
+matchesReference(const std::vector<Operation> &ops,
+                 const LatencyFn &latency, bool loop_carried)
+{
+    const ReferenceGraph ref = referenceGraph(ops, latency, loop_carried);
+    const DependenceGraph g(ops, latency, loop_carried);
+    if (g.edges().size() != ref.edges.size())
+        return ::testing::AssertionFailure()
+               << g.edges().size() << " edges, reference "
+               << ref.edges.size();
+    for (size_t e = 0; e < ref.edges.size(); ++e) {
+        const DepEdge &a = g.edges()[e];
+        const DepEdge &b = ref.edges[e];
+        if (a.from != b.from || a.to != b.to || a.latency != b.latency ||
+            a.distance != b.distance || a.kind != b.kind)
+            return ::testing::AssertionFailure()
+                   << "edge " << e << ": " << a.from << "->" << a.to
+                   << " lat " << a.latency << " dist " << a.distance
+                   << " kind " << static_cast<int>(a.kind)
+                   << ", reference " << b.from << "->" << b.to << " lat "
+                   << b.latency << " dist " << b.distance << " kind "
+                   << static_cast<int>(b.kind);
+    }
+    auto same_row = [](EdgeIndexRange row,
+                       const std::vector<int32_t> &want) {
+        return std::equal(row.begin(), row.end(), want.begin(),
+                          want.end());
+    };
+    for (size_t i = 0; i < ops.size(); ++i) {
+        const int op = static_cast<int>(i);
+        if (!same_row(g.succEdges(op), ref.succ[i]) ||
+            !same_row(g.predEdges(op), ref.pred[i]))
+            return ::testing::AssertionFailure()
+                   << "CSR row of op " << i << " differs";
+        if (g.height(op) != ref.heights[i])
+            return ::testing::AssertionFailure()
+                   << "height of op " << i << ": " << g.height(op)
+                   << ", reference " << ref.heights[i];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * A random body with the cases randomBody() rarely draws made
+ * common: ops that read one vreg twice (two sources, or a source and
+ * the predicate), predicated writes, and adjacent writes of one vreg
+ * under complementary predicates.
+ */
+std::vector<Operation>
+extendedBody(Rng &rng, std::vector<Operation> ops)
+{
+    for (size_t i = 0; i < ops.size(); ++i) {
+        Operation &o = ops[i];
+        switch (rng.uniform(0, 4)) {
+        case 0:
+            if (o.src[0].isReg())
+                o.src[1] = o.src[0];
+            break;
+        case 1:
+            if (o.src[0].isReg()) {
+                o.pred = o.src[0];
+                o.predSense = rng.uniform(0, 1) == 1;
+            }
+            break;
+        case 2:
+            if (o.info().hasDst && i + 1 < ops.size() &&
+                ops[i + 1].info().hasDst) {
+                const Operand p = R(static_cast<Vreg>(rng.uniform(1, 4)));
+                o.pred = p;
+                o.predSense = true;
+                ops[i + 1].dst = o.dst;
+                ops[i + 1].pred = p;
+                ops[i + 1].predSense = false;
+            }
+            break;
+        default:
+            break;
+        }
+    }
+    return ops;
+}
+
+TEST(DepGraphBuild, MatchesReferenceOnRandomBodies)
+{
+    // The RecMII test's seed and generator, each body also extended.
+    Rng rng(20260517);
+    Rng extend(7);
+    std::vector<int> lat;
+    for (int body = 0; body < 1500; ++body) {
+        const std::vector<Operation> ops = randomBody(rng, &lat);
+        const std::vector<Operation> ext = extendedBody(extend, ops);
+        for (bool carried : {false, true}) {
+            ASSERT_TRUE(matchesReference(ops, latencyById(lat), carried))
+                << "body " << body << " carried " << carried;
+            ASSERT_TRUE(matchesReference(ext, latencyById(lat), carried))
+                << "extended body " << body << " carried " << carried;
+        }
+    }
+}
+
+TEST(DepGraphBuild, MatchesReferenceOnEveryKernelBody)
+{
+    int bodies = 0;
+    for (const char *model : {"I4C8S4", "I2C16S5"}) {
+        for (const KernelSpec &k : allKernels()) {
+            for (const VariantSpec &v : k.variants) {
+                DatapathConfig cfg = models::byName(model);
+                if (v.needsAbsDiff)
+                    cfg.cluster.hasAbsDiff = true;
+                MachineModel machine(cfg);
+                Function fn = lowerVariant(k, v, machine);
+                // Each block as the list scheduler sees it, and each
+                // pipelined loop body with its materialized control.
+                std::vector<std::vector<Operation>> graphs;
+                std::vector<const LoopNode *> loops;
+                forEachNode(fn.body, [&](const Node &n) {
+                    if (n.kind() == NodeKind::Block)
+                        graphs.push_back(
+                            static_cast<const BlockNode &>(n).ops);
+                    else if (n.kind() == NodeKind::Loop &&
+                             swpEligibleLoop(
+                                 static_cast<const LoopNode &>(n), v.mode))
+                        loops.push_back(static_cast<const LoopNode *>(&n));
+                });
+                for (const LoopNode *loop : loops) {
+                    std::vector<Operation> ops;
+                    for (const auto &n : loop->body) {
+                        const auto &b = static_cast<const BlockNode &>(*n);
+                        ops.insert(ops.end(), b.ops.begin(), b.ops.end());
+                    }
+                    std::vector<Operation> ctrl = loopControlOps(fn, *loop);
+                    ops.insert(ops.end(), ctrl.begin(), ctrl.end());
+                    graphs.push_back(std::move(ops));
+                }
+                for (const std::vector<Operation> &ops : graphs) {
+                    for (bool carried : {false, true}) {
+                        ASSERT_TRUE(matchesReference(
+                            ops, machine.latencyFn(), carried))
+                            << model << " " << k.name << " / " << v.name
+                            << " (" << ops.size() << " ops, carried "
+                            << carried << ")";
+                    }
+                    ++bodies;
+                }
+            }
+        }
+    }
+    EXPECT_GT(bodies, 100);
 }
 
 } // namespace
