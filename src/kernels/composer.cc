@@ -331,6 +331,8 @@ struct Composer::Walker
                 swp.sample("ii_slack", sched.ii - mii);
                 swp.sample("ii_attempts", sched.iiAttempts);
                 swp.sample("placements", sched.placements);
+                swp.sample("deciding_placements",
+                           sched.decidingPlacements);
                 if (sched.ii == mii)
                     swp.bump("ii_optimal");
             }

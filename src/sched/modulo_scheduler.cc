@@ -202,7 +202,15 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
         lo = std::min(lo, r / 64);
     };
 
-    const long budget = 32L * n + 256;
+    // Placement steps per candidate. A candidate's path is a pure
+    // function of (ops, ddg, ii) and the budget only decides where it
+    // stops, so a smaller budget can turn a success into a failure
+    // but never the reverse. The cap binds above 1016 ops, where
+    // every deciding candidate needs a small fraction of it
+    // (BlockSchedule::decidingPlacements); below, one 241-op success
+    // needs 93 % of its 32n+256.
+    constexpr long kMaxCandidateSteps = 32768;
+    const long budget = std::min(32L * n + 256, kMaxCandidateSteps);
     long steps = 0;
     while (true) {
         // Highest-priority unscheduled op: height descending, ties
@@ -321,10 +329,11 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                          return ddg.height(a) > ddg.height(b);
                      });
 
-    auto build = [&](int ii,
-                     const std::vector<int> &start) -> BlockSchedule {
+    auto build = [&](int ii, const std::vector<int> &start,
+                     long steps) -> BlockSchedule {
         BlockSchedule result;
         result.ii = ii;
+        result.decidingPlacements = steps;
         result.placed.assign(static_cast<size_t>(n), PlacedOp{});
         int max_start = 0;
         for (int i = 0; i < n; ++i) {
@@ -414,7 +423,8 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
                 std::vector<int> start;
                 if (attempt(ops, ddg, ii, by_priority, &start,
                             &steps[static_cast<size_t>(k)])) {
-                    cands[static_cast<size_t>(k)] = build(ii, start);
+                    cands[static_cast<size_t>(k)] = build(
+                        ii, start, steps[static_cast<size_t>(k)]);
                     ok[static_cast<size_t>(k)] = 1;
                 }
             });

@@ -58,7 +58,8 @@ class ModuloScheduler
      * Software-pipeline the loop-body ops (cluster fields assigned;
      * loop-control ops included). Panics if no schedule is found up
      * to a generous II bound, which would be a scheduler bug since
-     * II = length(list schedule) is always feasible.
+     * II = length(list schedule) is always feasible (for bodies of
+     * up to 32768 ops; see attempt()).
      *
      * When max_live_target > 0 and the minimum-II schedule needs
      * more simultaneously-live values than the target, the II is
@@ -67,9 +68,10 @@ class ModuloScheduler
      * lowest-pressure schedule found is returned either way.
      *
      * The returned schedule records the ResMII and RecMII the search
-     * started from, the number of candidate IIs it consumed and the
-     * placement steps those candidates took (BlockSchedule::resMii,
-     * recMii, iiAttempts, placements).
+     * started from, the number of candidate IIs it consumed, the
+     * placement steps those candidates took and the steps of the one
+     * it came from (BlockSchedule::resMii, recMii, iiAttempts,
+     * placements, decidingPlacements).
      */
     BlockSchedule schedule(const std::vector<Operation> &ops,
                            int max_live_target = 0) const;
@@ -104,7 +106,10 @@ class ModuloScheduler
      * in scheduleBudgeted() and shared by every attempt. The
      * reservation table and all other scratch are local to the call.
      * `*placements` receives the placement steps taken; a failing
-     * try runs out its whole 32n+256 budget.
+     * try runs out its whole budget of min(32n+256, 32768) steps.
+     * Every op takes at least one step, so a body above 32768 ops
+     * finds no II (the composer then list-schedules it, degraded);
+     * the largest body any registered model lowers has 6979 ops.
      */
     bool attempt(const std::vector<Operation> &ops,
                  const DependenceGraph &ddg, int ii,

@@ -56,6 +56,11 @@ struct BlockSchedule
      *  iiAttempts counts; one forced infeasible by the
      *  "sched/ii_attempt" failpoint counts 0 (0 for acyclic). */
     long placements = 0;
+    /** Modulo schedule: placement steps of the candidate this
+     *  schedule came from (0 for acyclic). Each candidate stops
+     *  after min(32n+256, 32768) steps, so the gap to that cap is
+     *  the headroom left before the schedule would move. */
+    long decidingPlacements = 0;
 
     /** Long-instruction words occupied in the instruction cache. */
     int instructions = 0;

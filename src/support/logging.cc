@@ -76,7 +76,11 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     std::string s = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", s.c_str(), file, line);
-    std::exit(1);
+    // A pool worker may be the caller while the other workers still
+    // run, and std::exit() would run static destructors under them.
+    // Flush what was printed and leave without running any.
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -24,7 +24,9 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Report an unrecoverable user-level error (bad configuration, invalid
- * arguments) and exit(1). Not a library bug.
+ * arguments), flush stdio and _Exit(1) without running static
+ * destructors, so a caller on a pool worker cannot race them. Not a
+ * library bug.
  */
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
                             ...) __attribute__((format(printf, 3, 4)));

@@ -14,6 +14,7 @@
 #include <random>
 #include <string>
 
+#include "arch/model_registry.hh"
 #include "arch/models.hh"
 #include "core/experiment.hh"
 #include "ir/builder.hh"
@@ -723,9 +724,11 @@ TEST(ModuloScheduler, WidenedDctSchedulesArePinned)
         long placements;
         uint64_t hash;
     };
-    // 15, 9 and 7 candidates run out their 32n+256 step budget.
+    // 15, 9 and 7 candidates run out their step budget: the 6082-op
+    // body's at the 32768-step cap (15 * 32768 + 6082 steps), the
+    // two DCT-rc bodies' at 32n+256.
     const Pin pins[] = {
-        {6082, 404, 16, 2929282, 0xcc9472b9ae823500ULL}, // DCT-trad v
+        {6082, 404, 16, 497602, 0xcc9472b9ae823500ULL}, // DCT-trad v
         {752, 65, 10, 219632, 0x77a0912a8647dcaeULL},    // DCT-rc row
         {826, 88, 9, 194737, 0x0d2a42608ecf0073ULL},     // DCT-rc row2
     };
@@ -754,6 +757,54 @@ TEST(ModuloScheduler, WidenedDctSchedulesArePinned)
         }
     }
     EXPECT_EQ(next, std::size(pins));
+}
+
+/**
+ * Each modulo candidate stops after min(32n+256, 32768) placement
+ * steps. A smaller budget can only turn a success into a failure, so
+ * the cap leaves every schedule as it was while the candidates that
+ * decide stay under it. Every software-pipelined loop of every kernel
+ * variant on the seven registered models must decide within half the
+ * cap: a lowering change that pushes a body toward the cap fails here
+ * instead of quietly moving a schedule.
+ */
+TEST(ModuloScheduler, DecidingCandidatesStayUnderHalfTheStepCap)
+{
+    constexpr long kHalfCap = 32768 / 2;
+    ThreadPool pool(4);
+    ModuloScheduler::setIiSearch(&pool);
+    int loops = 0;
+    size_t largest = 0;
+    for (const std::string &model : ModelRegistry::instance().names()) {
+        for (const KernelSpec &k : allKernels()) {
+            for (const VariantSpec &v : k.variants) {
+                DatapathConfig cfg = models::byName(model);
+                if (v.needsAbsDiff)
+                    cfg.cluster.hasAbsDiff = true;
+                MachineModel machine(cfg);
+                Function fn = lowerVariant(k, v, machine);
+                ModuloScheduler sched(machine, [&fn](int buffer) {
+                    return fn.buffer(buffer).bank;
+                });
+                for (const SwpLoop &l : swpLoops(fn, v.mode)) {
+                    SCOPED_TRACE(model + " " + k.name + " " + v.name +
+                                 " " + l.label);
+                    BlockSchedule s = sched.schedule(
+                        l.ops, machine.registersPerCluster());
+                    // Every op is placed at least once.
+                    EXPECT_GE(s.decidingPlacements,
+                              static_cast<long>(l.ops.size()));
+                    EXPECT_LE(s.decidingPlacements, kHalfCap);
+                    EXPECT_LE(s.decidingPlacements, s.placements);
+                    largest = std::max(largest, l.ops.size());
+                    ++loops;
+                }
+            }
+        }
+    }
+    ModuloScheduler::setIiSearch(nullptr);
+    EXPECT_GE(loops, 7 * 6); // at least one loop per model and kernel.
+    EXPECT_GE(largest, 6979u); // the widened DCT-traditional body.
 }
 
 /**
