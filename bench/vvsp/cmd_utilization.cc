@@ -12,7 +12,7 @@
  * search keeps "between 33% and 46% of the compute" busy at 30
  * frames/s; the check fails (exit 1) if the reference I4C8S4
  * datapath leaves the band. --trace=FILE additionally renders every
- * scheduled group of the simulated kernels as a pipeline diagram.
+ * group the simulated kernels execute as a pipeline diagram.
  */
 
 #include <cstdio>

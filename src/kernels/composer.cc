@@ -73,6 +73,32 @@ at(const std::vector<double> &v, int id)
     return v[static_cast<size_t>(id)];
 }
 
+/**
+ * Candidate-II budget per software-pipelined loop, from
+ * VVSP_SCHED_BUDGET. Unset or non-positive means unlimited — the
+ * default, so normal runs never degrade and goldens are untouched.
+ */
+long
+schedBudget()
+{
+    static const long v = [] {
+        const char *env = std::getenv("VVSP_SCHED_BUDGET");
+        if (!env || !*env)
+            return -1L;
+        long n = std::atol(env);
+        return n > 0 ? n : -1L;
+    }();
+    return v;
+}
+
+size_t
+siteIndex(int node, GroupSite site)
+{
+    constexpr size_t sites = static_cast<size_t>(GroupSite::FunctionEnd) + 1;
+    return static_cast<size_t>(node + 1) * sites +
+           static_cast<size_t>(site);
+}
+
 } // anonymous namespace
 
 std::vector<Operation>
@@ -124,24 +150,6 @@ loopControlOps(Function &fn, const LoopNode &loop)
     return ops;
 }
 
-/**
- * Candidate-II budget per software-pipelined loop, from
- * VVSP_SCHED_BUDGET. Unset or non-positive means unlimited — the
- * default, so normal runs never degrade and goldens are untouched.
- */
-long
-schedBudget()
-{
-    static const long v = [] {
-        const char *env = std::getenv("VVSP_SCHED_BUDGET");
-        if (!env || !*env)
-            return -1L;
-        long n = std::atol(env);
-        return n > 0 ? n : -1L;
-    }();
-    return v;
-}
-
 bool
 swpEligibleLoop(const LoopNode &loop, ScheduleMode mode)
 {
@@ -156,112 +164,120 @@ swpEligibleLoop(const LoopNode &loop, ScheduleMode mode)
     return true;
 }
 
+double
+GroupCount::of(const AvgProfile &profile) const
+{
+    switch (kind) {
+      case Kind::None:
+        return 0;
+      case Kind::Block:
+        return at(profile.blockExec, node);
+      case Kind::IfEvals:
+        return at(profile.ifThen, node) + at(profile.ifElse, node);
+      case Kind::IfThen:
+        return at(profile.ifThen, node);
+      case Kind::LoopIters:
+        return at(profile.loopIters, node);
+      case Kind::BackEdges:
+        return at(profile.loopIters, node) -
+               at(profile.loopEntries, node);
+    }
+    return 0;
+}
+
+int
+KernelSchedule::groupAt(int node, GroupSite site) const
+{
+    size_t i = siteIndex(node, site);
+    return i < sites.size() ? sites[i] : -1;
+}
+
+/**
+ * The profile-free walk: every group closes at a tree site, so the
+ * groups depend on the tree alone and CycleSim can find each one at
+ * the site its own walk reaches.
+ */
 struct Composer::Walker
 {
     Function &fn;
     const MachineModel &machine;
     ScheduleMode mode;
-    const AvgProfile &prof;
     ListScheduler lsched;
     ModuloScheduler msched;
     BankOfFn bankOf;
     obs::StatsScope phase = obs::globalScope("phase");
-    obs::StatsScope isaStats = obs::globalScope("isa");
-    CompositionResult result;
+    KernelSchedule out;
 
-    /** Encoded-module sink (see Composer::compose). */
-    IsaModule *emit = nullptr;
-    IsaFormat fmt;
+    /** Keep each group's ops and placements; pricing alone reads
+     *  none of them. */
+    bool keepCode = true;
 
     std::vector<Operation> pending;
-    double pendingCount = 0;
+    /** Counts the pending group: set by the first code appended to
+     *  an empty group and kept until a group is closed. */
+    GroupCount pendingCount;
     std::string pendingLabel;
 
     Walker(Function &f, const MachineModel &m, ScheduleMode md,
-           const AvgProfile &p, BankOfFn bank_of)
-        : fn(f), machine(m), mode(md), prof(p),
-          lsched(m, bank_of), msched(m, bank_of),
-          bankOf(std::move(bank_of)),
-          fmt(isaFormatFor(m.config()))
+           BankOfFn bank_of)
+        : fn(f), machine(m), mode(md), lsched(m, bank_of),
+          msched(m, bank_of), bankOf(std::move(bank_of))
     {
+        out.module.machine = m.name();
+        out.module.name = f.name;
+        out.module.fmt = isaFormatFor(m.config());
+        // Node ids below numNodeIds(), plus the function end at -1.
+        out.sites.assign(siteIndex(f.numNodeIds(), GroupSite::BeforeLoop),
+                         -1);
     }
 
-    /** Schedule of the current group + its measured code size. */
-    struct SectionOutcome
-    {
-        BlockSchedule sched;
-        SectionStats stats;
-    };
-
-    SectionOutcome
-    scheduleAndEncode(const std::string &label,
-                      const std::vector<Operation> &ops, bool width1,
-                      const char *phase_name,
-                      const std::function<BlockSchedule()> &schedule)
-    {
-        SectionOutcome out;
-        out.sched = obs::timedPhase(phase, phase_name, schedule);
-        IsaSection sec = buildSection(label, ops, out.sched, width1,
-                                      machine, bankOf);
-        out.stats = sectionStats(sec, fmt);
-        if (emit)
-            emit->sections.push_back(std::move(sec));
-        isaStats.bump("sections");
-        isaStats.bump("words",
-                      static_cast<uint64_t>(out.stats.words));
-        isaStats.bump("bytes",
-                      static_cast<uint64_t>(out.stats.bytes));
-        isaStats.bump("nop_slots",
-                      static_cast<uint64_t>(out.stats.nopSlots));
-        return out;
-    }
-
+    /** Encode a scheduled group as the group closing at `site`. */
     void
-    flush()
+    addGroup(GroupSite site, int node, GroupCount count, int block_ops,
+             const std::string &label, const std::vector<Operation> &ops,
+             BlockSchedule sched, bool width1)
+    {
+        int &slot = out.sites[siteIndex(node, site)];
+        vvsp_assert(slot < 0, "two groups close at site %d of node %d",
+                    static_cast<int>(site), node);
+        slot = static_cast<int>(out.groups.size());
+        IsaSection sec =
+            buildSection(label, ops, sched, width1, machine, bankOf);
+        SectionStats stats = sectionStats(sec, out.module.fmt);
+        if (!keepCode) {
+            sec.ops = std::vector<Operation>();
+            sec.placed = std::vector<IsaPlacement>();
+            sched.placed = std::vector<PlacedOp>();
+        }
+        out.module.sections.push_back(std::move(sec));
+        out.groups.push_back({site, node, count, block_ops,
+                              static_cast<int>(ops.size()),
+                              std::move(sched), stats});
+    }
+
+    /** Close the pending group, if any, at `site`; its last
+     *  `site_ops` ops are the site's own branch or loop control. */
+    void
+    flush(GroupSite site, int node, size_t site_ops = 0)
     {
         if (pending.empty())
             return;
         bool width1 = mode == ScheduleMode::Sequential;
-        SectionOutcome enc = scheduleAndEncode(
-            pendingLabel, pending, width1, "list_sched",
-            [&] { return lsched.schedule(pending, width1); });
-        RegionCost rc;
-        rc.label = pendingLabel;
-        rc.execCount = pendingCount;
-        rc.length = enc.sched.length;
-        rc.cycles = enc.sched.length * pendingCount;
-        rc.instructions = static_cast<int>(enc.stats.words);
-        rc.maxLive = enc.sched.maxLive;
-        rc.codeBytes = enc.stats.bytes;
-        rc.nopSlots = enc.stats.nopSlots;
-        record(rc, pending.size());
+        BlockSchedule sched = obs::timedPhase(phase, "list_sched", [&] {
+            return lsched.schedule(pending, width1);
+        });
+        addGroup(site, node, pendingCount,
+                 static_cast<int>(pending.size() - site_ops),
+                 pendingLabel, pending, std::move(sched), width1);
         pending.clear();
-        pendingCount = 0;
+        pendingCount = GroupCount();
         pendingLabel.clear();
     }
 
     void
-    record(const RegionCost &rc, size_t num_ops)
-    {
-        if (rc.degraded)
-            result.degradedRegions++;
-        result.cyclesPerUnit += rc.cycles;
-        result.totalInstructions += rc.instructions;
-        result.maxLive = std::max(result.maxLive, rc.maxLive);
-        result.opsPerUnit +=
-            static_cast<double>(num_ops) * rc.execCount;
-        result.codeWords += rc.instructions;
-        result.codeBytes += rc.codeBytes;
-        result.nopSlots += rc.nopSlots;
-        result.regions.push_back(rc);
-    }
-
-    void
-    appendOps(const std::vector<Operation> &ops, double count,
+    appendOps(const std::vector<Operation> &ops, GroupCount count,
               const std::string &label)
     {
-        if (!pending.empty() && pendingCount != count)
-            flush();
         if (pending.empty()) {
             pendingCount = count;
             pendingLabel = label;
@@ -269,8 +285,10 @@ struct Composer::Walker
         pending.insert(pending.end(), ops.begin(), ops.end());
     }
 
+    /** A branch always closes its group. */
     void
-    appendBranch(Operand cond, double count)
+    appendBranch(Operand cond, GroupCount count, GroupSite site,
+                 int node)
     {
         Operation br;
         br.op = cond.isNone() ? Opcode::Br : Opcode::BrCond;
@@ -278,96 +296,80 @@ struct Composer::Walker
             br.src[0] = cond;
         br.id = fn.newOpId();
         appendOps({br}, count, "branch");
-        flush(); // a branch always terminates its group.
+        flush(site, node, 1);
+    }
+
+    /** Software-pipeline an eligible loop's body + loop control. */
+    void
+    scheduleSwpLoop(const LoopNode &loop)
+    {
+        std::vector<Operation> ops;
+        for (const auto &n : loop.body) {
+            const auto &block = static_cast<const BlockNode &>(*n);
+            ops.insert(ops.end(), block.ops.begin(), block.ops.end());
+        }
+        size_t body_ops = ops.size();
+        auto ctrl = loopControlOps(fn, loop);
+        ops.insert(ops.end(), ctrl.begin(), ctrl.end());
+        BlockSchedule sched = obs::timedPhase(phase, "modulo_sched", [&] {
+            auto swp_sched = msched.scheduleBudgeted(
+                ops, machine.registersPerCluster(), schedBudget());
+            if (swp_sched)
+                return std::move(*swp_sched);
+            // Budget exhausted with no feasible II at all: fall back
+            // to the acyclic list schedule of the loop body. Slower
+            // cycles, but correct ones — the cell is marked degraded,
+            // never silently wrong.
+            BlockSchedule fallback = lsched.schedule(ops, false);
+            fallback.degraded = true;
+            return fallback;
+        });
+        obs::StatsScope swp = obs::globalScope("sched/swp");
+        if (swp.enabled() && sched.isModulo()) {
+            // Achieved II against both lower bounds the scheduler
+            // started from, so reports can tell resource-bound loops
+            // from recurrence-bound ones and spot schedules that
+            // missed the MII.
+            int mii = std::max(sched.resMii, sched.recMii);
+            swp.bump("loops");
+            swp.sample("ii", sched.ii);
+            swp.sample("res_mii", sched.resMii);
+            swp.sample("rec_mii", sched.recMii);
+            swp.sample("ii_slack", sched.ii - mii);
+            swp.sample("ii_attempts", sched.iiAttempts);
+            swp.sample("placements", sched.placements);
+            swp.sample("deciding_placements", sched.decidingPlacements);
+            if (sched.ii == mii)
+                swp.bump("ii_optimal");
+        }
+        addGroup(GroupSite::SwpLoop, loop.id,
+                 {GroupCount::Kind::LoopIters, loop.id},
+                 static_cast<int>(body_ops), "swp:" + loop.label, ops,
+                 std::move(sched), false);
     }
 
     void
     handleLoop(const LoopNode &loop)
     {
-        flush();
-        int mark = result.totalInstructions;
-        double entries = at(prof.loopEntries, loop.id);
-        double iters = at(prof.loopIters, loop.id);
-
+        flush(GroupSite::BeforeLoop, loop.id);
+        size_t first = out.groups.size();
         if (swpEligibleLoop(loop, mode)) {
-            std::vector<Operation> ops;
-            for (const auto &n : loop.body) {
-                const auto &block = static_cast<const BlockNode &>(*n);
-                ops.insert(ops.end(), block.ops.begin(),
-                           block.ops.end());
-            }
-            auto ctrl = loopControlOps(fn, loop);
-            ops.insert(ops.end(), ctrl.begin(), ctrl.end());
-            SectionOutcome enc = scheduleAndEncode(
-                "swp:" + loop.label, ops, false, "modulo_sched",
-                [&] {
-                    auto swp_sched = msched.scheduleBudgeted(
-                        ops, machine.registersPerCluster(),
-                        schedBudget());
-                    if (swp_sched)
-                        return std::move(*swp_sched);
-                    // Budget exhausted with no feasible II at all:
-                    // fall back to the acyclic list schedule of the
-                    // loop body. Slower cycles, but correct ones —
-                    // the cell is marked degraded, never silently
-                    // wrong.
-                    BlockSchedule fallback =
-                        lsched.schedule(ops, false);
-                    fallback.degraded = true;
-                    return fallback;
-                });
-            const BlockSchedule &sched = enc.sched;
-            obs::StatsScope swp = obs::globalScope("sched/swp");
-            if (swp.enabled() && sched.isModulo()) {
-                // Achieved II against both lower bounds the scheduler
-                // started from, so reports can tell resource-bound
-                // loops from recurrence-bound ones and spot schedules
-                // that missed the MII.
-                int mii = std::max(sched.resMii, sched.recMii);
-                swp.bump("loops");
-                swp.sample("ii", sched.ii);
-                swp.sample("res_mii", sched.resMii);
-                swp.sample("rec_mii", sched.recMii);
-                swp.sample("ii_slack", sched.ii - mii);
-                swp.sample("ii_attempts", sched.iiAttempts);
-                swp.sample("placements", sched.placements);
-                swp.sample("deciding_placements",
-                           sched.decidingPlacements);
-                if (sched.ii == mii)
-                    swp.bump("ii_optimal");
-            }
-            RegionCost rc;
-            rc.label = "swp:" + loop.label;
-            rc.execCount = iters;
-            rc.ii = sched.ii;
-            rc.length = sched.length;
-            rc.degraded = sched.degraded;
-            // A degraded fallback may be acyclic (ii == 0): cost it
-            // as a plain loop body, length cycles per iteration.
-            rc.cycles = sched.isModulo()
-                            ? entries * (sched.prologueCycles() +
-                                         sched.epilogueCycles()) +
-                                  iters * sched.ii
-                            : iters * sched.length;
-            rc.instructions = static_cast<int>(enc.stats.words);
-            rc.maxLive = sched.maxLive;
-            rc.codeBytes = enc.stats.bytes;
-            rc.nopSlots = enc.stats.nopSlots;
-            record(rc, ops.size());
+            scheduleSwpLoop(loop);
         } else {
             walkList(loop.body);
             auto ctrl = loopControlOps(fn, loop);
-            if (!pending.empty() && pendingCount != iters)
-                flush();
-            appendOps(ctrl, iters, "loop:" + loop.label);
-            flush();
+            appendOps(ctrl,
+                      {loop.tripCount < 0 ? GroupCount::Kind::BackEdges
+                                          : GroupCount::Kind::LoopIters,
+                       loop.id},
+                      "loop:" + loop.label);
+            flush(GroupSite::BackEdge, loop.id, ctrl.size());
         }
-
-        int loop_instrs = result.totalInstructions - mark;
-        result.hotLoopInstructions =
-            std::max(result.hotLoopInstructions, loop_instrs);
-        if (loop_instrs > machine.icacheCapacity() && iters > 0)
-            result.icacheOk = false;
+        int words = 0;
+        for (size_t g = first; g < out.groups.size(); ++g)
+            words += out.module.sections[g].words();
+        out.hotLoopInstructions =
+            std::max(out.hotLoopInstructions, words);
     }
 
     void
@@ -377,7 +379,8 @@ struct Composer::Walker
             switch (n->kind()) {
               case NodeKind::Block: {
                 const auto &block = static_cast<const BlockNode &>(*n);
-                appendOps(block.ops, at(prof.blockExec, block.id),
+                appendOps(block.ops,
+                          {GroupCount::Kind::Block, block.id},
                           block.label);
                 break;
               }
@@ -386,27 +389,27 @@ struct Composer::Walker
                 break;
               case NodeKind::If: {
                 const auto &iff = static_cast<const IfNode &>(*n);
-                double evals = at(prof.ifThen, iff.id) +
-                               at(prof.ifElse, iff.id);
                 // Conditional branch closing the preceding group.
-                if (pending.empty())
-                    pendingCount = evals;
-                appendBranch(iff.cond, pending.empty()
-                                           ? evals
-                                           : pendingCount);
+                appendBranch(iff.cond,
+                             {GroupCount::Kind::IfEvals, iff.id},
+                             GroupSite::IfCond, iff.id);
                 walkList(iff.thenBody);
-                if (!iff.elseBody.empty()) {
-                    // Skip over the else arm.
-                    appendBranch(Operand::none(),
-                                 at(prof.ifThen, iff.id));
-                    walkList(iff.elseBody);
+                if (iff.elseBody.empty()) {
+                    flush(GroupSite::ThenEnd, iff.id);
+                    break;
                 }
-                flush();
+                // Skip over the else arm.
+                appendBranch(Operand::none(),
+                             {GroupCount::Kind::IfThen, iff.id},
+                             GroupSite::ThenEnd, iff.id);
+                walkList(iff.elseBody);
+                flush(GroupSite::ElseEnd, iff.id);
                 break;
               }
               case NodeKind::Break: {
                 const auto &brk = static_cast<const BreakNode &>(*n);
-                appendBranch(brk.cond, pendingCount);
+                appendBranch(brk.cond, pendingCount, GroupSite::Break,
+                             brk.id);
                 break;
               }
             }
@@ -419,28 +422,88 @@ Composer::Composer(const MachineModel &machine, ScheduleMode mode)
 {
 }
 
-CompositionResult
-Composer::compose(Function &fn, const AvgProfile &profile,
-                  IsaModule *emit)
+KernelSchedule
+Composer::schedule(Function &fn)
+{
+    return walk(fn, true);
+}
+
+KernelSchedule
+Composer::walk(Function &fn, bool keep_code)
 {
     BankOfFn bank_of = [&fn](int buffer) {
         return fn.buffer(buffer).bank;
     };
-    Walker walker(fn, machine_, mode_, profile, bank_of);
-    walker.emit = emit;
-    if (emit) {
-        emit->machine = machine_.name();
-        emit->name = fn.name;
-        emit->fmt = walker.fmt;
-        emit->sections.clear();
-    }
+    Walker walker(fn, machine_, mode_, bank_of);
+    walker.keepCode = keep_code;
     walker.walkList(fn.body);
-    walker.flush();
-    walker.result.registersOk =
-        walker.result.maxLive <= machine_.registersPerCluster();
-    if (walker.result.hotLoopInstructions > machine_.icacheCapacity())
-        walker.result.icacheOk = false;
-    return walker.result;
+    walker.flush(GroupSite::FunctionEnd, -1);
+    return std::move(walker.out);
+}
+
+CompositionResult
+Composer::price(const KernelSchedule &schedule,
+                const AvgProfile &profile) const
+{
+    obs::StatsScope isa = obs::globalScope("isa");
+    CompositionResult result;
+    for (size_t i = 0; i < schedule.groups.size(); ++i) {
+        const ScheduledGroup &g = schedule.groups[i];
+        const BlockSchedule &sched = g.sched;
+        const SectionStats &stats = g.stats;
+        isa.bump("sections");
+        isa.bump("words", static_cast<uint64_t>(stats.words));
+        isa.bump("bytes", static_cast<uint64_t>(stats.bytes));
+        isa.bump("nop_slots", static_cast<uint64_t>(stats.nopSlots));
+        RegionCost rc;
+        rc.label = schedule.module.sections[i].label;
+        rc.execCount = g.count.of(profile);
+        rc.ii = sched.ii;
+        rc.length = sched.length;
+        rc.degraded = sched.degraded;
+        // A modulo loop pays its fill and drain once per entry. A
+        // degraded fallback may be acyclic (ii == 0): cost it as a
+        // plain loop body, length cycles per iteration.
+        rc.cycles = sched.isModulo()
+                        ? at(profile.loopEntries, g.node) *
+                                  (sched.prologueCycles() +
+                                   sched.epilogueCycles()) +
+                              rc.execCount * sched.ii
+                        : sched.length * rc.execCount;
+        rc.instructions = static_cast<int>(stats.words);
+        rc.maxLive = sched.maxLive;
+        rc.codeBytes = stats.bytes;
+        rc.nopSlots = stats.nopSlots;
+
+        if (rc.degraded)
+            result.degradedRegions++;
+        result.cyclesPerUnit += rc.cycles;
+        result.totalInstructions += rc.instructions;
+        result.maxLive = std::max(result.maxLive, rc.maxLive);
+        result.opsPerUnit +=
+            static_cast<double>(g.numOps) * rc.execCount;
+        result.codeWords += rc.instructions;
+        result.codeBytes += rc.codeBytes;
+        result.nopSlots += rc.nopSlots;
+        result.regions.push_back(std::move(rc));
+    }
+    result.hotLoopInstructions = schedule.hotLoopInstructions;
+    result.icacheOk =
+        result.hotLoopInstructions <= machine_.icacheCapacity();
+    result.registersOk =
+        result.maxLive <= machine_.registersPerCluster();
+    return result;
+}
+
+CompositionResult
+Composer::compose(Function &fn, const AvgProfile &profile,
+                  IsaModule *emit)
+{
+    KernelSchedule sched = walk(fn, emit != nullptr);
+    CompositionResult result = price(sched, profile);
+    if (emit)
+        *emit = std::move(sched.module);
+    return result;
 }
 
 } // namespace vvsp

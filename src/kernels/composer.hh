@@ -2,14 +2,19 @@
  * @file
  * Frame-level cycle composition.
  *
- * Walks a kernel's structured IR, schedules every straight-line
- * group onto the datapath model (list scheduling at width 1 or full
- * width, or modulo scheduling of eligible innermost loops), and
- * multiplies each group's schedule length by its dynamic execution
- * count from the interpreter profile. This yields cycles per kernel
- * unit, exact for static control flow and profile-weighted for the
+ * Composition has two steps. `Composer::schedule` walks a kernel's
+ * structured IR once, without a profile: it forms every straight-line
+ * group from the tree alone, materializes loop control, schedules
+ * each group onto the datapath model (list scheduling at width 1 or
+ * full width, or modulo scheduling of eligible innermost loops) and
+ * encodes it as an ISA section. `Composer::price` then multiplies
+ * each group's schedule length by its dynamic execution count from
+ * the interpreter profile. This yields cycles per kernel unit, exact
+ * for static control flow and profile-weighted for the
  * data-dependent VBR coder - the same accounting the paper's
- * hand-simulations performed.
+ * hand-simulations performed. CycleSim executes the same schedule
+ * (sim/cycle_sim.hh), so scheduling policy and group boundaries live
+ * here only.
  *
  * Loop control (induction update, bound compare, back-edge branch
  * with its delay slots) is materialized here, so sequential code
@@ -20,6 +25,7 @@
 #ifndef VVSP_KERNELS_COMPOSER_HH
 #define VVSP_KERNELS_COMPOSER_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -90,14 +96,79 @@ struct CompositionResult
 
 /**
  * Materialize a loop's control operations (induction update, bound
- * compare, back-edge branch); shared by the composer and the cycle
- * simulator so both cost identical code.
+ * compare, back-edge branch) with fresh op ids and vregs.
  */
 std::vector<Operation> loopControlOps(Function &fn,
                                       const LoopNode &loop);
 
 /** Whether a loop is software-pipelineable under the given mode. */
 bool swpEligibleLoop(const LoopNode &loop, ScheduleMode mode);
+
+/** Where in the control tree a scheduled group closes. */
+enum class GroupSite : uint8_t
+{
+    BeforeLoop,  ///< the ops pending when a loop starts.
+    SwpLoop,     ///< a software-pipelined loop: body + loop control.
+    BackEdge,    ///< a loop's trailing ops + its loop control.
+    IfCond,      ///< pending ops + an If's conditional branch.
+    ThenEnd,     ///< an If's then arm (+ the branch over the else).
+    ElseEnd,     ///< an If's else arm.
+    Break,       ///< pending ops + a Break's branch.
+    FunctionEnd, ///< the function's trailing ops.
+};
+
+/**
+ * How the profile counts a group's executions: by the first code the
+ * group holds (a block, a branch, or loop control).
+ */
+struct GroupCount
+{
+    enum class Kind : uint8_t
+    {
+        None,      ///< never counted (a branch no code led into).
+        Block,     ///< blockExec of `node`.
+        IfEvals,   ///< ifThen + ifElse of `node`.
+        IfThen,    ///< ifThen of `node`.
+        LoopIters, ///< loopIters of `node`.
+        /** loopIters - loopEntries of `node`: a dynamic loop leaves
+         *  only through a Break, so its last iteration per entry
+         *  never takes the back edge. */
+        BackEdges,
+    };
+    Kind kind = Kind::None;
+    int node = -1;
+
+    double of(const AvgProfile &profile) const;
+};
+
+/** One scheduled group; its code is the parallel IsaSection. */
+struct ScheduledGroup
+{
+    GroupSite site = GroupSite::FunctionEnd;
+    int node = -1; ///< node whose site closes it; -1 at function end.
+    GroupCount count;
+    /** Ops that came from blocks; the rest are the site's branch or
+     *  loop control. */
+    int blockOps = 0;
+    int numOps = 0;      ///< all of the group's ops.
+    BlockSchedule sched; ///< placements parallel to the section's ops.
+    SectionStats stats;  ///< measured size of the encoded section.
+};
+
+/** A kernel scheduled once, before any profile prices it. */
+struct KernelSchedule
+{
+    /** One section per group, in static walk order: the only copy
+     *  of the groups' ops. */
+    IsaModule module;
+    std::vector<ScheduledGroup> groups; ///< parallel to sections.
+    int hotLoopInstructions = 0; ///< largest loop's code size.
+    /** Group index per (node + 1, site); -1 where no group closes. */
+    std::vector<int> sites;
+
+    /** The group that closes at `site` of `node`, or -1. */
+    int groupAt(int node, GroupSite site) const;
+};
 
 /** Frame-level cycle composer. */
 class Composer
@@ -106,21 +177,31 @@ class Composer
     Composer(const MachineModel &machine, ScheduleMode mode);
 
     /**
-     * Compose the cost of one kernel unit. The function may gain
-     * fresh vregs/ops (materialized loop control); the tree itself
-     * is not restructured.
-     *
-     * Every scheduled group is also run through the ISA encoder:
+     * Form, schedule and encode every group of one kernel unit. The
+     * function gains fresh vregs/ops (materialized loop control);
+     * the tree itself is not restructured. Each section's word count
+     * is asserted equal to the scheduler's estimate.
+     */
+    KernelSchedule schedule(Function &fn);
+
+    /** Price a schedule with an execution-count profile. */
+    CompositionResult price(const KernelSchedule &schedule,
+                            const AvgProfile &profile) const;
+
+    /**
+     * Compose the cost of one kernel unit: schedule, then price.
      * RegionCost::instructions and the code-size totals come from
-     * the encoder's actual word count (asserted equal to the
-     * scheduler's estimate). When `emit` is non-null it receives
-     * the encoded module.
+     * the encoder's actual word count. When `emit` is non-null it
+     * receives the encoded module; otherwise no group's code is kept
+     * past its measurement.
      */
     CompositionResult compose(Function &fn, const AvgProfile &profile,
                               IsaModule *emit = nullptr);
 
   private:
     struct Walker;
+
+    KernelSchedule walk(Function &fn, bool keep_code);
 
     const MachineModel &machine_;
     ScheduleMode mode_;

@@ -6,9 +6,9 @@
  * GroupTelemetry: per-cluster issue-slot occupancy, busy cycles per
  * functional-unit class, crossbar port usage, memory-bank port usage
  * and conflicts, register-file port pressure, and per-cycle stall
- * attribution. The cycle simulator analyzes each distinct group once
- * (alongside its schedule cache) and accumulates the result weighted
- * by execution count, so instrumented runs stay near the uninstrumented
+ * attribution. The cycle simulator analyzes each group once per run,
+ * on its first execution, and accumulates the result weighted by
+ * execution count, so instrumented runs stay near the uninstrumented
  * speed.
  *
  * Stall taxonomy (empty issue-slot cycles, per cluster per cycle):

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <string>
 
 #include "ir/dependence_graph.hh"
-#include "isa/disassembler.hh"
-#include "isa/encoder.hh"
 #include "kernels/composer.hh"
 #include "obs/sim_telemetry.hh"
 #include "obs/stats_registry.hh"
-#include "sched/list_scheduler.hh"
-#include "sched/modulo_scheduler.hh"
 #include "sched/reservation_table.hh"
 #include "sim/interpreter.hh"
 #include "support/logging.hh"
@@ -21,59 +17,29 @@ namespace vvsp
 
 struct CycleSim::Engine
 {
-    Function &fn;
     const MachineModel &machine;
-    ScheduleMode mode;
+    const KernelSchedule &ks;
     MemoryImage &mem;
+    BankOfFn bankOf;
     CycleSimReport report;
 
-    ListScheduler lsched;
-    ModuloScheduler msched;
-    BankOfFn bankOf;
-
     std::vector<uint16_t> regs;
-    std::vector<Operation> pending;
+    /** Block ops the walk reached since the last group closed. */
+    size_t pendingOps = 0;
 
-    /** Hash for the acyclic-cache key (first op id, group size). */
-    struct GroupKeyHash
+    /** What a group's first execution in this run derives. */
+    struct Checked
     {
-        size_t
-        operator()(const std::pair<int, size_t> &k) const
-        {
-            // Op ids and sizes are small; golden-ratio mix is enough.
-            return std::hash<size_t>()(
-                static_cast<size_t>(k.first) * 0x9e3779b97f4a7c15ull +
-                k.second);
-        }
+        bool done = false;
+        /** Acyclic groups: op indices in issue order. */
+        std::vector<uint32_t> issue;
+        /** Utilization profile (instrumented runs only). */
+        obs::GroupTelemetry telemetry;
     };
-
-    /**
-     * One cached group: the schedule plus the ops it executes. For an
-     * acyclic group they are in issue order, sorted once when the
-     * schedule enters the cache. A SWP loop's trips run the
-     * program-order body in swpOpsCache, so its `ops` are filled
-     * only under the ISA round trip, with the decoded section's ops.
-     */
-    struct CachedGroup
-    {
-        BlockSchedule sched;
-        std::vector<Operation> ops;
-    };
-
-    /** Schedule cache, keyed by the group's first op id and size.
-     *  Hit once per executed group - hot enough to want O(1). */
-    std::unordered_map<std::pair<int, size_t>, CachedGroup,
-                       GroupKeyHash>
-        acyclicCache;
-    std::unordered_map<int, CachedGroup> moduloCache; // by loop id.
-    std::unordered_map<int, std::vector<Operation>> ctrlCache;
-    std::unordered_map<int, std::vector<Operation>> swpOpsCache;
+    std::vector<Checked> checked;
 
     /** Sort/execute counters (null-sink scope when stats are off). */
-    obs::StatsScope simStats;
-
-    /** Execute decoded-from-binary code (CycleSim::setIsaRoundTrip). */
-    bool isaRoundTrip = false;
+    obs::StatsScope simStats = obs::globalScope("sim");
 
     /** Telemetry sink; null when the run is uninstrumented. */
     obs::GroupTelemetry *telem = nullptr;
@@ -81,44 +47,41 @@ struct CycleSim::Engine
     obs::TraceWriter *trace = nullptr;
     int *tracePid = nullptr;
     const std::string *traceLabel = nullptr;
-    /** Per-group utilization profiles, cached like the schedules. */
-    std::unordered_map<std::pair<int, size_t>, obs::GroupTelemetry,
-                       GroupKeyHash>
-        acyclicTelem;
-    std::unordered_map<int, obs::GroupTelemetry> moduloTelem;
 
     enum class Flow { Normal, Break };
 
-    Engine(Function &f, const MachineModel &m, ScheduleMode md,
-           MemoryImage &image, BankOfFn bank_of)
-        : fn(f), machine(m), mode(md), mem(image), lsched(m, bank_of),
-          msched(m, bank_of), bankOf(bank_of),
-          regs(f.numVregs() + 4096, 0),
-          simStats(obs::globalScope("sim"))
+    Engine(const Function &fn, const MachineModel &m,
+           const KernelSchedule &schedule, MemoryImage &image)
+        : machine(m), ks(schedule), mem(image),
+          bankOf([&fn](int buffer) { return fn.buffer(buffer).bank; }),
+          regs(fn.numVregs(), 0), checked(schedule.groups.size())
     {
     }
 
     uint16_t value(const Operand &o) const { return operandValue(o, regs); }
 
-    void
-    growRegs()
-    {
-        if (fn.numVregs() > regs.size())
-            regs.resize(fn.numVregs() + 4096, 0);
-    }
-
     /**
-     * Independently re-verify a schedule: resource legality by
-     * deriving a witness slot for every op (panics if one finds
+     * Independently re-verify a group's schedule: resource legality
+     * by deriving a witness slot for every op (panics if one finds
      * none) and dependence timing via a rebuilt dependence graph.
-     * Returns the witness slots, parallel to `ops`.
+     * Returns the witness slots, parallel to the section's ops.
      */
     std::vector<int>
-    verifySchedule(const std::vector<Operation> &ops,
-                   const BlockSchedule &sched, bool width1)
+    verify(const IsaSection &sec, const BlockSchedule &sched)
     {
-        std::vector<int> slots = witnessSlots(ops, sched.placed, sched.ii,
-                                              machine, bankOf, width1);
+        const std::vector<Operation> &ops = sec.ops;
+        vvsp_assert(ops.size() == sched.placed.size(),
+                    "section '%s' holds %zu ops, its schedule %zu",
+                    sec.label.c_str(), ops.size(), sched.placed.size());
+        for (size_t i = 0; i < ops.size(); ++i) {
+            vvsp_assert(sec.placed[i].cycle == sched.placed[i].cycle,
+                        "section '%s' issues op %zu at cycle %d, its "
+                        "schedule at %d",
+                        sec.label.c_str(), i, sec.placed[i].cycle,
+                        sched.placed[i].cycle);
+        }
+        std::vector<int> slots = witnessSlots(
+            ops, sched.placed, sched.ii, machine, bankOf, sec.width1);
         DependenceGraph ddg(ops, machine.latencyFn(), sched.ii > 0);
         int ii = sched.ii > 0 ? sched.ii : 1 << 20;
         for (const auto &e : ddg.edges()) {
@@ -134,269 +97,156 @@ struct CycleSim::Engine
     }
 
     /**
-     * Round-trip one scheduled group through the ISA: encode it as a
-     * one-section module of binary instruction words, decode the
-     * bytes back, and assert the re-encode is byte-identical. The
-     * returned section holds the DECODED operations (program order,
-     * placements recovered from the words), so executing its ops
-     * provably runs the code in the instruction words.
+     * Group `g` as this run executes it: verified, drawn, analyzed
+     * and (acyclic groups) put into issue order on its first
+     * execution; later executions replay that.
      */
-    IsaSection
-    roundTripSection(const std::string &label,
-                     const std::vector<Operation> &ops,
-                     const BlockSchedule &sched, bool width1)
+    const Checked &
+    check(int g)
     {
-        IsaModule module;
-        module.machine = machine.name();
-        module.name = fn.name;
-        module.fmt = isaFormatFor(machine.config());
-        module.sections.push_back(
-            buildSection(label, ops, sched, width1, machine, bankOf));
-        std::vector<uint8_t> bytes = encodeModule(module);
-        IsaModule decoded;
-        std::string error;
-        vvsp_assert(decodeModule(bytes, decoded, &error),
-                    "isa round-trip decode failed for '%s': %s",
-                    label.c_str(), error.c_str());
-        vvsp_assert(encodeModule(decoded) == bytes,
-                    "isa round-trip re-encode of '%s' is not "
-                    "byte-identical",
-                    label.c_str());
-        simStats.bump("isa_roundtrips");
-        return std::move(decoded.sections.front());
-    }
-
-    /**
-     * `ops` in issue order: by placed cycle, program order within a
-     * cycle (anti-dependences always point forward in program order,
-     * so that is safe). `placed` is parallel to `ops`.
-     */
-    template <typename Placement>
-    static std::vector<Operation>
-    issueOrder(const std::vector<Operation> &ops,
-               const std::vector<Placement> &placed)
-    {
-        std::vector<size_t> order(ops.size());
-        std::iota(order.begin(), order.end(), size_t{0});
-        std::stable_sort(order.begin(), order.end(),
-                         [&placed](size_t a, size_t b) {
-                             return placed[a].cycle < placed[b].cycle;
-                         });
-        std::vector<Operation> sorted;
-        sorted.reserve(ops.size());
-        for (size_t i : order)
-            sorted.push_back(ops[i]);
-        return sorted;
-    }
-
-    /**
-     * Execute `ops` once, in order. Branches and nops have no data
-     * effect (control flow is the tree walk's); every other op counts
-     * as executed or, when its predicate is off, nullified.
-     */
-    void
-    execute(const std::vector<Operation> &ops)
-    {
-        for (const Operation &op : ops) {
-            if (op.op == Opcode::Nop || op.info().isBranch)
-                continue;
-            if (!executeOperation(op, regs, mem)) {
-                report.nullified++;
-                continue;
-            }
-            report.operations++;
-            if (op.op == Opcode::Xfer)
-                report.transfers++;
-        }
-    }
-
-    /** Execute an acyclic group: schedule (cached), verify, run. */
-    void
-    flush()
-    {
-        if (pending.empty())
-            return;
-        bool width1 = mode == ScheduleMode::Sequential;
-        auto key = std::make_pair(pending.front().id, pending.size());
-        auto it = acyclicCache.find(key);
-        if (it == acyclicCache.end()) {
-            BlockSchedule sched = lsched.schedule(pending, width1);
-            verifySchedule(pending, sched, width1);
-            if (trace) {
-                obs::scheduleToTrace(
-                    *trace, (*tracePid)++,
-                    *traceLabel + "/group@op" +
-                        std::to_string(key.first),
-                    pending, sched, machine);
-            }
-            // The one and only issue-order sort for this group; every
-            // later execution replays the sorted ops.
-            simStats.bump("acyclic_group_sorts");
-            std::vector<Operation> issued;
-            if (isaRoundTrip) {
-                IsaSection sec = roundTripSection(
-                    "group@op" + std::to_string(key.first), pending,
-                    sched, width1);
-                issued = issueOrder(sec.ops, sec.placed);
-            } else {
-                issued = issueOrder(pending, sched.placed);
-            }
-            it = acyclicCache
-                     .emplace(key, CachedGroup{std::move(sched),
-                                               std::move(issued)})
-                     .first;
-        }
-        const BlockSchedule &sched = it->second.sched;
-
-        simStats.bump("acyclic_group_execs");
-        execute(it->second.ops);
-
-        if (telem) {
-            auto tit = acyclicTelem.find(key);
-            if (tit == acyclicTelem.end()) {
-                tit = acyclicTelem
-                          .emplace(key,
-                                   obs::analyzeSchedule(
-                                       pending, sched, machine,
-                                       bankOf))
-                          .first;
-            }
-            telem->addScaled(tit->second, 1);
-        }
-
-        report.cycles += static_cast<uint64_t>(sched.length);
-        report.instructions +=
-            static_cast<uint64_t>(sched.length);
-        pending.clear();
-    }
-
-    void
-    append(const std::vector<Operation> &ops)
-    {
-        pending.insert(pending.end(), ops.begin(), ops.end());
-    }
-
-    void
-    appendBranchAndFlush(Operand cond)
-    {
-        Operation br;
-        br.op = cond.isNone() ? Opcode::Br : Opcode::BrCond;
-        if (!cond.isNone())
-            br.src[0] = cond;
-        br.id = fn.newOpId();
-        pending.push_back(br);
-        flush();
-    }
-
-    const std::vector<Operation> &
-    controlFor(const LoopNode &loop)
-    {
-        auto it = ctrlCache.find(loop.id);
-        if (it == ctrlCache.end()) {
-            it = ctrlCache.emplace(loop.id, loopControlOps(fn, loop))
-                     .first;
-            growRegs();
-        }
-        return it->second;
-    }
-
-    void
-    runSwpLoop(const LoopNode &loop)
-    {
-        auto oit = swpOpsCache.find(loop.id);
-        if (oit == swpOpsCache.end()) {
-            std::vector<Operation> ops;
-            for (const auto &n : loop.body) {
-                const auto &block = static_cast<const BlockNode &>(*n);
-                ops.insert(ops.end(), block.ops.begin(),
-                           block.ops.end());
-            }
-            const auto &ctrl = controlFor(loop);
-            ops.insert(ops.end(), ctrl.begin(), ctrl.end());
-            oit = swpOpsCache.emplace(loop.id, std::move(ops)).first;
-        }
-        const auto &ops = oit->second;
-
-        auto mit = moduloCache.find(loop.id);
-        if (mit == moduloCache.end()) {
-            BlockSchedule sched =
-                msched.schedule(ops, machine.registersPerCluster());
-            std::vector<int> slots = verifySchedule(ops, sched, false);
-            if (trace) {
-                // The placer records no slots; draw the witness ones.
-                BlockSchedule drawn = sched;
+        Checked &c = checked[static_cast<size_t>(g)];
+        if (c.done)
+            return c;
+        c.done = true;
+        const ScheduledGroup &group = ks.groups[static_cast<size_t>(g)];
+        const IsaSection &sec = ks.module.sections[static_cast<size_t>(g)];
+        const BlockSchedule &sched = group.sched;
+        std::vector<int> slots = verify(sec, sched);
+        if (trace) {
+            // The modulo placer records no slots; draw the witness
+            // ones. Named by section label and module position, as
+            // `vvsp asm` prints them.
+            BlockSchedule drawn = sched;
+            if (sched.isModulo()) {
                 for (size_t i = 0; i < slots.size(); ++i)
                     drawn.placed[i].slot = slots[i];
-                obs::scheduleToTrace(*trace, (*tracePid)++,
-                                     *traceLabel + "/swp:" +
-                                         loop.label,
-                                     ops, drawn, machine);
             }
-            simStats.bump("swp_loop_schedules");
-            std::vector<Operation> decoded;
-            if (isaRoundTrip) {
-                decoded = roundTripSection("swp:" + loop.label, ops,
-                                           sched, false)
-                              .ops;
-            }
-            mit = moduloCache
-                      .emplace(loop.id, CachedGroup{std::move(sched),
-                                                    std::move(decoded)})
-                      .first;
+            std::string name = *traceLabel + "/" +
+                               (sec.label.empty() ? "section" : sec.label) +
+                               "#" + std::to_string(g);
+            obs::scheduleToTrace(*trace, (*tracePid)++, name, sec.ops,
+                                 drawn, machine);
         }
-        const BlockSchedule &sched = mit->second.sched;
+        if (group.site != GroupSite::SwpLoop) {
+            // By placed cycle, program order within a cycle
+            // (anti-dependences always point forward in program
+            // order, so that is safe).
+            c.issue.resize(sec.ops.size());
+            std::iota(c.issue.begin(), c.issue.end(), 0u);
+            std::stable_sort(c.issue.begin(), c.issue.end(),
+                             [&sched](uint32_t a, uint32_t b) {
+                                 return sched.placed[a].cycle <
+                                        sched.placed[b].cycle;
+                             });
+            simStats.bump("acyclic_group_sorts");
+        }
+        if (telem)
+            c.telemetry =
+                obs::analyzeSchedule(sec.ops, sched, machine, bankOf);
+        return c;
+    }
+
+    /**
+     * Execute one op. Branches and nops have no data effect (control
+     * flow is the tree walk's); every other op counts as executed
+     * or, when its predicate is off, nullified.
+     */
+    void
+    step(const Operation &op)
+    {
+        if (op.op == Opcode::Nop || op.info().isBranch)
+            return;
+        if (!executeOperation(op, regs, mem)) {
+            report.nullified++;
+            return;
+        }
+        report.operations++;
+        if (op.op == Opcode::Xfer)
+            report.transfers++;
+    }
+
+    /** Run the acyclic group that closes at `site` of `node`. */
+    void
+    runAt(int node, GroupSite site)
+    {
+        int g = ks.groupAt(node, site);
+        vvsp_assert(g >= 0, "no group closes at site %d of node %d",
+                    static_cast<int>(site), node);
+        const ScheduledGroup &group = ks.groups[static_cast<size_t>(g)];
+        vvsp_assert(pendingOps == static_cast<size_t>(group.blockOps),
+                    "the walk reached %zu block ops of group %d, which "
+                    "holds %d",
+                    pendingOps, g, group.blockOps);
+        pendingOps = 0;
+        const Checked &c = check(g);
+        const std::vector<Operation> &ops =
+            ks.module.sections[static_cast<size_t>(g)].ops;
+        for (uint32_t i : c.issue)
+            step(ops[i]);
+        simStats.bump("acyclic_group_execs");
+        if (telem)
+            telem->addScaled(c.telemetry, 1);
+        report.cycles += static_cast<uint64_t>(group.sched.length);
+        report.instructions += static_cast<uint64_t>(group.sched.length);
+    }
+
+    /** A site that only closes the pending ops runs when there are
+     *  some. */
+    void
+    flushAt(int node, GroupSite site)
+    {
+        if (pendingOps > 0)
+            runAt(node, site);
+    }
+
+    void
+    runSwpLoop(const LoopNode &loop, int g)
+    {
+        const Checked &c = check(g);
+        const BlockSchedule &sched = ks.groups[static_cast<size_t>(g)].sched;
         // Trip bodies execute in program order (iteration overlap is
         // accounted analytically).
         const std::vector<Operation> &body =
-            isaRoundTrip ? mit->second.ops : ops;
-
+            ks.module.sections[static_cast<size_t>(g)].ops;
         uint16_t base = value(loop.ivInit);
         for (long k = 0; k < loop.tripCount; ++k) {
             if (loop.inductionVar != kNoVreg) {
                 regs.at(loop.inductionVar) = static_cast<uint16_t>(
                     base + k * loop.step);
             }
-            execute(body);
+            for (const Operation &op : body)
+                step(op);
         }
-        if (telem && loop.tripCount > 0) {
-            auto tit = moduloTelem.find(loop.id);
-            if (tit == moduloTelem.end()) {
-                tit = moduloTelem
-                          .emplace(loop.id,
-                                   obs::analyzeSchedule(
-                                       ops, sched, machine, bankOf))
-                          .first;
-            }
-            telem->addScaled(
-                tit->second,
-                static_cast<uint64_t>(loop.tripCount));
-            uint64_t ramp = static_cast<uint64_t>(
-                sched.prologueCycles() + sched.epilogueCycles());
+        // A budget-degraded fallback is acyclic: length cycles per
+        // trip, no fill or drain.
+        const uint64_t trips = static_cast<uint64_t>(loop.tripCount);
+        const uint64_t ramp = static_cast<uint64_t>(
+            sched.prologueCycles() + sched.epilogueCycles());
+        const uint64_t per_trip = static_cast<uint64_t>(
+            sched.isModulo() ? sched.ii : sched.length);
+        if (telem) {
+            telem->addScaled(c.telemetry, trips);
             if (ramp > 0)
                 telem->addScaled(obs::idleWindow(machine, ramp), 1);
         }
-        report.cycles +=
-            static_cast<uint64_t>(sched.prologueCycles()) +
-            static_cast<uint64_t>(sched.ii) * loop.tripCount +
-            static_cast<uint64_t>(sched.epilogueCycles());
-        report.instructions += static_cast<uint64_t>(
-            sched.ii * loop.tripCount);
+        report.cycles += ramp + per_trip * trips;
+        report.instructions += per_trip * trips;
     }
 
-    Flow
+    void
     runLoop(const LoopNode &loop)
     {
-        flush();
-        if (swpEligibleLoop(loop, mode)) {
-            runSwpLoop(loop);
-            return Flow::Normal;
+        flushAt(loop.id, GroupSite::BeforeLoop);
+        int swp = ks.groupAt(loop.id, GroupSite::SwpLoop);
+        if (swp >= 0) {
+            runSwpLoop(loop, swp);
+            return;
         }
-        const auto &ctrl = controlFor(loop);
         uint16_t base = value(loop.ivInit);
-        uint64_t iter = 0;
-        Flow flow = Flow::Normal;
-        while (loop.tripCount < 0 ||
-               iter < static_cast<uint64_t>(loop.tripCount)) {
+        for (uint64_t iter = 0;
+             loop.tripCount < 0 ||
+             iter < static_cast<uint64_t>(loop.tripCount);
+             ++iter) {
             vvsp_assert(iter < (1ull << 24),
                         "runaway dynamic loop '%s'",
                         loop.label.c_str());
@@ -404,17 +254,10 @@ struct CycleSim::Engine
                 regs.at(loop.inductionVar) = static_cast<uint16_t>(
                     base + iter * static_cast<uint64_t>(loop.step));
             }
-            Flow f = runList(loop.body);
-            if (f == Flow::Break) {
-                flow = Flow::Normal;
-                flush();
-                return flow;
-            }
-            append(ctrl);
-            flush();
-            ++iter;
+            if (runList(loop.body) == Flow::Break)
+                return;
+            runAt(loop.id, GroupSite::BackEdge);
         }
-        return Flow::Normal;
     }
 
     Flow
@@ -423,37 +266,32 @@ struct CycleSim::Engine
         for (const auto &n : list) {
             switch (n->kind()) {
               case NodeKind::Block:
-                append(static_cast<const BlockNode &>(*n).ops);
+                pendingOps += static_cast<const BlockNode &>(*n).ops.size();
                 break;
-              case NodeKind::Loop: {
-                Flow f = runLoop(static_cast<const LoopNode &>(*n));
-                if (f == Flow::Break)
-                    return f;
+              case NodeKind::Loop:
+                runLoop(static_cast<const LoopNode &>(*n));
                 break;
-              }
               case NodeKind::If: {
                 const auto &iff = static_cast<const IfNode &>(*n);
-                // The pending group computes the condition; it must
+                // The closed group computes the condition; it must
                 // execute before the condition is read.
-                appendBranchAndFlush(iff.cond);
+                runAt(iff.id, GroupSite::IfCond);
                 bool taken = (value(iff.cond) != 0) == iff.sense;
-                if (taken) {
-                    Flow f = runList(iff.thenBody);
-                    if (f == Flow::Break)
-                        return f;
-                    if (!iff.elseBody.empty())
-                        appendBranchAndFlush(Operand::none());
+                if (runList(taken ? iff.thenBody : iff.elseBody) ==
+                    Flow::Break)
+                    return Flow::Break;
+                if (iff.elseBody.empty()) {
+                    flushAt(iff.id, GroupSite::ThenEnd);
+                } else if (taken) {
+                    runAt(iff.id, GroupSite::ThenEnd);
                 } else {
-                    Flow f = runList(iff.elseBody);
-                    if (f == Flow::Break)
-                        return f;
+                    flushAt(iff.id, GroupSite::ElseEnd);
                 }
-                flush();
                 break;
               }
               case NodeKind::Break: {
                 const auto &brk = static_cast<const BreakNode &>(*n);
-                appendBranchAndFlush(brk.cond);
+                runAt(brk.id, GroupSite::Break);
                 bool fires = brk.cond.isNone() ||
                              (value(brk.cond) != 0) == brk.sense;
                 if (fires)
@@ -475,11 +313,18 @@ CycleSimReport
 CycleSim::run(Function &fn, MemoryImage &mem,
               obs::GroupTelemetry *telemetry)
 {
-    BankOfFn bank_of = [&fn](int buffer) {
-        return fn.buffer(buffer).bank;
-    };
-    Engine engine(fn, machine_, mode_, mem, bank_of);
-    engine.isaRoundTrip = isaRoundTrip_;
+    KernelSchedule schedule = Composer(machine_, mode_).schedule(fn);
+    return run(fn, schedule, mem, telemetry);
+}
+
+CycleSimReport
+CycleSim::run(const Function &fn, const KernelSchedule &schedule,
+              MemoryImage &mem, obs::GroupTelemetry *telemetry)
+{
+    vvsp_assert(schedule.module.sections.size() == schedule.groups.size(),
+                "schedule holds %zu sections for %zu groups",
+                schedule.module.sections.size(), schedule.groups.size());
+    Engine engine(fn, machine_, schedule, mem);
     engine.telem = telemetry;
     if (trace_) {
         engine.trace = trace_;
@@ -487,7 +332,7 @@ CycleSim::run(Function &fn, MemoryImage &mem,
         engine.traceLabel = &traceLabel_;
     }
     engine.runList(fn.body);
-    engine.flush();
+    engine.flushAt(-1, GroupSite::FunctionEnd);
     return engine.report;
 }
 

@@ -3,24 +3,26 @@
  * Cycle-level simulator.
  *
  * Executes a lowered kernel on a datapath model with real control
- * flow (no profile weighting): every straight-line group is
- * scheduled exactly as the composer schedules it, then executed
- * operation by operation while the simulator independently verifies
+ * flow (no profile weighting). It does not schedule: it runs the
+ * groups Composer::schedule formed, scheduled and encoded, each at
+ * the tree site that closes it, operation by operation, while it
+ * independently verifies every group once per run
  *
  *  - operand timing: no operation issues before its source values
  *    are ready (issue + latency of the producer, including load-use
  *    and multiply delays, modulo-schedule iteration overlap, and
- *    crossbar transfer latency);
- *  - resource legality: a fresh reservation table re-checks every
- *    placement (slot capabilities, banked memory ports, the global
- *    control slot, crossbar ports);
- *  - functional state: 16-bit register/memory semantics identical to
- *    the Interpreter's.
+ *    crossbar transfer latency), on a rebuilt dependence graph;
+ *  - resource legality: a fresh reservation table re-derives a
+ *    witness slot for every placement (slot capabilities, banked
+ *    memory ports, the global control slot, crossbar ports);
+ *
+ * and checks functional state as it runs: 16-bit register/memory
+ * semantics identical to the Interpreter's.
  *
  * The resulting cycle count is exact for the simulated input and
- * must equal the composer's profile-based prediction when the
- * profile comes from the same input - the equivalence test the test
- * suite runs for every kernel variant.
+ * must equal the composer's profile-based pricing of the same
+ * schedule when the profile comes from the same input - the
+ * equivalence test the test suite runs for every kernel variant.
  */
 
 #ifndef VVSP_SIM_CYCLE_SIM_HH
@@ -35,6 +37,8 @@
 
 namespace vvsp
 {
+
+struct KernelSchedule;
 
 namespace obs
 {
@@ -63,24 +67,36 @@ class CycleSim
     CycleSim(const MachineModel &machine, ScheduleMode mode);
 
     /**
-     * Execute the function against the memory image (modified in
-     * place). Panics on any timing or resource violation - those are
-     * scheduler bugs by construction.
+     * Schedule the function (Composer::schedule, which materializes
+     * its loop control) and execute it against the memory image
+     * (modified in place). Panics on any timing or resource
+     * violation - those are scheduler bugs by construction.
      *
      * When `telemetry` is non-null, utilization and stall telemetry
-     * is accumulated into it: each distinct group is analyzed once
-     * (alongside the schedule caches) and added weighted by its
-     * execution count, so the overhead is per-group, not per-cycle.
+     * is accumulated into it: each executed group is analyzed once
+     * and added weighted by its execution count, so the overhead is
+     * per-group, not per-cycle.
      */
     CycleSimReport run(Function &fn, MemoryImage &mem,
                        obs::GroupTelemetry *telemetry = nullptr);
 
     /**
-     * Render each distinct scheduled group of subsequent run()s as a
-     * pipeline diagram in `trace` (one trace process per group, one
-     * track per issue slot, 1 cycle = 1 us). `label` prefixes the
-     * group names; process ids are taken from `first_pid` upward and
-     * advance across runs.
+     * Execute a kernel Composer::schedule(fn) already scheduled.
+     * Each group runs its section's ops, so a schedule whose
+     * sections were decoded from the encoded module runs the code
+     * in the instruction words.
+     */
+    CycleSimReport run(const Function &fn,
+                       const KernelSchedule &schedule,
+                       MemoryImage &mem,
+                       obs::GroupTelemetry *telemetry = nullptr);
+
+    /**
+     * Render each group that subsequent run()s execute as a pipeline
+     * diagram in `trace`: one trace process per group, named
+     * `label`/<section label>#<section index>, one track per issue
+     * slot, 1 cycle = 1 us. Process ids are taken from `first_pid`
+     * upward and advance across runs.
      */
     void
     setTrace(obs::TraceWriter *trace, int first_pid,
@@ -94,17 +110,6 @@ class CycleSim
     /** First unused trace process id after the runs so far. */
     int nextTracePid() const { return nextTracePid_; }
 
-    /**
-     * When enabled, every group entering a schedule cache is first
-     * round-tripped through the ISA: packed into binary instruction
-     * words (isa/encoder.hh), decoded back, re-encode asserted
-     * byte-identical, and the group executes the DECODED
-     * operations - so the run exercises the encoded program, not the
-     * in-memory schedule. The report and memory image must be
-     * bit-identical either way; the tests enforce it.
-     */
-    void setIsaRoundTrip(bool on) { isaRoundTrip_ = on; }
-
   private:
     struct Engine;
 
@@ -113,7 +118,6 @@ class CycleSim
     obs::TraceWriter *trace_ = nullptr;
     int nextTracePid_ = 0;
     std::string traceLabel_;
-    bool isaRoundTrip_ = false;
 };
 
 } // namespace vvsp

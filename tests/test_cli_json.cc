@@ -4,8 +4,10 @@
  * called: the real `vvsp` binary (VVSP_CLI_PATH) runs on a JSON
  * machine file whose name holds a tab, and its stdout must parse
  * with json::parse and give the name back unchanged. A multi-section
- * `--json` run is one document, and `utilization --trace` draws the
- * same pipeline diagrams at any thread count.
+ * `--json` run is one document, `utilization --stats` samples every
+ * loop its simulated units software-pipeline, and
+ * `utilization --trace` draws the same pipeline diagrams at any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +110,31 @@ TEST(CliJson, StatsJsonEscapesMachineName)
             named++;
     }
     EXPECT_GT(named, 0) << "no sim/<model>/ counter carries the name";
+}
+
+TEST(CliJson, UtilizationStatsSampleEverySimulatedLoop)
+{
+    // The cycle-simulated units run the composer's schedules, so each
+    // loop their modulo scheduler runs on is sampled in sched/swp/*.
+    auto [code, out] = runVvsp("utilization --model=I4C8S4 --threads=1 "
+                               "--no-disk-cache --stats=json");
+    ASSERT_EQ(code, 0) << out;
+
+    const std::string marker = "\n== stats ==\n";
+    size_t at = out.find(marker);
+    ASSERT_NE(at, std::string::npos) << out;
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(out.substr(at + marker.size()), doc, error))
+        << error;
+    const json::Value *counters = doc.find("counters");
+    ASSERT_NE(counters, nullptr);
+    const json::Value *loops = counters->find("sched/swp/loops");
+    const json::Value *runs = counters->find("sched/modulo_runs");
+    ASSERT_NE(loops, nullptr);
+    ASSERT_NE(runs, nullptr);
+    EXPECT_EQ(loops->asNumber(), 35);
+    EXPECT_EQ(runs->asNumber(), 35);
 }
 
 TEST(CliJson, MultiSectionJsonIsOneDocument)

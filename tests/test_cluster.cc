@@ -71,8 +71,9 @@ TEST(AutoPartition, ChainsStayTogether)
             if (op.info().isMemory)
                 continue;
             for (const auto &s : op.src) {
-                if (s.isReg() && def_cluster.count(s.reg))
+                if (s.isReg() && def_cluster.count(s.reg)) {
                     EXPECT_EQ(op.cluster, def_cluster[s.reg]);
+                }
             }
             if (op.info().hasDst)
                 def_cluster[op.dst] = op.cluster;
@@ -92,8 +93,9 @@ TEST(AutoPartition, MemoryOpsPinnedToBufferCluster)
     autoPartition(fn, machine, 4);
     passes::forEachBlock(fn, [&](BlockNode &blk) {
         for (const auto &op : blk.ops) {
-            if (op.op == Opcode::Store)
+            if (op.op == Opcode::Store) {
                 EXPECT_EQ(op.cluster, 0);
+            }
         }
     });
     validateClusterAssignment(fn, machine);
@@ -190,8 +192,9 @@ TEST(ReplicateReadOnly, ClonesTablesPerCluster)
     EXPECT_EQ(fn.buffers.back().cluster, 2);
     passes::forEachBlock(fn, [&](BlockNode &blk) {
         for (const auto &op : blk.ops) {
-            if (op.op == Opcode::Load)
+            if (op.op == Opcode::Load) {
                 EXPECT_EQ(fn.buffer(op.buffer).cluster, 2);
+            }
         }
     });
 }

@@ -480,6 +480,27 @@ TEST_F(Fsck, CliDegradedRunFlagsCellsAndNeverPoisonsTheCache)
     std::remove(healed_out.c_str());
 }
 
+TEST_F(Fsck, CliDegradedUtilizationSimulatesTheFallback)
+{
+    // The same starved budget reaches `vvsp utilization`: its
+    // cycle-simulated units run the acyclic fallback the composer
+    // schedules, and the reference datapath's full-search check
+    // still runs to its verdict.
+    const std::string vvsp = VVSP_CLI_PATH;
+    TempDir dir;
+    const std::string out = dir.path + ".utilization.txt";
+    ASSERT_EQ(runCommand("VVSP_SCHED_BUDGET=1 "
+                         "VVSP_FAILPOINTS='sched/ii_attempt=always' \"" +
+                         vvsp + "\" utilization --model=I4C8S4 "
+                                "--threads=1 --no-disk-cache > \"" +
+                         out + "\" 2>/dev/null"),
+              0)
+        << "a degraded utilization run must still exit 0";
+    EXPECT_NE(readFile(out).find("\ncheck: PASS\n"), std::string::npos)
+        << readFile(out);
+    std::remove(out.c_str());
+}
+
 TEST_F(Fsck, CliExitCodesFollowTheConvention)
 {
     const std::string vvsp = VVSP_CLI_PATH;

@@ -3,19 +3,24 @@
  * Cycle-simulator tests: the strongest end-to-end property in the
  * suite. For each (kernel variant, model), the cycle-level executor
  * must (a) produce bit-identical buffer contents to the functional
- * interpreter and (b) consume exactly the cycle count the frame
- * composer predicts from the same unit's profile - proving that the
- * schedule-based analytic accounting and the executed machine agree.
+ * interpreter and (b) execute one schedule in exactly the cycle
+ * count the frame composer prices it at from the same unit's
+ * profile - proving that the analytic accounting and the executed
+ * machine agree.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "arch/models.hh"
 #include "core/experiment.hh"
+#include "ir/builder.hh"
+#include "kernels/composer.hh"
 #include "obs/stats_registry.hh"
 #include "sim/cycle_sim.hh"
+#include "sim/interpreter.hh"
 
 namespace vvsp
 {
@@ -64,13 +69,14 @@ TEST_P(SimEquivalence, MatchesInterpreterAndComposer)
     avg.accumulate(prof);
 
     Composer composer(machine, v.mode);
-    CompositionResult comp = composer.compose(fn, avg);
+    KernelSchedule schedule = composer.schedule(fn);
+    CompositionResult comp = composer.price(schedule, avg);
 
-    // Cycle simulator on the same input.
+    // Cycle simulator on the same input and the same schedule.
     MemoryImage mem(fn);
     k.prepare(fn, mem, geom, t.unit);
     CycleSim sim(machine, v.mode);
-    CycleSimReport rep = sim.run(fn, mem);
+    CycleSimReport rep = sim.run(fn, schedule, mem);
 
     for (const auto &bname : k.outputBuffers) {
         int id = bufferIdByName(fn, bname);
@@ -157,30 +163,95 @@ TEST(CycleSim, ReportsUtilizationCounters)
     (void)modeOf;
 }
 
+/**
+ * A dynamic loop that leaves through a Break: its back edge runs on
+ * every iteration but the one the Break exits, and the composer must
+ * price it so in every schedule mode.
+ */
+class SimEquivalenceBreak : public ::testing::TestWithParam<ScheduleMode>
+{
+};
+
+TEST_P(SimEquivalenceBreak, DynamicLoopMatchesComposer)
+{
+    IRBuilder b("t");
+    int buf = b.buffer("o", 1);
+    Vreg n = b.movi(0);
+    b.beginLoop(-1, "w");
+    b.emitTo(n, Opcode::Add, Operand::ofReg(n), Operand::ofImm(1));
+    Vreg done = b.cmpGe(Operand::ofReg(n), Operand::ofImm(7));
+    b.breakIf(Operand::ofReg(done));
+    b.endLoop();
+    b.store(buf, Operand::ofReg(n), Operand::ofImm(0));
+    Function fn = b.finish();
+    MachineModel machine(models::i4c8s4());
+
+    MemoryImage ref(fn);
+    AvgProfile avg(fn.numNodeIds());
+    avg.accumulate(Interpreter(fn).run(ref));
+    Composer composer(machine, GetParam());
+    KernelSchedule schedule = composer.schedule(fn);
+    CompositionResult comp = composer.price(schedule, avg);
+    MemoryImage mem(fn);
+    CycleSimReport rep = CycleSim(machine, GetParam()).run(fn, schedule, mem);
+
+    EXPECT_EQ(mem.read(buf, 0), 7);
+    EXPECT_EQ(mem.read(buf, 0), ref.read(buf, 0));
+    EXPECT_EQ(rep.cycles, 42u);
+    EXPECT_DOUBLE_EQ(comp.cyclesPerUnit, static_cast<double>(rep.cycles));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, SimEquivalenceBreak,
+    ::testing::Values(ScheduleMode::Sequential, ScheduleMode::Wide,
+                      ScheduleMode::Swp),
+    [](const ::testing::TestParamInfo<ScheduleMode> &info) {
+        switch (info.param) {
+          case ScheduleMode::Sequential:
+            return std::string("Sequential");
+          case ScheduleMode::Wide:
+            return std::string("Wide");
+          case ScheduleMode::Swp:
+            return std::string("Swp");
+        }
+        return std::string("Unknown");
+    });
+
 TEST(CycleSim, AcyclicGroupsSortOncePerGroup)
 {
-    // The schedule cache means each distinct acyclic group is sorted
-    // into issue order exactly once; later executions replay the
-    // sorted ops. A motion-search unit re-executes its groups many
-    // times, so sorts must be strictly rarer than executions.
+    // Each acyclic group is verified and sorted into issue order on
+    // its first execution in a run; later executions replay the
+    // sorted order. A motion-search unit re-executes its groups many
+    // times, so sorts must be strictly rarer than executions, and a
+    // second run sorts each executed group once more.
     const KernelSpec &k = kernelByName("Full Motion Search");
     const VariantSpec &v = k.variant("Blocking/Loop Exchange");
     MachineModel machine(models::i4c8s4());
     Function fn = lowerVariant(k, v, machine);
-    MemoryImage mem(fn);
-    k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
+    KernelSchedule schedule = Composer(machine, v.mode).schedule(fn);
+    uint64_t acyclic = 0;
+    for (const ScheduledGroup &g : schedule.groups)
+        acyclic += g.site != GroupSite::SwpLoop;
 
     obs::StatsRegistry stats;
     obs::StatsRegistry *prev = obs::globalStats();
     obs::setGlobalStats(&stats);
     CycleSim sim(machine, v.mode);
-    sim.run(fn, mem);
-    obs::setGlobalStats(prev);
-
+    MemoryImage mem(fn);
+    k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
+    sim.run(fn, schedule, mem);
     uint64_t sorts = stats.counterValue("sim/acyclic_group_sorts");
     uint64_t execs = stats.counterValue("sim/acyclic_group_execs");
+    MemoryImage again(fn);
+    k.prepare(fn, again, FrameGeometry{48, 32}, 0);
+    sim.run(fn, schedule, again);
+    obs::setGlobalStats(prev);
+
     EXPECT_GT(sorts, 0u);
+    EXPECT_LE(sorts, acyclic);
     EXPECT_GT(execs, sorts) << "groups re-sorted on re-execution";
+    EXPECT_EQ(stats.counterValue("sim/acyclic_group_sorts"), 2 * sorts);
+    EXPECT_EQ(stats.counterValue("sim/acyclic_group_execs"), 2 * execs);
 }
 
 } // namespace

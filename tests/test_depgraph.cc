@@ -200,8 +200,9 @@ TEST(DepGraph, ComplementaryPredicatesShareACycle)
     ops[2].predSense = false;
     DependenceGraph g(ops, unitLatency(), false);
     for (const auto &e : g.edges()) {
-        if (e.from == 1 && e.to == 2 && e.kind == DepKind::Output)
+        if (e.from == 1 && e.to == 2 && e.kind == DepKind::Output) {
             EXPECT_EQ(e.latency, 0); // may issue in the same cycle.
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/models.hh"
@@ -22,6 +23,7 @@
 #include "isa/disassembler.hh"
 #include "isa/encoder.hh"
 #include "isa/format.hh"
+#include "kernels/composer.hh"
 #include "sim/bytecode.hh"
 #include "sim/cycle_sim.hh"
 
@@ -218,9 +220,9 @@ TEST(IsaEstimate, SchedulerEstimateEqualsEncoderGroundTruth)
 
 TEST(IsaSim, DecodedExecutionIsBitIdentical)
 {
-    // Executing through encode -> decode must not change a single
-    // cycle or memory word relative to executing the scheduler's
-    // output directly.
+    // Executing the sections decoded from the encoded module must not
+    // change a single cycle or memory word relative to executing the
+    // composer's in-memory sections.
     struct Cell
     {
         const char *kernel;
@@ -235,28 +237,34 @@ TEST(IsaSim, DecodedExecutionIsBitIdentical)
         const VariantSpec &v = k.variant(c.variant);
         MachineModel machine(models::i4c8s4());
         FrameGeometry geom{48, 32};
+        Function fn = lowerVariant(k, v, machine);
+        KernelSchedule schedule = Composer(machine, v.mode).schedule(fn);
 
-        auto execute = [&](bool round_trip, CycleSimReport &rep) {
-            // run() mutates the function (materialized loop
-            // control), so each leg lowers afresh.
-            Function fn = lowerVariant(k, v, machine);
+        KernelSchedule decoded = schedule;
+        std::vector<uint8_t> bytes = encodeModule(schedule.module);
+        std::string error;
+        ASSERT_TRUE(decodeModule(bytes, decoded.module, &error))
+            << c.variant << ": " << error;
+        ASSERT_EQ(encodeModule(decoded.module), bytes) << c.variant;
+        ASSERT_EQ(decoded.module.sections.size(),
+                  schedule.module.sections.size());
+
+        auto execute = [&](const KernelSchedule &sched) {
             MemoryImage mem(fn);
             k.prepare(fn, mem, geom, 0);
-            CycleSim sim(machine, v.mode);
-            sim.setIsaRoundTrip(round_trip);
-            rep = sim.run(fn, mem);
-            return mem;
+            CycleSimReport rep =
+                CycleSim(machine, v.mode).run(fn, sched, mem);
+            return std::make_pair(rep, std::move(mem));
         };
+        auto [direct, mem_direct] = execute(schedule);
+        auto [from_words, mem_decoded] = execute(decoded);
 
-        CycleSimReport direct, decoded;
-        MemoryImage mem_direct = execute(false, direct);
-        MemoryImage mem_decoded = execute(true, decoded);
-
-        EXPECT_EQ(direct.cycles, decoded.cycles) << c.variant;
-        EXPECT_EQ(direct.operations, decoded.operations) << c.variant;
-        EXPECT_EQ(direct.nullified, decoded.nullified) << c.variant;
-        EXPECT_EQ(direct.transfers, decoded.transfers) << c.variant;
-        EXPECT_EQ(direct.instructions, decoded.instructions)
+        EXPECT_EQ(direct.cycles, from_words.cycles) << c.variant;
+        EXPECT_EQ(direct.operations, from_words.operations)
+            << c.variant;
+        EXPECT_EQ(direct.nullified, from_words.nullified) << c.variant;
+        EXPECT_EQ(direct.transfers, from_words.transfers) << c.variant;
+        EXPECT_EQ(direct.instructions, from_words.instructions)
             << c.variant;
         ASSERT_EQ(mem_direct.numBuffers(), mem_decoded.numBuffers());
         for (size_t b = 0; b < mem_direct.numBuffers(); ++b) {

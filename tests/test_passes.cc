@@ -338,7 +338,7 @@ TEST(Licm, LoadHoistBudget)
     int tab = b.buffer("tab", 32);
     int buf = b.buffer("o", 1);
     Vreg acc = b.movi(0);
-    auto &loop = b.beginLoop(4, "i");
+    b.beginLoop(4, "i");
     for (int j = 0; j < 12; ++j) {
         Vreg v = b.load(tab, K(j)); // all invariant.
         b.emitTo(acc, Opcode::Add, R(acc), R(v));
@@ -369,7 +369,7 @@ TEST(Licm, DoesNotHoistLoadsPastStores)
 {
     IRBuilder b("t");
     int buf = b.buffer("o", 4);
-    auto &loop = b.beginLoop(4, "i");
+    b.beginLoop(4, "i");
     Vreg v = b.load(buf, K(0)); // buffer is stored in the loop.
     Vreg w = b.add(R(v), K(1));
     b.store(buf, R(w), K(0));
