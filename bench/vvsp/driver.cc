@@ -72,9 +72,8 @@ parseDriverArgs(int argc, char **argv, int first)
         } else if (std::strncmp(a, "--out=", 6) == 0 &&
                    a[6] != '\0') {
             opts.outPath = a + 6;
-        } else if (std::strcmp(a, "--no-cache") == 0) {
-            opts.cache = false;
-        } else if (std::strcmp(a, "--no-disk-cache") == 0) {
+        } else if (std::strcmp(a, "--no-disk-cache") == 0 ||
+                   std::strcmp(a, "--no-cache") == 0) {
             opts.diskCache = false;
         } else if (std::strncmp(a, "--cache-dir=", 12) == 0 &&
                    a[12] != '\0') {
@@ -294,8 +293,7 @@ Observability::~Observability()
                 ? opts_.threads
                 : static_cast<int>(
                       std::thread::hardware_concurrency());
-        m.memoCache = opts_.cache;
-        m.diskCache = opts_.cache && opts_.diskCache;
+        m.diskCache = opts_.diskCache;
         m.cacheDir = !m.diskCache ? ""
                      : opts_.cacheDir.empty()
                          ? DiskCache::defaultDir()
@@ -349,7 +347,7 @@ Observability::setMachines(const std::vector<DatapathConfig> &machines)
 
 DiskCacheAttachment::DiskCacheAttachment(const DriverOptions &opts)
 {
-    if (!opts.cache || !opts.diskCache)
+    if (!opts.diskCache)
         return;
     disk_.emplace(opts.cacheDir.empty() ? DiskCache::defaultDir()
                                         : opts.cacheDir);
@@ -367,7 +365,6 @@ sweepOptions(const DriverOptions &opts, Observability &sinks)
 {
     SweepOptions sopts;
     sopts.threads = opts.threads;
-    sopts.useCache = opts.cache;
     sinks.configure(sopts);
     return sopts;
 }

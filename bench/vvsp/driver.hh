@@ -52,8 +52,9 @@ struct DriverOptions
     bool json = false;
     /** Worker threads; 0 = flag absent = hardware concurrency. */
     int threads = 0;
-    bool cache = true;
-    bool diskCache = true;  ///< persistent result layer of the cache.
+    /** Persistent result cache; --no-disk-cache (or its alias
+     *  --no-cache) turns it off. */
+    bool diskCache = true;
     std::string cacheDir;   ///< "" = DiskCache::defaultDir().
     bool stats = false;     ///< print the stats registry after runs.
     bool statsJson = false; ///< ... in JSON form.
@@ -148,9 +149,9 @@ class Observability
 
 /**
  * Attaches the persistent disk layer to the process-global cache for
- * the attachment's lifetime. No-op when either cache layer is
- * disabled: --no-disk-cache keeps only the in-memory profile memo,
- * and --no-cache turns off both.
+ * the attachment's lifetime. No-op under --no-disk-cache (or its
+ * alias --no-cache): every cell is then computed, still sharing its
+ * batch's prefix and interpreter stages with the other cells.
  */
 class DiskCacheAttachment
 {

@@ -91,11 +91,16 @@ enumerateSweepConfigs(const DesignSweep &sweep)
                                 : derivedCandidate(sweep, clusters,
                                                    slots, regs,
                                                    mem_kb, stages);
-                        cfg.name = "I" + std::to_string(slots) + "C" +
-                                   std::to_string(clusters) + "S" +
-                                   std::to_string(stages) + "R" +
-                                   std::to_string(regs) + "M" +
-                                   std::to_string(mem_kb);
+                        cfg.name = std::string("I")
+                                       .append(std::to_string(slots))
+                                       .append("C")
+                                       .append(std::to_string(clusters))
+                                       .append("S")
+                                       .append(std::to_string(stages))
+                                       .append("R")
+                                       .append(std::to_string(regs))
+                                       .append("M")
+                                       .append(std::to_string(mem_kb));
                         // A base machine can make some combinations
                         // inconsistent (e.g. its bank count doesn't
                         // divide a swept memory size); skip those

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "arch/models.hh"
-#include "core/experiment_cache.hh"
 #include "ir/verifier.hh"
 #include "obs/stats_registry.hh"
 #include "sched/cluster_assign.hh"
@@ -81,10 +80,8 @@ assignBanks(Function &fn, const MachineModel &machine)
 }
 
 Function
-lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
-             const MachineModel &machine)
+lowerMachineFree(const VariantSpec &variant)
 {
-    (void)kernel;
     Function fn = variant.build();
     verifyOrDie(fn);
     if (variant.transform) {
@@ -93,10 +90,18 @@ lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
     }
 
     obs::StatsScope xform = obs::globalScope("xform");
-    xform.bump("lowerings");
     timedPass(xform, "cleanup", fn, [&] { passes::cleanup(fn); });
     timedPass(xform, "strength_reduce", fn,
               [&] { passes::strengthReduce(fn); });
+    return fn;
+}
+
+void
+lowerForMachine(Function &fn, const VariantSpec &variant,
+                const MachineModel &machine)
+{
+    obs::StatsScope xform = obs::globalScope("xform");
+    xform.bump("lowerings");
     timedPass(xform, "decompose_multiplies", fn,
               [&] { passes::decomposeMultiplies(fn, machine); });
     timedPass(xform, "lower_addressing", fn,
@@ -130,136 +135,107 @@ lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
     }
     validateClusterAssignment(fn, machine);
     assignBanks(fn, machine);
+}
+
+Function
+lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
+             const MachineModel &machine)
+{
+    (void)kernel;
+    Function fn = lowerMachineFree(variant);
+    lowerForMachine(fn, variant, machine);
     return fn;
 }
 
-ExperimentResult
-runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
+UnitProfileEntry
+interpretCell(const ExperimentRequest &req, const Function &fn)
 {
-    vvsp_assert(req.kernel && req.variant, "incomplete request");
+    // The hot functional simulation runs on the bytecode engine
+    // (sim/bytecode.hh); the tree-walking Interpreter remains as the
+    // differential oracle (tests/test_bytecode.cc).
     const KernelSpec &kernel = *req.kernel;
     const VariantSpec &variant = *req.variant;
-
-    DatapathConfig cfg = req.model;
-    if (variant.needsAbsDiff && !cfg.cluster.hasAbsDiff) {
-        cfg.cluster.hasAbsDiff = true; // "> cycle & area" rows.
+    obs::StatsScope interp_stats = obs::globalScope("interp");
+    const bool timed = interp_stats.enabled();
+    auto t0 = timed ? std::chrono::steady_clock::now()
+                    : std::chrono::steady_clock::time_point{};
+    BytecodeEngine engine(fn);
+    if (timed) {
+        auto t1 = std::chrono::steady_clock::now();
+        interp_stats.sample(
+            "compile_us",
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    t1 - t0)
+                    .count()));
+        t0 = t1;
     }
-    MachineModel machine(cfg);
 
+    UnitProfileEntry out;
+    out.avg = AvgProfile(fn.numNodeIds());
+    if (req.check) {
+        const GoldenFn &golden = variant.goldenOverride
+                                     ? variant.goldenOverride
+                                     : kernel.golden;
+        out.checked = true;
+        out.passed = true;
+        for (int u = 0; u < req.profileUnits; ++u) {
+            MemoryImage mem(fn);
+            kernel.prepare(fn, mem, req.geometry, u);
+            MemoryImage expected(fn);
+            kernel.prepare(fn, expected, req.geometry, u);
+
+            out.avg.accumulate(engine.run(mem));
+
+            golden(fn, expected);
+            for (const auto &bname : kernel.outputBuffers) {
+                int id = bufferIdByName(fn, bname);
+                if (mem.bufferWords(id) != expected.bufferWords(id)) {
+                    out.passed = false;
+                    out.note = "output buffer '" + bname +
+                               "' mismatches golden on unit " +
+                               std::to_string(u);
+                }
+            }
+        }
+    } else {
+        // Still need a profile: interpret without checking.
+        for (int u = 0; u < req.profileUnits; ++u) {
+            MemoryImage mem(fn);
+            kernel.prepare(fn, mem, req.geometry, u);
+            out.avg.accumulate(engine.run(mem));
+        }
+    }
+    out.avg.scale(1.0 / req.profileUnits);
+    if (timed) {
+        interp_stats.sample(
+            "exec_us",
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count()));
+    }
+    return out;
+}
+
+ExperimentResult
+composeCell(const ExperimentRequest &req, const MachineModel &machine,
+            Function &fn, const UnitProfileEntry &profile)
+{
+    const KernelSpec &kernel = *req.kernel;
+    const VariantSpec &variant = *req.variant;
     ExperimentResult res;
-    std::string result_key;
-    if (cache) {
-        result_key = ExperimentCache::resultKey(req, cfg);
-        if (cache->findResult(result_key, req.model.name, res))
-            return res;
-    }
     res.kernel = kernel.name;
     res.variant = variant.name;
     res.model = req.model.name;
-
-    obs::StatsScope phase = obs::globalScope("phase");
-    Function fn = obs::timedPhase(phase, "lowering", [&] {
-        return lowerVariant(kernel, variant, machine);
-    });
-
-    AvgProfile avg(fn.numNodeIds());
-    obs::timedPhase(phase, "interp_sim", [&] {
-        // The hot functional simulation runs on the bytecode engine
-        // (sim/bytecode.hh); the tree-walking Interpreter remains as
-        // the differential oracle (tests/test_bytecode.cc). With a
-        // cache, the whole phase is memoized by content: the
-        // machine-free profile key collapses repeat lowerings across
-        // models to one interpreted cell.
-        obs::StatsScope interp_stats = obs::globalScope("interp");
-        std::string profile_key;
-        if (cache) {
-            profile_key = ExperimentCache::profileKey(
-                req, functionFingerprint(fn));
-            UnitProfileEntry memo;
-            if (cache->findProfile(profile_key, memo)) {
-                avg = std::move(memo.avg);
-                res.checked = memo.checked;
-                res.passed = memo.passed;
-                res.note = memo.note;
-                return true;
-            }
-        }
-
-        const bool timed = interp_stats.enabled();
-        auto t0 = timed ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
-        BytecodeEngine engine(fn);
-        if (timed) {
-            auto t1 = std::chrono::steady_clock::now();
-            interp_stats.sample(
-                "compile_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(t1 - t0)
-                        .count()));
-            t0 = t1;
-        }
-
-        if (req.check) {
-            const GoldenFn &golden = variant.goldenOverride
-                                         ? variant.goldenOverride
-                                         : kernel.golden;
-            res.checked = true;
-            res.passed = true;
-            for (int u = 0; u < req.profileUnits; ++u) {
-                MemoryImage mem(fn);
-                kernel.prepare(fn, mem, req.geometry, u);
-                MemoryImage expected(fn);
-                kernel.prepare(fn, expected, req.geometry, u);
-
-                avg.accumulate(engine.run(mem));
-
-                golden(fn, expected);
-                for (const auto &bname : kernel.outputBuffers) {
-                    int id = bufferIdByName(fn, bname);
-                    if (mem.bufferWords(id) !=
-                        expected.bufferWords(id)) {
-                        res.passed = false;
-                        res.note = "output buffer '" + bname +
-                                   "' mismatches golden on unit " +
-                                   std::to_string(u);
-                    }
-                }
-            }
-            avg.scale(1.0 / req.profileUnits);
-        } else {
-            // Still need a profile: interpret without checking.
-            for (int u = 0; u < req.profileUnits; ++u) {
-                MemoryImage mem(fn);
-                kernel.prepare(fn, mem, req.geometry, u);
-                avg.accumulate(engine.run(mem));
-            }
-            avg.scale(1.0 / req.profileUnits);
-        }
-        if (timed) {
-            interp_stats.sample(
-                "exec_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
-        }
-
-        if (cache) {
-            UnitProfileEntry memo;
-            memo.avg = avg;
-            memo.checked = res.checked;
-            memo.passed = res.passed;
-            memo.note = res.note;
-            cache->storeProfile(profile_key, memo);
-        }
-        return true;
-    });
+    res.checked = profile.checked;
+    res.passed = profile.passed;
+    res.note = profile.note;
 
     Composer composer(machine, variant.mode);
-    res.comp = obs::timedPhase(phase, "compose",
-                               [&] { return composer.compose(fn, avg); });
+    res.comp = obs::timedPhase(obs::globalScope("phase"), "compose", [&] {
+        return composer.compose(fn, profile.avg);
+    });
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
     int gang = variant.gangAllClusters ? machine.clusters()
@@ -286,10 +262,6 @@ runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
                     " region(s)";
         obs::globalScope("sched").bump("degraded_cells");
     }
-    // Degraded results are budget-dependent; never cache them (the
-    // content key doesn't include the budget).
-    if (cache && res.comp.degradedRegions == 0)
-        cache->storeResult(result_key, res);
     return res;
 }
 

@@ -1,20 +1,25 @@
 /**
  * @file
- * Experiment driver: runs one (kernel variant x datapath model) cell
- * of Tables 1-2.
+ * Experiment driver: the stages that evaluate a (kernel variant x
+ * datapath model) cell of Tables 1-2.
  *
- * Pipeline per cell:
- *  1. build the variant's IR and apply its machine-independent
- *     transform recipe;
- *  2. machine-dependent lowering: strength reduction, 16x16 multiply
- *     decomposition, addressing-mode split/fold, cleanup;
- *  3. cluster ganging (hand-assigned or greedy) and inter-cluster
- *     transfer insertion, memory-bank assignment, capacity checks;
- *  4. functional validation: the interpreter's output buffers must
- *     match the golden reference bit-exactly on several units, and
- *     the run yields the execution profile;
- *  5. composition: schedule every region and scale by profile and
- *     frame geometry to cycles per frame.
+ * Stages of a cell (core/sweep.cc runs them for a whole batch, each
+ * once per distinct input):
+ *  1. disk lookup of the finished cell by content key;
+ *  2. machine-free lowering prefix (lowerMachineFree): build the
+ *     variant's IR, apply its transform recipe, cleanup, strength
+ *     reduction;
+ *  3. per-machine lowering of a clone of the prefix
+ *     (lowerForMachine): 16x16 multiply decomposition,
+ *     addressing-mode split/fold, cleanup, cluster ganging
+ *     (hand-assigned or greedy) and inter-cluster transfer insertion,
+ *     memory-bank assignment, capacity checks;
+ *  4. functional validation (interpretCell): the bytecode engine's
+ *     output buffers must match the golden reference bit-exactly on
+ *     several units, and the run yields the execution profile;
+ *  5. composition (composeCell): schedule every region and scale by
+ *     profile and frame geometry to cycles per frame; then the disk
+ *     store.
  */
 
 #ifndef VVSP_CORE_EXPERIMENT_HH
@@ -63,21 +68,61 @@ struct ExperimentResult
 };
 
 /**
- * Run one cell. With a cache, the interpreter profile and (when a
- * disk layer is attached) the whole result are memoized by content
- * key (see experiment_cache.hh); cached and uncached evaluations
- * produce identical results.
+ * The outcome of a cell's interpreter stage: the averaged profile
+ * (after profileUnits scaling) and the golden-check verdict.
+ */
+struct UnitProfileEntry
+{
+    AvgProfile avg;
+    bool checked = false;
+    bool passed = false;
+    std::string note;
+};
+
+/**
+ * Run one cell: the batch pipeline of core/sweep.cc (where it is
+ * defined) on a batch of one, inline on the caller. With a cache
+ * whose disk layer is attached, the finished cell is looked up
+ * before any work and stored after it (see experiment_cache.hh);
+ * cached and uncached evaluations produce identical results.
  */
 ExperimentResult runExperiment(const ExperimentRequest &req,
                                ExperimentCache *cache = nullptr);
 
 /**
- * Lower a variant's IR for a machine (steps 1-3 above) without
- * running it; exposed for tests and the cycle simulator.
+ * Stage 2: the machine-free front of lowering (build, verify,
+ * transform, verify, cleanup, strength reduction). Every model of a
+ * variant starts from the same prefix.
+ */
+Function lowerMachineFree(const VariantSpec &variant);
+
+/** Stage 3: lower a machine-free prefix (in place) for a machine. */
+void lowerForMachine(Function &fn, const VariantSpec &variant,
+                     const MachineModel &machine);
+
+/**
+ * Lower a variant's IR for a machine (stages 2-3) without running
+ * it; exposed for tests, the cycle simulator and `vvsp asm`.
  */
 Function lowerVariant(const KernelSpec &kernel,
                       const VariantSpec &variant,
                       const MachineModel &machine);
+
+/**
+ * Stage 4: interpret `fn` on the request's units with the bytecode
+ * engine, checking each against the golden reference when
+ * req.check is set. Depends on the machine only through `fn`.
+ */
+UnitProfileEntry interpretCell(const ExperimentRequest &req,
+                               const Function &fn);
+
+/**
+ * Stage 5: compose `fn` on `machine` with the interpreter's profile
+ * into the cell's finished result.
+ */
+ExperimentResult composeCell(const ExperimentRequest &req,
+                             const MachineModel &machine, Function &fn,
+                             const UnitProfileEntry &profile);
 
 /** Round-robin buffers onto the cluster's memory banks. */
 void assignBanks(Function &fn, const MachineModel &machine);

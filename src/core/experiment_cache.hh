@@ -2,25 +2,25 @@
  * @file
  * Content-keyed memoization for the experiment pipeline.
  *
- * Many cells of the 180-cell sweep repeat work: models whose
- * lowerings coincide interpret the same function, and a rerun of any
- * table revisits cells a previous process already evaluated. The
- * cache keys on *content* - kernel, variant, every model-relevant
- * architectural parameter (the model's display name is deliberately
- * excluded), frame geometry, profiled units, seed, and the check
- * flag - so identical work is recognized no matter which named model
- * or harness asked for it.
+ * A rerun of any table revisits cells a previous process already
+ * evaluated. The cache keys on *content* - kernel, variant, every
+ * model-relevant architectural parameter (the model's display name
+ * is deliberately excluded), frame geometry, profiled units, seed,
+ * and the check flag - so identical work is recognized no matter
+ * which named model or harness asked for it.
  *
- * Two levels, each kept because its counters show it hitting:
- *  1. unit-profile memo (in memory): the averaged interpreter
- *     profile plus golden-check verdict of a cell, keyed by function
- *     fingerprint and run parameters but NOT by machine - different
- *     machines whose lowerings coincide replay the stored profile
- *     instead of re-interpreting;
- *  2. result entries (on disk, see disk_cache.hh, when attached):
- *     the complete ExperimentResult of a cell, looked up before any
- *     work and published after it, with only the display model name
- *     patched per request.
+ * One level serves the pipeline: result entries (on disk, see
+ * disk_cache.hh, when attached), the complete ExperimentResult of a
+ * cell, looked up before any work and published after it, with only
+ * the display model name patched per request. Work repeated inside
+ * one batch (a variant's machine-free prefix, one interpreter run
+ * per profile key) is shared by the sweep's stages instead
+ * (core/sweep.hh); profileKey() is the key of that interpreter stage.
+ *
+ * The unit-profile memo (findProfile/storeProfile) is no longer
+ * called by the pipeline. It is kept only for perfbench's traced
+ * harness (perfbench/trace.cc), which replays one cell at a time,
+ * until a benchmark change moves that harness off it.
  *
  * All methods are thread-safe; the sweep runner's workers share one
  * instance.
@@ -44,7 +44,7 @@ class DiskCache;
 /** Hit/miss counters (one snapshot; totals since construction). */
 struct ExperimentCacheStats
 {
-    /** Unit-profile memo (machine-independent interp results). */
+    /** Unit-profile memo (traced harness only; see the file comment). */
     uint64_t profileHits = 0;
     uint64_t profileMisses = 0;
     /** Disk result entries (counted only while a disk is attached). */
@@ -54,19 +54,8 @@ struct ExperimentCacheStats
     uint64_t diskStores = 0;
 };
 
-/**
- * Memoized outcome of a cell's interp_sim phase: the averaged
- * profile (post profileUnits scaling) and the golden-check verdict.
- */
-struct UnitProfileEntry
-{
-    AvgProfile avg;
-    bool checked = false;
-    bool passed = false;
-    std::string note;
-};
-
-/** Thread-safe unit-profile memo in front of the disk result layer. */
+/** Thread-safe front of the disk result layer (plus the traced
+ *  harness's unit-profile memo). */
 class ExperimentCache
 {
   public:
@@ -106,10 +95,11 @@ class ExperimentCache
     void storeResult(const std::string &key,
                      const ExperimentResult &res);
 
-    /** Look up a memoized interp_sim outcome. */
+    /** Look up a memoized interp_sim outcome (traced harness only). */
     bool findProfile(const std::string &key, UnitProfileEntry &out);
 
-    /** Record an interp_sim outcome (first writer wins). */
+    /** Record an interp_sim outcome, first writer wins (traced
+     *  harness only). */
     void storeProfile(const std::string &key,
                       const UnitProfileEntry &entry);
 

@@ -1,21 +1,304 @@
 #include "core/sweep.hh"
 
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "sched/modulo_scheduler.hh"
+#include "sim/bytecode.hh"
+#include "support/logging.hh"
 
 namespace vvsp
 {
 
+namespace
+{
+
+using Clock = std::chrono::steady_clock;
+
+/** Run fn(i) for every i < n on the pool and wait; inline without. */
+template <typename Fn>
+void
+forEachOnPool(ThreadPool *pool, size_t n, const Fn &fn)
+{
+    if (pool == nullptr) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    for (size_t i = 0; i < n; ++i)
+        pool->submit([&fn, i] { fn(i); });
+    pool->wait();
+}
+
+/** The machine a cell runs on, after its variant's forced upgrades. */
+DatapathConfig
+cellConfig(const ExperimentRequest &req)
+{
+    DatapathConfig cfg = req.model;
+    if (req.variant->needsAbsDiff && !cfg.cluster.hasAbsDiff)
+        cfg.cluster.hasAbsDiff = true; // "> cycle & area" rows.
+    return cfg;
+}
+
+/** A machine-free prefix and the count of cells still to clone it. */
+struct Prefix
+{
+    std::optional<Function> fn;
+    std::atomic<size_t> clonesLeft;
+
+    /** One cell's copy; the last copy frees the prefix. */
+    Function take()
+    {
+        Function copy = fn->clone();
+        if (clonesLeft.fetch_sub(1) == 1)
+            fn.reset();
+        return copy;
+    }
+};
+
+/**
+ * One batch through the stages of experiment.hh. The disk lookups
+ * and the grouping of the misses by variant are barriers over the
+ * batch. Each group then lowers its prefix once and fans its cells
+ * out on the pool through a TaskGroup, one task per cell for stages
+ * 3-5, so a running cell holds at most its own machine-lowered
+ * Function.
+ */
+class Batch
+{
+  public:
+    Batch(const std::vector<ExperimentRequest> &requests,
+          ExperimentCache *cache, ThreadPool *pool,
+          obs::StatsRegistry *stats = nullptr,
+          obs::TraceWriter *trace = nullptr, int trace_pid = 1)
+        : requests_(requests), cache_(cache), pool_(pool),
+          stats_(stats), trace_(trace), tracePid_(trace_pid),
+          results_(requests.size())
+    {
+    }
+
+    std::vector<ExperimentResult> run();
+
+  private:
+    /** Cells of the batch that share one machine-free prefix. */
+    struct PrefixGroup
+    {
+        const VariantSpec *variant;
+        std::vector<size_t> cells;
+    };
+
+    bool lookup(size_t i);
+    void runGroup(const PrefixGroup &group);
+    void runCell(size_t i, Prefix &prefix);
+    UnitProfileEntry profile(const ExperimentRequest &req,
+                             const Function &fn);
+    void finishCell(size_t i, Clock::time_point t0);
+    void traceSlice(const ExperimentRequest &req, const char *category,
+                    Clock::time_point t0,
+                    std::vector<std::pair<std::string, std::string>>
+                        args);
+
+    const std::vector<ExperimentRequest> &requests_;
+    ExperimentCache *cache_;
+    ThreadPool *pool_;
+    obs::StatsRegistry *stats_;
+    obs::TraceWriter *trace_;
+    int tracePid_;
+    const Clock::time_point start_ = Clock::now();
+    std::vector<ExperimentResult> results_;
+    std::vector<std::string> keys_; ///< result keys (with a cache).
+
+    /**
+     * One entry per profile key in the batch. The first cell to
+     * claim a key runs the interpreter and publishes its outcome;
+     * the others wait for that entry.
+     */
+    std::mutex profilesMutex_;
+    std::unordered_map<std::string, std::shared_future<UnitProfileEntry>>
+        profiles_;
+};
+
+std::vector<ExperimentResult>
+Batch::run()
+{
+    for (const ExperimentRequest &req : requests_)
+        vvsp_assert(req.kernel && req.variant, "incomplete request");
+    const size_t n = requests_.size();
+    std::vector<uint8_t> hit(n, 0);
+    if (cache_) {
+        keys_.resize(n);
+        forEachOnPool(pool_, n, [&](size_t i) { hit[i] = lookup(i); });
+    }
+
+    // The misses, grouped by variant in request order: a variant's
+    // prefix is the same for every model.
+    std::vector<PrefixGroup> groups;
+    std::unordered_map<const VariantSpec *, size_t> group_of;
+    size_t misses = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (hit[i])
+            continue;
+        ++misses;
+        const VariantSpec *variant = requests_[i].variant;
+        auto [it, fresh] = group_of.try_emplace(variant, groups.size());
+        if (fresh)
+            groups.push_back(PrefixGroup{variant, {}});
+        groups[it->second].cells.push_back(i);
+    }
+    forEachOnPool(pool_, groups.size(),
+                  [&](size_t g) { runGroup(groups[g]); });
+
+    obs::StatsScope stage = obs::globalScope("stage");
+    stage.bump("prefix/requests", misses);
+    stage.bump("prefix/unique", groups.size());
+    stage.bump("interp/requests", misses);
+    stage.bump("interp/unique", profiles_.size());
+    return std::move(results_);
+}
+
+bool
+Batch::lookup(size_t i)
+{
+    const ExperimentRequest &req = requests_[i];
+    const Clock::time_point t0 = Clock::now();
+    keys_[i] = ExperimentCache::resultKey(req, cellConfig(req));
+    if (!cache_->findResult(keys_[i], req.model.name, results_[i]))
+        return false;
+    finishCell(i, t0);
+    return true;
+}
+
+void
+Batch::runGroup(const PrefixGroup &group)
+{
+    const ExperimentRequest &first = requests_[group.cells.front()];
+    const Clock::time_point t0 = Clock::now();
+    Prefix prefix{obs::timedPhase(obs::globalScope("phase"),
+                                  "lowering_prefix",
+                                  [&] {
+                                      return lowerMachineFree(
+                                          *group.variant);
+                                  }),
+                  group.cells.size()};
+    traceSlice(first, "prefix", t0,
+               {{"cells", std::to_string(group.cells.size())}});
+
+    TaskGroup cells(pool_);
+    for (size_t i : group.cells)
+        cells.submit([this, i, &prefix] { runCell(i, prefix); });
+    cells.wait();
+}
+
+void
+Batch::runCell(size_t i, Prefix &prefix)
+{
+    const ExperimentRequest &req = requests_[i];
+    const Clock::time_point t0 = Clock::now();
+    MachineModel machine(cellConfig(req));
+    Function fn =
+        obs::timedPhase(obs::globalScope("phase"), "lowering", [&] {
+            Function lowered = prefix.take();
+            lowerForMachine(lowered, *req.variant, machine);
+            return lowered;
+        });
+    ExperimentResult res = composeCell(req, machine, fn, profile(req, fn));
+    // Degraded results are budget-dependent; never cache them (the
+    // content key doesn't include the budget).
+    if (cache_ && res.comp.degradedRegions == 0)
+        cache_->storeResult(keys_[i], res);
+    results_[i] = std::move(res);
+    finishCell(i, t0);
+}
+
+UnitProfileEntry
+Batch::profile(const ExperimentRequest &req, const Function &fn)
+{
+    // The key is machine-free: models whose lowerings coincide share
+    // one interpreter run.
+    const std::string key =
+        ExperimentCache::profileKey(req, functionFingerprint(fn));
+    std::promise<UnitProfileEntry> claim;
+    std::shared_future<UnitProfileEntry> entry;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> lock(profilesMutex_);
+        auto [it, fresh] = profiles_.try_emplace(key);
+        if (fresh) {
+            it->second = claim.get_future().share();
+            owner = true;
+        }
+        entry = it->second;
+    }
+    // The owner waits on nothing before it publishes, so every cell
+    // blocked in get() below wakes.
+    if (owner) {
+        claim.set_value(obs::timedPhase(
+            obs::globalScope("phase"), "interp_sim",
+            [&] { return interpretCell(req, fn); }));
+    }
+    return entry.get();
+}
+
+void
+Batch::finishCell(size_t i, Clock::time_point t0)
+{
+    traceSlice(requests_[i], "cell", t0,
+               {{"model", requests_[i].model.name}});
+    if (stats_) {
+        obs::StatsScope sweep = stats_->scope("sweep");
+        sweep.bump("cells");
+        sweep.sample("cell_wall_us",
+                     static_cast<uint64_t>(
+                         std::chrono::duration_cast<
+                             std::chrono::microseconds>(Clock::now() -
+                                                        t0)
+                             .count()));
+    }
+}
+
+void
+Batch::traceSlice(const ExperimentRequest &req, const char *category,
+                  Clock::time_point t0,
+                  std::vector<std::pair<std::string, std::string>> args)
+{
+    if (!trace_)
+        return;
+    auto us = [this](Clock::time_point t) {
+        return static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                t - start_)
+                .count());
+    };
+    const uint64_t begin = us(t0), end = us(Clock::now());
+    const int tid = ThreadPool::currentWorkerIndex();
+    args.emplace_back("kernel", req.kernel->name);
+    args.emplace_back("variant", req.variant->name);
+    trace_->slice(req.kernel->name + " / " + req.variant->name,
+                  category, begin, std::max<uint64_t>(1, end - begin),
+                  tracePid_, tid < 0 ? 0 : tid, std::move(args));
+}
+
+} // anonymous namespace
+
+ExperimentResult
+runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
+{
+    const std::vector<ExperimentRequest> one{req};
+    return Batch(one, cache, nullptr).run().front();
+}
+
 SweepRunner::SweepRunner(SweepOptions opts)
     : pool_(opts.threads),
-      cache_(opts.useCache
-                 ? (opts.cache ? opts.cache : &ExperimentCache::global())
-                 : nullptr),
-      stats_(opts.stats), trace_(opts.trace),
-      tracePid_(opts.tracePid)
+      cache_(opts.cache ? opts.cache : &ExperimentCache::global()),
+      stats_(opts.stats), trace_(opts.trace), tracePid_(opts.tracePid)
 {
 }
 
@@ -24,7 +307,7 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
 {
     // Install the batch's registry so the pipeline's global
     // instrumentation sites record into it; restored after the
-    // barrier, before results are returned.
+    // batch, before results are returned.
     obs::StatsRegistry *prev = obs::globalStats();
     if (stats_)
         obs::setGlobalStats(stats_);
@@ -36,70 +319,26 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
                                "worker" + std::to_string(w));
         }
     }
-    const auto batchStart = std::chrono::steady_clock::now();
-    const ExperimentCacheStats before =
-        cache_ ? cache_->stats() : ExperimentCacheStats{};
+    const ExperimentCacheStats before = cache_->stats();
 
     // Let modulo schedulers borrow idle workers for speculative II
     // attempts. Bit-identical schedules at any thread count (see
     // ModuloScheduler::setIiSearch); cleared before the pool can
     // outlive the batch's use of it.
     ModuloScheduler::setIiSearch(&pool_);
-
-    std::vector<ExperimentResult> results(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-        pool_.submit([this, &requests, &results, batchStart, i] {
-            const ExperimentRequest &req = requests[i];
-            const auto t0 = std::chrono::steady_clock::now();
-            results[i] = runExperiment(req, cache_);
-            if (trace_) {
-                const auto t1 = std::chrono::steady_clock::now();
-                auto us = [&batchStart](
-                              std::chrono::steady_clock::time_point
-                                  t) {
-                    return static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(t - batchStart)
-                            .count());
-                };
-                int tid = ThreadPool::currentWorkerIndex();
-                trace_->slice(
-                    req.kernel->name + " / " + req.variant->name,
-                    "cell", us(t0), std::max<uint64_t>(
-                        1, us(t1) - us(t0)),
-                    tracePid_, tid < 0 ? 0 : tid,
-                    {{"model", req.model.name},
-                     {"kernel", req.kernel->name},
-                     {"variant", req.variant->name}});
-            }
-            if (stats_) {
-                obs::StatsScope sweep = stats_->scope("sweep");
-                sweep.bump("cells");
-                sweep.sample(
-                    "cell_wall_us",
-                    static_cast<uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count()));
-            }
-        });
-    }
-    pool_.wait();
+    std::vector<ExperimentResult> results =
+        Batch(requests, cache_, &pool_, stats_, trace_, tracePid_).run();
     ModuloScheduler::setIiSearch(nullptr);
-    if (stats_ && cache_) {
+
+    if (stats_) {
         // This batch's contribution to the shared cache's counters.
         const ExperimentCacheStats after = cache_->stats();
         obs::StatsScope cs = stats_->scope("cache");
-        cs.bump("profile_hits", after.profileHits - before.profileHits);
-        cs.bump("profile_misses",
-                after.profileMisses - before.profileMisses);
         cs.bump("disk_hits", after.diskHits - before.diskHits);
         cs.bump("disk_misses", after.diskMisses - before.diskMisses);
         cs.bump("disk_stores", after.diskStores - before.diskStores);
-    }
-    if (stats_)
         obs::setGlobalStats(prev);
+    }
     return results;
 }
 

@@ -3,13 +3,15 @@
  * Parallel sweep engine.
  *
  * Evaluates a batch of experiment requests - a whole Table 1/2 grid,
- * a design-space sweep, the conclusions cells - concurrently on a
- * fixed-size thread pool, sharing one content-keyed cache so that
- * repeated interpreter runs and previously stored cells are not
- * recomputed. Results come back in request order regardless of
- * thread count, and every cell is bit-identical to what a serial
- * runExperiment() produces (the pipeline's shared state is immutable
- * or mutex-guarded; see DESIGN.md "Sweep engine").
+ * a design-space sweep, the conclusions cells - on a fixed-size
+ * thread pool as content-keyed stages (experiment.hh numbers them):
+ * a disk lookup per cell; for the misses, one machine-free lowering
+ * prefix per distinct variant; per cell, a clone of that prefix
+ * lowered for the cell's machine; one bytecode run per distinct
+ * profile key; compose and disk store per cell. The same work runs
+ * at any thread count. Results come back in request order, and
+ * every cell is bit-identical to what a serial runExperiment()
+ * produces (see DESIGN.md "Sweep engine").
  */
 
 #ifndef VVSP_CORE_SWEEP_HH
@@ -36,23 +38,24 @@ struct SweepOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
     int threads = 0;
-    /** Share the profile memo and disk layer across cells. */
-    bool useCache = true;
     /**
-     * Cache to share (nullptr = the process-global cache). Ignored
-     * when useCache is false.
+     * Cache whose disk layer serves and stores finished cells
+     * (nullptr = the process-global cache). With no disk attached
+     * every lookup misses.
      */
     ExperimentCache *cache = nullptr;
     /**
      * When set, installed as the global stats registry for the
      * duration of each run() so the pipeline's instrumentation sites
-     * (xform pass timing, scheduler II telemetry) record into it,
-     * and per-batch sweep counters are recorded. Null: zero-cost off.
+     * (xform pass timing, stage counts, scheduler II telemetry)
+     * record into it, and per-batch sweep counters are recorded.
+     * Null: zero-cost off.
      */
     obs::StatsRegistry *stats = nullptr;
     /**
      * When set, each run() renders a batch timeline into it: one
-     * trace track per pool worker, one slice per experiment cell.
+     * trace track per pool worker, one slice per machine-free prefix
+     * and one per experiment cell.
      */
     obs::TraceWriter *trace = nullptr;
     /** Trace process id for this runner's timeline track group. */
@@ -73,9 +76,6 @@ class SweepRunner
     run(const std::vector<ExperimentRequest> &requests);
 
     int threadCount() const { return pool_.threadCount(); }
-
-    /** The cache in use, or nullptr when caching is off. */
-    ExperimentCache *cache() const { return cache_; }
 
   private:
     ThreadPool pool_;

@@ -12,9 +12,9 @@ Operand::str() const
       case Kind::None:
         return "_";
       case Kind::Reg:
-        return "v" + std::to_string(reg);
+        return std::string("v").append(std::to_string(reg));
       case Kind::Imm:
-        return "#" + std::to_string(imm);
+        return std::string("#").append(std::to_string(imm));
     }
     return "?";
 }

@@ -345,8 +345,10 @@ buildThreeStep(bool use_absdiff, bool indexed)
             Vreg wbase = b.add(R(wbase0), R(px));
             Vreg sad = b.movi(0);
 
-            auto &y = b.beginLoop(16, "y" + std::to_string(stride) +
-                                          "_" + std::to_string(k));
+            auto &y = b.beginLoop(16, std::string("y")
+                                          .append(std::to_string(stride))
+                                          .append("_")
+                                          .append(std::to_string(k)));
             {
                 Vreg cb = b.shl(R(y.inductionVar), K(4));
                 Vreg wy0 = b.shl(R(y.inductionVar), K(5));

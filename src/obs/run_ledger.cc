@@ -120,9 +120,8 @@ manifestJsonLine(const RunManifest &m)
     os << "{\"schema\": " << m.schema << ", \"time\": " << m.unixTime
        << ", \"subcommand\": \"" << json::escape(m.subcommand)
        << "\", \"threads\": " << m.threads
-       << ", \"cache\": {\"memo\": "
-       << (m.memoCache ? "true" : "false")
-       << ", \"disk\": " << (m.diskCache ? "true" : "false")
+       << ", \"cache\": {\"disk\": "
+       << (m.diskCache ? "true" : "false")
        << ", \"dir\": \"" << json::escape(m.cacheDir) << "\"}"
        << ", \"machines\": [";
     for (size_t i = 0; i < m.machines.size(); ++i) {
@@ -185,8 +184,6 @@ parseManifest(const json::Value &v, RunManifest &out, std::string &error)
     if (const json::Value *t = v.find("threads"); t && t->isNumber())
         m.threads = static_cast<int>(t->asNumber());
     if (const json::Value *c = v.find("cache"); c && c->isObject()) {
-        if (const json::Value *x = c->find("memo"); x && x->isBool())
-            m.memoCache = x->asBool();
         if (const json::Value *x = c->find("disk"); x && x->isBool())
             m.diskCache = x->asBool();
         if (const json::Value *x = c->find("dir"); x && x->isString())

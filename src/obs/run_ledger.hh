@@ -68,7 +68,6 @@ struct RunManifest
     /** Resolved (display name, canonical machine key) pairs. */
     std::vector<std::pair<std::string, std::string>> machines;
     int threads = 0; ///< resolved worker count, not the raw flag.
-    bool memoCache = true;
     bool diskCache = true;
     std::string cacheDir;
     uint64_t wallUs = 0; ///< whole-invocation wall time.

@@ -406,8 +406,10 @@ scheduleToTrace(TraceWriter &trace, int pid,
     for (int k = 0; k < machine.clusters(); ++k) {
         for (int s = 0; s < slots; ++s) {
             trace.threadName(pid, k * slots + s,
-                             "c" + std::to_string(k) + " slot" +
-                                 std::to_string(s));
+                             std::string("c")
+                                 .append(std::to_string(k))
+                                 .append(" slot")
+                                 .append(std::to_string(s)));
         }
     }
     trace.threadName(pid, controlTid, "control");

@@ -8,7 +8,8 @@
  * processes and threads. Two producers use it:
  *
  *  - the sweep engine renders a batch timeline (one track per worker
- *    thread, one slice per experiment cell), and
+ *    thread, one slice per machine-free prefix and one per
+ *    experiment cell), and
  *  - the utilization report renders schedule/pipeline diagrams (one
  *    track per issue slot, one slice per operation, 1 cycle = 1 us).
  *

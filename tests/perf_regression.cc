@@ -1,12 +1,13 @@
 /**
  * @file
  * Perf regression gate (ctest -L perf-smoke): times a 6-cell cold
- * mini-sweep (no caches, so every cell runs the full lowering /
- * interpret / schedule pipeline) and fails when throughput drops more
- * than 30% below the committed floor in tests/perf_floor.json. The
- * floor is deliberately conservative - it catches the scheduler
- * falling off its fast path (accidental per-attempt allocation,
- * bitmap scans reverting to row probing), not machine noise.
+ * mini-sweep (no disk cache, so every cell is lowered, interpreted
+ * once per distinct profile and scheduled) and fails when throughput
+ * drops more than 30% below the committed floor in
+ * tests/perf_floor.json. The floor is deliberately conservative - it
+ * catches the scheduler falling off its fast path (accidental
+ * per-attempt allocation, bitmap scans reverting to row probing), not
+ * machine noise.
  *
  * The timed run records a StatsRegistry, so the ledgered manifest
  * carries per-phase wall-time distributions; when a ledger path is
@@ -95,9 +96,7 @@ main(int argc, char **argv)
         return 2;
 
     std::vector<ExperimentRequest> grid = miniGrid();
-    SweepOptions opts;
-    opts.useCache = false; // cold: measure the pipeline, not memo hits.
-    SweepRunner runner(opts);
+    SweepRunner runner;
 
     // One untimed warm-up run hides one-time costs (kernel spec
     // construction, thread spin-up) that are not the regression
@@ -140,7 +139,6 @@ main(int argc, char **argv)
                                     canonicalMachineKey(cfg));
         }
         m.threads = runner.threadCount();
-        m.memoCache = false;
         m.diskCache = false;
         m.wallUs = static_cast<uint64_t>(secs * 1e6);
         m.metrics.emplace_back("cells",

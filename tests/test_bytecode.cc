@@ -16,7 +16,9 @@
 #include "arch/models.hh"
 #include "core/experiment.hh"
 #include "core/experiment_cache.hh"
+#include "core/sweep.hh"
 #include "ir/builder.hh"
+#include "obs/stats_registry.hh"
 #include "sim/bytecode.hh"
 #include "sim/interpreter.hh"
 
@@ -333,12 +335,12 @@ TEST(Bytecode, ConstPoolDeduplicatesImmediates)
 
 /**
  * Two machines that differ only in issue width lower to the same
- * function, so the machine-free profile memo must collapse their
- * interp_sim phases to one entry (the second cell replays it).
+ * function, so a batch holding both must collapse their interp_sim
+ * stages to one run under the machine-free profile key (the second
+ * cell reuses it).
  */
 TEST(Bytecode, ProfileMemoSharedAcrossIssueWidths)
 {
-    ExperimentCache cache;
     const KernelSpec &k =
         kernelByName("RGB:YCrCb converter/subsampler");
     ExperimentRequest req;
@@ -348,22 +350,26 @@ TEST(Bytecode, ProfileMemoSharedAcrossIssueWidths)
     req.geometry = FrameGeometry{48, 32};
     req.profileUnits = 1;
 
-    ExperimentResult r1 = runExperiment(req, &cache);
-    EXPECT_TRUE(r1.checked);
-    EXPECT_TRUE(r1.passed) << r1.note;
-    ExperimentCacheStats s1 = cache.stats();
-    EXPECT_EQ(s1.profileHits, 0u);
-    EXPECT_EQ(s1.profileMisses, 1u);
+    ExperimentRequest wide = req;
+    wide.model.name = "I4C8S4-wide";
+    wide.model.cluster.issueSlots += 1; // lowering-invariant change.
+    wide.model.cluster.regFilePorts += 3; // ports the extra slot needs.
 
-    req.model.name = "I4C8S4-wide";
-    req.model.cluster.issueSlots += 1; // lowering-invariant change.
-    req.model.cluster.regFilePorts += 3; // ports the extra slot needs.
-    ExperimentResult r2 = runExperiment(req, &cache);
-    EXPECT_TRUE(r2.checked);
-    EXPECT_TRUE(r2.passed) << r2.note;
-    ExperimentCacheStats s2 = cache.stats();
-    EXPECT_EQ(s2.profileHits, 1u);
-    EXPECT_EQ(s2.profileMisses, 1u);
+    ExperimentCache cache;
+    obs::StatsRegistry stats;
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.cache = &cache;
+    opts.stats = &stats;
+    std::vector<ExperimentResult> rs = SweepRunner(opts).run({req, wide});
+    ASSERT_EQ(rs.size(), 2u);
+    for (const ExperimentResult &r : rs) {
+        EXPECT_TRUE(r.checked);
+        EXPECT_TRUE(r.passed) << r.note;
+    }
+    EXPECT_EQ(stats.counterValue("stage/interp/requests"), 2u);
+    EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
 }
 
 } // namespace

@@ -179,8 +179,9 @@ deterministicDists(const obs::StatsRegistry &reg)
 /**
  * The determinism contract: a sweep recording into a registry must
  * produce identical counters and (non-wall-time) distributions at
- * any worker count. Caching is disabled because racing cache misses
- * legitimately change how many times the lowering pipeline runs.
+ * any worker count. A batch runs the same stages at any thread count
+ * (one prefix per variant, one interpreter run per profile key), so
+ * even the lowering and interpreter counts match.
  */
 TEST(SweepStats, DeterministicAcrossThreadCounts)
 {
@@ -202,7 +203,6 @@ TEST(SweepStats, DeterministicAcrossThreadCounts)
                                obs::StatsRegistry &reg) {
         SweepOptions sopts;
         sopts.threads = threads;
-        sopts.useCache = false;
         sopts.stats = &reg;
         SweepRunner runner(sopts);
         return runner.run(requests);

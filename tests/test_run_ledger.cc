@@ -51,7 +51,6 @@ sampleManifest()
     m.machines.emplace_back("I4C8S4", "{ \"clusters\": 8 }");
     m.machines.emplace_back("quote\"name", "key\\with\\slashes");
     m.threads = 4;
-    m.memoCache = true;
     m.diskCache = false;
     m.cacheDir = "";
     m.wallUs = 123456;
@@ -90,7 +89,6 @@ TEST(RunLedger, ManifestJsonRoundTrip)
     EXPECT_EQ(back.subcommand, m.subcommand);
     EXPECT_EQ(back.machines, m.machines);
     EXPECT_EQ(back.threads, m.threads);
-    EXPECT_EQ(back.memoCache, m.memoCache);
     EXPECT_EQ(back.diskCache, m.diskCache);
     EXPECT_EQ(back.wallUs, m.wallUs);
     EXPECT_EQ(back.counters, m.counters);
@@ -129,7 +127,6 @@ TEST(RunLedger, SnapshotCapturesPhaseTimersWithQuantiles)
     obs::StatsRegistry reg;
     SweepOptions sopts;
     sopts.threads = 1;
-    sopts.useCache = false;
     sopts.stats = &reg;
     SweepRunner(sopts).run(requests);
 

@@ -3,9 +3,10 @@
  * Sweep engine tests: thread-pool mechanics, cache bit-identity (a
  * cell evaluated twice through a disk-backed cache returns the exact
  * same result, and the counters prove the second evaluation was a
- * disk hit), and determinism of the parallel runner (the full
- * Table 1 grid yields identical cycles-per-frame at 1 and N threads,
- * with and without the cache).
+ * disk hit), the batch stages (cells with one profile key interpret
+ * once), and determinism of the parallel runner (the full Table 1
+ * grid yields identical cycles-per-frame and identical counters at
+ * 1 and N threads).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,22 +153,23 @@ TEST(ExperimentCacheTest, SecondEvaluationIsABitIdenticalHit)
     EXPECT_EQ(s1.diskHits, 0u);
     EXPECT_EQ(s1.diskMisses, 1u);
     EXPECT_EQ(s1.diskStores, 1u);
-    EXPECT_EQ(s1.profileHits, 0u);
-    EXPECT_EQ(s1.profileMisses, 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/requests"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
 
     // The second run is served by the disk entry before any work,
-    // so the profile memo is not even consulted.
+    // so no stage after the lookup runs.
     ExperimentResult second = runner.run({req})[0];
     ExperimentCacheStats s2 = cache.stats();
     EXPECT_EQ(s2.diskHits, 1u);
     EXPECT_EQ(s2.diskMisses, 1u);
     EXPECT_EQ(s2.diskStores, 1u);
-    EXPECT_EQ(s2.profileHits + s2.profileMisses, 1u);
 
-    // The runner exports one counter set per cache level, summed
-    // over both batches.
-    EXPECT_EQ(stats.counterValue("cache/profile_hits"), 0u);
-    EXPECT_EQ(stats.counterValue("cache/profile_misses"), 1u);
+    // The runner exports the stage and disk counters, summed over
+    // both batches.
+    EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/requests"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
     EXPECT_EQ(stats.counterValue("cache/disk_hits"), 1u);
     EXPECT_EQ(stats.counterValue("cache/disk_misses"), 1u);
     EXPECT_EQ(stats.counterValue("cache/disk_stores"), 1u);
@@ -218,9 +221,10 @@ TEST(ExperimentCacheTest, KeysOnContentNotOnModelName)
 
 TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
 {
-    // With no disk attached (--no-disk-cache) the profile memo is the
-    // only level: a repeated cell is composed again but replays its
-    // interpreter profile, and matches an uncached run bit for bit.
+    // With no disk attached (--no-disk-cache) a batch still shares
+    // its stages: a cell repeated within one batch is composed again
+    // but reuses the first copy's interpreter run, and matches an
+    // uncached run bit for bit.
     const KernelSpec &k = kernelByName("Full Motion Search");
     ExperimentRequest req;
     req.kernel = &k;
@@ -235,20 +239,21 @@ TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
     opts.stats = &stats;
     SweepRunner runner(opts);
 
-    ExperimentResult first = runner.run({req})[0];
-    ExperimentResult second = runner.run({req})[0];
+    std::vector<ExperimentResult> both = runner.run({req, req});
+    ASSERT_EQ(both.size(), 2u);
     ExperimentCacheStats s = cache.stats();
-    EXPECT_EQ(s.profileMisses, 1u);
-    EXPECT_EQ(s.profileHits, 1u);
     EXPECT_EQ(s.diskHits + s.diskMisses + s.diskStores, 0u);
-    EXPECT_EQ(stats.counterValue("cache/profile_hits"), 1u);
-    EXPECT_EQ(stats.counterValue("cache/profile_misses"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 2u);
+    EXPECT_EQ(stats.counterValue("stage/prefix/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/requests"), 2u);
+    EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
     EXPECT_EQ(stats.counterValue("cache/disk_misses"), 0u);
     EXPECT_EQ(stats.counterValue("phase/compose/runs"), 2u);
 
-    EXPECT_TRUE(first.passed);
-    expectBitIdentical(first, second);
-    expectBitIdentical(first, runExperiment(req));
+    EXPECT_TRUE(both[0].passed);
+    expectBitIdentical(both[0], both[1]);
+    expectBitIdentical(both[0], runExperiment(req));
 }
 
 TEST(ExperimentCacheTest, ProfileMemoUnderContention)
@@ -297,26 +302,96 @@ TEST(ExperimentCacheTest, ProfileMemoUnderContention)
     EXPECT_LE(s.profileMisses, uint64_t{2} * kThreads);
 }
 
+TEST(SweepRunnerTest, SameKeyCellsInterpretOnce)
+{
+    // Sixteen copies of one cell plus its issue-width twin, whose
+    // lowering is the same, on eight workers: one prefix and one
+    // interpreter run serve all seventeen, whichever cell claims the
+    // profile key first, and the waiting cells reuse its outcome.
+    const KernelSpec &k =
+        kernelByName("RGB:YCrCb converter/subsampler");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variant("Sequential");
+    req.model = models::byName("I4C8S4");
+    req.geometry = FrameGeometry{48, 32};
+    req.profileUnits = 1;
+    ExperimentRequest twin = req;
+    twin.model.name = "I4C8S4-wide";
+    twin.model.cluster.issueSlots += 1;
+    twin.model.cluster.regFilePorts += 3;
+
+    std::vector<ExperimentRequest> batch(16, req);
+    batch.push_back(twin);
+    ExperimentCache cache;
+    obs::StatsRegistry stats;
+    SweepOptions opts;
+    opts.threads = 8;
+    opts.cache = &cache;
+    opts.stats = &stats;
+    std::vector<ExperimentResult> results = SweepRunner(opts).run(batch);
+
+    EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 17u);
+    EXPECT_EQ(stats.counterValue("stage/prefix/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/interp/requests"), 17u);
+    EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/lowering_prefix/runs"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/compose/runs"), 17u);
+
+    ASSERT_EQ(results.size(), 17u);
+    const ExperimentResult alone = runExperiment(req);
+    EXPECT_TRUE(alone.passed) << alone.note;
+    for (size_t i = 0; i < 16; ++i)
+        expectBitIdentical(results[i], alone);
+    expectBitIdentical(results[16], runExperiment(twin));
+}
+
+/** Counters that must not depend on the thread count: all but *_us. */
+std::map<std::string, uint64_t>
+countersWithoutWallTime(const obs::StatsRegistry &stats)
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto &[path, value] : stats.counters()) {
+        if (path.size() < 3 ||
+            path.compare(path.size() - 3, 3, "_us") != 0)
+            out.emplace(path, value);
+    }
+    return out;
+}
+
 TEST(SweepRunnerTest, Table1GridIsDeterministicAcrossThreadCounts)
 {
     std::vector<ExperimentRequest> grid = table1Grid();
     ASSERT_GE(grid.size(), 100u);
 
+    obs::StatsRegistry serial_stats;
     SweepOptions serial_opts;
     serial_opts.threads = 1;
-    serial_opts.useCache = false;
+    serial_opts.stats = &serial_stats;
     SweepRunner serial(serial_opts);
     std::vector<ExperimentResult> base = serial.run(grid);
 
-    // The pooled run goes through a (private, cold) cache, so this
-    // single pass checks both parallel determinism and the cached
-    // code path against the 1-thread uncached reference.
+    // The pooled run goes through a private cache with no disk, as
+    // `--no-disk-cache` does; the serial one through the global one.
     ExperimentCache cache;
+    obs::StatsRegistry pooled_stats;
     SweepOptions pooled_opts;
     pooled_opts.threads = 8;
     pooled_opts.cache = &cache;
+    pooled_opts.stats = &pooled_stats;
     SweepRunner pooled(pooled_opts);
     std::vector<ExperimentResult> par = pooled.run(grid);
+
+    // The same work runs at any thread count: one prefix per
+    // (kernel, variant), one interpreter run per profile key.
+    EXPECT_EQ(serial_stats.counterValue("stage/prefix/requests"), 180u);
+    EXPECT_EQ(serial_stats.counterValue("stage/prefix/unique"), 36u);
+    EXPECT_EQ(serial_stats.counterValue("stage/interp/requests"), 180u);
+    EXPECT_EQ(serial_stats.counterValue("stage/interp/unique"), 101u);
+    EXPECT_EQ(serial_stats.counterValue("phase/interp_sim/runs"), 101u);
+    EXPECT_EQ(countersWithoutWallTime(serial_stats),
+              countersWithoutWallTime(pooled_stats));
 
     ASSERT_EQ(base.size(), grid.size());
     ASSERT_EQ(par.size(), grid.size());
