@@ -59,23 +59,37 @@ struct Unit
     int tracePids = 0; ///< trace process ids the unit used.
 };
 
-/** Cycle-simulate the kernel's most-optimized variant on the model. */
+/**
+ * The most-optimized variant of the unit's kernel (variants are
+ * ordered as the paper's rows: least to most optimized) and the
+ * machine it runs on.
+ */
+const VariantSpec &
+unitVariant(const Unit &unit)
+{
+    return unit.kernel->variants.back();
+}
+
+MachineModel
+unitMachine(const Unit &unit)
+{
+    DatapathConfig cfg = *unit.model;
+    if (unitVariant(unit).needsAbsDiff && !cfg.cluster.hasAbsDiff)
+        cfg.cluster.hasAbsDiff = true;
+    return MachineModel(cfg);
+}
+
+/** Cycle-simulate the unit's lowered variant on its model. */
 void
-simulate(Unit &unit, const FrameGeometry &geom, bool traced)
+simulate(Unit &unit, Function fn, const FrameGeometry &geom,
+         bool traced)
 {
     const KernelSpec &k = *unit.kernel;
-    // Variants are ordered as the paper's rows: least to most
-    // optimized. Take the last.
-    const VariantSpec &v = k.variants.back();
-    DatapathConfig cfg = *unit.model;
-    if (v.needsAbsDiff && !cfg.cluster.hasAbsDiff)
-        cfg.cluster.hasAbsDiff = true;
-    MachineModel machine(cfg);
-
-    Function fn = lowerVariant(k, v, machine);
+    MachineModel machine = unitMachine(unit);
+    checkForMachine(fn, machine);
     MemoryImage mem(fn);
     k.prepare(fn, mem, geom, 0);
-    CycleSim sim(machine, v.mode);
+    CycleSim sim(machine, unitVariant(unit).mode);
     if (traced)
         sim.setTrace(&unit.trace, 0, unit.model->name + "/" + k.name);
     unit.report = sim.run(fn, mem, &unit.telemetry);
@@ -107,24 +121,29 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     const bool traced = !opts.traceFile.empty();
     const auto &kernels = allKernels();
 
-    // Every (model, kernel) unit is one task on one pool, and the
-    // units' modulo schedulers borrow the same pool for speculative
-    // II waves: TaskGroup's caller-runs wait keeps that nesting
-    // deadlock-free, and the waves are bit-identical at any width
-    // (see ModuloScheduler::setIiSearch). Joined before the
-    // full-search sweep below opens its own pool.
+    // The (model, kernel) units lower through the sweep's stages: one
+    // prefix per variant, one lowering per LoweringTarget. Each unit
+    // is then one task on one pool, and the units' modulo schedulers
+    // borrow the same pool for speculative II waves: TaskGroup's
+    // caller-runs wait keeps that nesting deadlock-free, and the
+    // waves are bit-identical at any width (see
+    // ModuloScheduler::setIiSearch). Joined before the full-search
+    // sweep below opens its own pool.
     std::vector<Unit> units(model_set.size() * kernels.size());
+    LoweringStages stages;
+    for (size_t u = 0; u < units.size(); ++u) {
+        units[u].model = &model_set[u / kernels.size()];
+        units[u].kernel = &kernels[u % kernels.size()];
+        const VariantSpec &v = unitVariant(units[u]);
+        stages.add(u, v, loweringTarget(v, unitMachine(units[u])));
+    }
     {
         ThreadPool pool(opts.threads);
         ModuloScheduler::setIiSearch(&pool);
-        for (size_t u = 0; u < units.size(); ++u) {
-            units[u].model = &model_set[u / kernels.size()];
-            units[u].kernel = &kernels[u % kernels.size()];
-            pool.submit([&units, &geom, traced, u] {
-                simulate(units[u], geom, traced);
-            });
-        }
-        pool.wait();
+        stages.run(&pool, [&units, &geom, traced](size_t u, Function fn,
+                                                   uint64_t) {
+            simulate(units[u], std::move(fn), geom, traced);
+        });
         ModuloScheduler::setIiSearch(nullptr);
     }
     if (traced) {

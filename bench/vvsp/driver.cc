@@ -481,6 +481,14 @@ runSections(const ExperimentSpec &spec,
     SweepRunner runner(sopts);
     const std::vector<ExperimentResult> results = runner.run(requests);
 
+    // The distance from the paper, as counters a ledger diff flags.
+    const FidelityScorecard card = scoreFidelity(grids, results);
+    const obs::StatsScope fidelity =
+        sinks.stats().scope("fidelity").scope(spec.name);
+    card.batch.record(fidelity);
+    for (size_t i = 0; i < sections.size(); ++i)
+        card.sections[i].record(fidelity.scope(sections[i]->alias));
+
     // Several sections under --json form one array of the
     // per-section objects; a single section prints its object alone.
     const bool json_array = opts.json && sections.size() > 1;

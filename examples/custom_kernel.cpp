@@ -111,12 +111,13 @@ main()
         passes::licm(fn, /*max_loads=*/32);
         passes::cleanup(fn);
         passes::strengthReduce(fn);
-        passes::decomposeMultiplies(fn, machine);
-        passes::lowerAddressing(fn, machine);
+        passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
+        passes::lowerAddressing(fn, LoweringTarget::of(machine));
         passes::cleanup(fn);
         fn.renumberAll();
         verifyOrDie(fn);
-        assignBanks(fn, machine);
+        assignBanks(fn, machine.memBanks());
+        checkBankCapacity(fn, machine);
 
         // Inputs.
         std::vector<uint16_t> samples(kSamples + kTaps);

@@ -38,8 +38,8 @@ main()
     // Target the paper's initial 32-issue model.
     MachineModel machine(models::i4c8s4());
     passes::strengthReduce(fn);
-    passes::decomposeMultiplies(fn, machine);
-    passes::lowerAddressing(fn, machine);
+    passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
+    passes::lowerAddressing(fn, LoweringTarget::of(machine));
     passes::cleanup(fn);
     verifyOrDie(fn);
 

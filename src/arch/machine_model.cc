@@ -1,5 +1,7 @@
 #include "arch/machine_model.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace vvsp
@@ -135,6 +137,18 @@ MachineModel::slotAllows(int slot, const Operation &op) const
         return true;
     }
     return false;
+}
+
+LoweringTarget
+LoweringTarget::of(const MachineModel &machine, int gang)
+{
+    LoweringTarget t;
+    t.mul16 = machine.hasMul16();
+    t.complexAddressing = machine.complexAddressing();
+    t.partitionClusters =
+        gang > 1 ? std::min(gang, machine.clusters()) : 1;
+    t.memBanks = machine.memBanks();
+    return t;
 }
 
 } // namespace vvsp

@@ -103,6 +103,34 @@ class MachineModel
     std::vector<SlotCaps> slots_;
 };
 
+/**
+ * The machine facts that lowering reads (core/experiment.hh stage 3),
+ * and nothing else. The lowering passes take a target instead of a
+ * MachineModel, so machines with equal targets lower a variant's
+ * prefix to the same function, and a target is a complete key for
+ * sharing one lowering between them.
+ */
+struct LoweringTarget
+{
+    /** 16x16 multiplier: Mul16Lo stays whole (decomposeMultiplies). */
+    bool mul16 = false;
+    /** Fold address adds into memory ops (lowerAddressing). */
+    bool complexAddressing = false;
+    /** Clusters one unit's code is ganged over (autoPartition); 1
+     *  when it is not ganged. */
+    int partitionClusters = 1;
+    /** Banks the buffers are numbered over (assignBanks). */
+    int memBanks = 1;
+
+    /**
+     * The target of `machine` for code ganged over `gang` clusters
+     * (at most the machine's; 1 leaves the code on cluster 0).
+     */
+    static LoweringTarget of(const MachineModel &machine, int gang = 1);
+
+    bool operator==(const LoweringTarget &) const = default;
+};
+
 } // namespace vvsp
 
 #endif // VVSP_ARCH_MACHINE_MODEL_HH

@@ -58,15 +58,18 @@ timedPass(const obs::StatsScope &xform, const char *name,
 } // anonymous namespace
 
 void
-assignBanks(Function &fn, const MachineModel &machine)
+assignBanks(Function &fn, int banks)
 {
-    int banks = machine.memBanks();
     std::map<int, int> next_bank; // per cluster.
     for (auto &b : fn.buffers)
         b.bank = banks <= 1 ? 0 : next_bank[b.cluster]++ % banks;
+}
 
-    // Capacity: every (cluster, bank) working set must fit in one
-    // bank (the paper additionally halves usable capacity for double
+void
+checkBankCapacity(const Function &fn, const MachineModel &machine)
+{
+    // Every (cluster, bank) working set must fit in one bank (the
+    // paper additionally halves usable capacity for double
     // buffering; conclusions report the working set explicitly).
     for (const auto &b : fn.buffers) {
         int words = fn.bufferWords(b.cluster, b.bank);
@@ -96,23 +99,28 @@ lowerMachineFree(const VariantSpec &variant)
     return fn;
 }
 
+LoweringTarget
+loweringTarget(const VariantSpec &variant, const MachineModel &machine)
+{
+    return LoweringTarget::of(machine, variant.gangAllClusters
+                                           ? machine.clusters()
+                                           : variant.gangClusters);
+}
+
 void
-lowerForMachine(Function &fn, const VariantSpec &variant,
-                const MachineModel &machine)
+lowerForMachine(Function &fn, const LoweringTarget &target)
 {
     obs::StatsScope xform = obs::globalScope("xform");
     xform.bump("lowerings");
     timedPass(xform, "decompose_multiplies", fn,
-              [&] { passes::decomposeMultiplies(fn, machine); });
+              [&] { passes::decomposeMultiplies(fn, target); });
     timedPass(xform, "lower_addressing", fn,
-              [&] { passes::lowerAddressing(fn, machine); });
+              [&] { passes::lowerAddressing(fn, target); });
     timedPass(xform, "cleanup", fn, [&] { passes::cleanup(fn); });
     fn.renumberAll();
     verifyOrDie(fn);
 
-    int gang = variant.gangAllClusters ? machine.clusters()
-                                       : variant.gangClusters;
-    if (gang > 1) {
+    if (target.partitionClusters > 1) {
         bool hand_assigned = false;
         passes::forEachBlock(fn, [&hand_assigned](BlockNode &block) {
             for (const auto &op : block.ops) {
@@ -121,10 +129,8 @@ lowerForMachine(Function &fn, const VariantSpec &variant,
             }
         });
         if (!hand_assigned) {
-            timedPass(xform, "auto_partition", fn, [&] {
-                autoPartition(fn, machine,
-                              std::min(gang, machine.clusters()));
-            });
+            timedPass(xform, "auto_partition", fn,
+                      [&] { autoPartition(fn, target); });
         }
         timedPass(xform, "replicate_buffers", fn,
                   [&] { replicateReadOnlyBuffers(fn); });
@@ -133,8 +139,14 @@ lowerForMachine(Function &fn, const VariantSpec &variant,
         fn.renumberAll();
         verifyOrDie(fn);
     }
+    assignBanks(fn, target.memBanks);
+}
+
+void
+checkForMachine(const Function &fn, const MachineModel &machine)
+{
     validateClusterAssignment(fn, machine);
-    assignBanks(fn, machine);
+    checkBankCapacity(fn, machine);
 }
 
 Function
@@ -143,7 +155,8 @@ lowerVariant(const KernelSpec &kernel, const VariantSpec &variant,
 {
     (void)kernel;
     Function fn = lowerMachineFree(variant);
-    lowerForMachine(fn, variant, machine);
+    lowerForMachine(fn, loweringTarget(variant, machine));
+    checkForMachine(fn, machine);
     return fn;
 }
 
@@ -182,8 +195,7 @@ interpretCell(const ExperimentRequest &req, const Function &fn)
         for (int u = 0; u < req.profileUnits; ++u) {
             MemoryImage mem(fn);
             kernel.prepare(fn, mem, req.geometry, u);
-            MemoryImage expected(fn);
-            kernel.prepare(fn, expected, req.geometry, u);
+            MemoryImage expected = mem;
 
             out.avg.accumulate(engine.run(mem));
 

@@ -9,11 +9,13 @@
  *  2. machine-free lowering prefix (lowerMachineFree): build the
  *     variant's IR, apply its transform recipe, cleanup, strength
  *     reduction;
- *  3. per-machine lowering of a clone of the prefix
- *     (lowerForMachine): 16x16 multiply decomposition,
- *     addressing-mode split/fold, cleanup, cluster ganging
- *     (hand-assigned or greedy) and inter-cluster transfer insertion,
- *     memory-bank assignment, capacity checks;
+ *  3. per-target lowering of a clone of the prefix
+ *     (lowerForMachine), which reads the machine only through its
+ *     LoweringTarget: 16x16 multiply decomposition, addressing-mode
+ *     split/fold, cleanup, cluster ganging (hand-assigned or greedy)
+ *     and inter-cluster transfer insertion, memory-bank numbering;
+ *     then, per cell, the checks against the cell's own machine
+ *     (checkForMachine: cluster range and bank capacity);
  *  4. functional validation (interpretCell): the bytecode engine's
  *     output buffers must match the golden reference bit-exactly on
  *     several units, and the run yields the execution profile;
@@ -96,13 +98,31 @@ ExperimentResult runExperiment(const ExperimentRequest &req,
  */
 Function lowerMachineFree(const VariantSpec &variant);
 
-/** Stage 3: lower a machine-free prefix (in place) for a machine. */
-void lowerForMachine(Function &fn, const VariantSpec &variant,
-                     const MachineModel &machine);
+/**
+ * The LoweringTarget (arch/machine_model.hh) of a variant on a
+ * machine: ganged variants partition over min(gang, clusters)
+ * clusters, the others over one.
+ */
+LoweringTarget loweringTarget(const VariantSpec &variant,
+                              const MachineModel &machine);
 
 /**
- * Lower a variant's IR for a machine (stages 2-3) without running
- * it; exposed for tests, the cycle simulator and `vvsp asm`.
+ * Stage 3: lower a machine-free prefix (in place) for a target.
+ * Every machine with this target gets the same function.
+ */
+void lowerForMachine(Function &fn, const LoweringTarget &target);
+
+/**
+ * Stage 3, per cell: the checks a lowering must pass on the cell's
+ * own machine (validateClusterAssignment, checkBankCapacity); fatal
+ * when one fails.
+ */
+void checkForMachine(const Function &fn, const MachineModel &machine);
+
+/**
+ * Lower a variant's IR for a machine (stages 2-3: prefix, the
+ * machine's target, its checks) without running it; exposed for
+ * tests, the cycle simulator and `vvsp asm`.
  */
 Function lowerVariant(const KernelSpec &kernel,
                       const VariantSpec &variant,
@@ -124,8 +144,14 @@ ExperimentResult composeCell(const ExperimentRequest &req,
                              const MachineModel &machine, Function &fn,
                              const UnitProfileEntry &profile);
 
-/** Round-robin buffers onto the cluster's memory banks. */
-void assignBanks(Function &fn, const MachineModel &machine);
+/** Round-robin each cluster's buffers onto its `banks` banks. */
+void assignBanks(Function &fn, int banks);
+
+/**
+ * Fatal unless every (cluster, bank) working set fits one bank of
+ * `machine`.
+ */
+void checkBankCapacity(const Function &fn, const MachineModel &machine);
 
 } // namespace vvsp
 

@@ -13,9 +13,10 @@
  * disk_cache.hh, when attached), the complete ExperimentResult of a
  * cell, looked up before any work and published after it, with only
  * the display model name patched per request. Work repeated inside
- * one batch (a variant's machine-free prefix, one interpreter run
- * per profile key) is shared by the sweep's stages instead
- * (core/sweep.hh); profileKey() is the key of that interpreter stage.
+ * one batch (a variant's machine-free prefix, its lowering per
+ * LoweringTarget, one interpreter run per profile key) is shared by
+ * the sweep's stages instead (core/sweep.hh); profileKey() is the
+ * key of that interpreter stage.
  *
  * The unit-profile memo (findProfile/storeProfile) is no longer
  * called by the pipeline. It is kept only for perfbench's traced

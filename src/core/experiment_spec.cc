@@ -1,7 +1,10 @@
 #include "core/experiment_spec.hh"
 
+#include <cmath>
+
 #include "arch/model_registry.hh"
 #include "kernels/kernel.hh"
+#include "obs/stats_registry.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -327,6 +330,64 @@ lowerSection(const ExperimentSpec &spec, const SpecSection &section,
         }
     }
     return grid;
+}
+
+double
+Fidelity::geomeanErrPct() const
+{
+    if (cells == 0)
+        return 0;
+    return 100.0 * (std::exp(sumAbsLog / static_cast<double>(cells)) -
+                    1.0);
+}
+
+void
+Fidelity::record(const obs::StatsScope &scope) const
+{
+    if (cells == 0)
+        return;
+    scope.bump("geomean_err_mpct",
+               static_cast<uint64_t>(std::llround(geomeanErrPct() * 1e3)));
+    scope.bump("worst_factor_milli",
+               static_cast<uint64_t>(std::llround(worstFactor * 1e3)));
+    scope.bump("slower_cells", slower);
+}
+
+FidelityScorecard
+scoreFidelity(const std::vector<SectionGrid> &grids,
+              std::span<const ExperimentResult> results)
+{
+    FidelityScorecard card;
+    size_t i = 0;
+    for (const SectionGrid &grid : grids) {
+        Fidelity &f = card.sections.emplace_back();
+        for (size_t j = 0; j < grid.requests.size(); ++j, ++i) {
+            const double paper = grid.paperCycles[j];
+            const ExperimentResult &r = results[i];
+            if (paper <= 0 || r.cyclesPerFrame <= 0)
+                continue;
+            const double log_ratio = std::log(r.cyclesPerFrame / paper);
+            ++f.cells;
+            f.sumAbsLog += std::abs(log_ratio);
+            f.slower += log_ratio > 0;
+            const double factor = std::exp(std::abs(log_ratio));
+            if (factor > f.worstFactor) {
+                f.worstFactor = factor;
+                f.worstCell =
+                    r.kernel + " / " + r.variant + " / " + r.model;
+            }
+        }
+        card.batch.cells += f.cells;
+        card.batch.sumAbsLog += f.sumAbsLog;
+        card.batch.slower += f.slower;
+        if (f.worstFactor > card.batch.worstFactor) {
+            card.batch.worstFactor = f.worstFactor;
+            card.batch.worstCell = f.worstCell;
+        }
+    }
+    vvsp_assert(i == results.size(), "%zu results for %zu cells",
+                results.size(), i);
+    return card;
 }
 
 } // namespace vvsp

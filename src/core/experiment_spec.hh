@@ -16,6 +16,7 @@
 #ifndef VVSP_CORE_EXPERIMENT_SPEC_HH
 #define VVSP_CORE_EXPERIMENT_SPEC_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@
 
 namespace vvsp
 {
+
+namespace obs
+{
+class StatsScope;
+} // namespace obs
 
 /**
  * One table row: a schedule variant plus the paper's published
@@ -92,6 +98,50 @@ struct SectionGrid
     std::vector<double> paperCycles;
     std::vector<std::string> rowNames;
 };
+
+/**
+ * How far a set of cells lies from the paper's published values;
+ * cells the paper prints no value for do not count. Over Table 1,
+ * geomeanErrPct() is the benchmark's paper_err_pct.
+ */
+struct Fidelity
+{
+    /** Cells with a published value. */
+    size_t cells = 0;
+    /** Sum of |ln(measured / paper)| over those cells. */
+    double sumAbsLog = 0;
+    /** Cells that take more cycles than the paper's. */
+    size_t slower = 0;
+    /** The cell farthest from its paper value, as a factor >= 1... */
+    double worstFactor = 1;
+    /** ... and it, as "kernel / variant / model". */
+    std::string worstCell;
+
+    /** 100 * (exp(mean |ln(measured / paper)|) - 1), in percent. */
+    double geomeanErrPct() const;
+
+    /**
+     * Record under `scope` as integer counters, each lower-is-better:
+     * geomean_err_mpct (thousandths of a percent), worst_factor_milli
+     * (thousandths) and slower_cells. Nothing without cells.
+     */
+    void record(const obs::StatsScope &scope) const;
+};
+
+/** A batch's Fidelity, section by section and over the whole batch. */
+struct FidelityScorecard
+{
+    std::vector<Fidelity> sections;
+    Fidelity batch;
+};
+
+/**
+ * Score a batch of section grids against the paper: `results` holds
+ * the cells of `grids` in order, as one SweepRunner batch returns
+ * them.
+ */
+FidelityScorecard scoreFidelity(const std::vector<SectionGrid> &grids,
+                                std::span<const ExperimentResult> results);
 
 /**
  * Lower a section through the model registry. `model_filter` (a

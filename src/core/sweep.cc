@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -48,13 +49,17 @@ cellConfig(const ExperimentRequest &req)
     return cfg;
 }
 
-/** A machine-free prefix and the count of cells still to clone it. */
-struct Prefix
+/**
+ * A function that several tasks clone (a prefix, a target's
+ * lowering) and the count of clones still to take; the count is
+ * known when it is made.
+ */
+struct Shared
 {
     std::optional<Function> fn;
     std::atomic<size_t> clonesLeft;
 
-    /** One cell's copy; the last copy frees the prefix. */
+    /** One task's copy; the last copy frees the function. */
     Function take()
     {
         Function copy = fn->clone();
@@ -66,11 +71,11 @@ struct Prefix
 
 /**
  * One batch through the stages of experiment.hh. The disk lookups
- * and the grouping of the misses by variant are barriers over the
- * batch. Each group then lowers its prefix once and fans its cells
- * out on the pool through a TaskGroup, one task per cell for stages
- * 3-5, so a running cell holds at most its own machine-lowered
- * Function.
+ * and the grouping of the misses by variant and target are barriers
+ * over the batch. LoweringStages then lowers each prefix and each
+ * target once and fans the cells out on the pool, one task per cell
+ * for the rest of stage 3 and stages 4-5, so a running cell holds at
+ * most its own lowered Function.
  */
 class Batch
 {
@@ -88,18 +93,10 @@ class Batch
     std::vector<ExperimentResult> run();
 
   private:
-    /** Cells of the batch that share one machine-free prefix. */
-    struct PrefixGroup
-    {
-        const VariantSpec *variant;
-        std::vector<size_t> cells;
-    };
-
     bool lookup(size_t i);
-    void runGroup(const PrefixGroup &group);
-    void runCell(size_t i, Prefix &prefix);
+    void runCell(size_t i, Function fn, uint64_t fingerprint);
     UnitProfileEntry profile(const ExperimentRequest &req,
-                             const Function &fn);
+                             const Function &fn, uint64_t fingerprint);
     void finishCell(size_t i, Clock::time_point t0);
     void traceSlice(const ExperimentRequest &req, const char *category,
                     Clock::time_point t0,
@@ -138,27 +135,32 @@ Batch::run()
         forEachOnPool(pool_, n, [&](size_t i) { hit[i] = lookup(i); });
     }
 
-    // The misses, grouped by variant in request order: a variant's
-    // prefix is the same for every model.
-    std::vector<PrefixGroup> groups;
-    std::unordered_map<const VariantSpec *, size_t> group_of;
+    // The misses, grouped in request order: a variant's prefix is the
+    // same for every model, and its lowering for every machine with
+    // the same target.
+    LoweringStages stages;
     size_t misses = 0;
     for (size_t i = 0; i < n; ++i) {
         if (hit[i])
             continue;
         ++misses;
-        const VariantSpec *variant = requests_[i].variant;
-        auto [it, fresh] = group_of.try_emplace(variant, groups.size());
-        if (fresh)
-            groups.push_back(PrefixGroup{variant, {}});
-        groups[it->second].cells.push_back(i);
+        const ExperimentRequest &req = requests_[i];
+        stages.add(i, *req.variant,
+                   loweringTarget(*req.variant,
+                                  MachineModel(cellConfig(req))));
     }
-    forEachOnPool(pool_, groups.size(),
-                  [&](size_t g) { runGroup(groups[g]); });
+    stages.run(
+        pool_,
+        [this](size_t i, Function fn, uint64_t fingerprint) {
+            runCell(i, std::move(fn), fingerprint);
+        },
+        [this](const char *stage, size_t first, Clock::time_point t0,
+               size_t cells) {
+            traceSlice(requests_[first], stage, t0,
+                       {{"cells", std::to_string(cells)}});
+        });
 
     obs::StatsScope stage = obs::globalScope("stage");
-    stage.bump("prefix/requests", misses);
-    stage.bump("prefix/unique", groups.size());
     stage.bump("interp/requests", misses);
     stage.bump("interp/unique", profiles_.size());
     return std::move(results_);
@@ -177,39 +179,14 @@ Batch::lookup(size_t i)
 }
 
 void
-Batch::runGroup(const PrefixGroup &group)
-{
-    const ExperimentRequest &first = requests_[group.cells.front()];
-    const Clock::time_point t0 = Clock::now();
-    Prefix prefix{obs::timedPhase(obs::globalScope("phase"),
-                                  "lowering_prefix",
-                                  [&] {
-                                      return lowerMachineFree(
-                                          *group.variant);
-                                  }),
-                  group.cells.size()};
-    traceSlice(first, "prefix", t0,
-               {{"cells", std::to_string(group.cells.size())}});
-
-    TaskGroup cells(pool_);
-    for (size_t i : group.cells)
-        cells.submit([this, i, &prefix] { runCell(i, prefix); });
-    cells.wait();
-}
-
-void
-Batch::runCell(size_t i, Prefix &prefix)
+Batch::runCell(size_t i, Function fn, uint64_t fingerprint)
 {
     const ExperimentRequest &req = requests_[i];
     const Clock::time_point t0 = Clock::now();
     MachineModel machine(cellConfig(req));
-    Function fn =
-        obs::timedPhase(obs::globalScope("phase"), "lowering", [&] {
-            Function lowered = prefix.take();
-            lowerForMachine(lowered, *req.variant, machine);
-            return lowered;
-        });
-    ExperimentResult res = composeCell(req, machine, fn, profile(req, fn));
+    checkForMachine(fn, machine);
+    ExperimentResult res =
+        composeCell(req, machine, fn, profile(req, fn, fingerprint));
     // Degraded results are budget-dependent; never cache them (the
     // content key doesn't include the budget).
     if (cache_ && res.comp.degradedRegions == 0)
@@ -219,12 +196,12 @@ Batch::runCell(size_t i, Prefix &prefix)
 }
 
 UnitProfileEntry
-Batch::profile(const ExperimentRequest &req, const Function &fn)
+Batch::profile(const ExperimentRequest &req, const Function &fn,
+               uint64_t fingerprint)
 {
     // The key is machine-free: models whose lowerings coincide share
     // one interpreter run.
-    const std::string key =
-        ExperimentCache::profileKey(req, functionFingerprint(fn));
+    const std::string key = ExperimentCache::profileKey(req, fingerprint);
     std::promise<UnitProfileEntry> claim;
     std::shared_future<UnitProfileEntry> entry;
     bool owner = false;
@@ -287,6 +264,83 @@ Batch::traceSlice(const ExperimentRequest &req, const char *category,
 }
 
 } // anonymous namespace
+
+void
+LoweringStages::add(size_t unit, const VariantSpec &variant,
+                    const LoweringTarget &target)
+{
+    auto v = std::find_if(variants_.begin(), variants_.end(),
+                          [&](const Variant &g) {
+                              return g.variant == &variant;
+                          });
+    if (v == variants_.end())
+        v = variants_.insert(v, Variant{&variant, {}});
+    auto t = std::find_if(v->targets.begin(), v->targets.end(),
+                          [&](const Target &g) {
+                              return g.target == target;
+                          });
+    if (t == v->targets.end())
+        t = v->targets.insert(t, Target{target, {}});
+    t->units.push_back(unit);
+    ++v->units;
+    ++units_;
+}
+
+void
+LoweringStages::run(ThreadPool *pool, const UnitFn &unit,
+                    const StageFn &stage) const
+{
+    const obs::StatsScope phase = obs::globalScope("phase");
+    auto lower = [&](const Target &group, Shared &prefix) {
+        const Clock::time_point t0 = Clock::now();
+        Shared lowered{obs::timedPhase(phase, "lowering",
+                                       [&] {
+                                           Function fn = prefix.take();
+                                           lowerForMachine(fn,
+                                                           group.target);
+                                           return fn;
+                                       }),
+                       group.units.size()};
+        const uint64_t fingerprint = functionFingerprint(*lowered.fn);
+        if (stage)
+            stage("lower", group.units.front(), t0, group.units.size());
+
+        TaskGroup cells(pool);
+        for (size_t i : group.units) {
+            cells.submit([&unit, &lowered, fingerprint, i] {
+                unit(i, lowered.take(), fingerprint);
+            });
+        }
+        cells.wait();
+    };
+    forEachOnPool(pool, variants_.size(), [&](size_t g) {
+        const Variant &group = variants_[g];
+        const Clock::time_point t0 = Clock::now();
+        Shared prefix{obs::timedPhase(phase, "lowering_prefix",
+                                      [&] {
+                                          return lowerMachineFree(
+                                              *group.variant);
+                                      }),
+                      group.targets.size()};
+        if (stage)
+            stage("prefix", group.targets.front().units.front(), t0,
+                  group.units);
+
+        TaskGroup targets(pool);
+        for (const Target &t : group.targets)
+            targets.submit([&lower, &t, &prefix] { lower(t, prefix); });
+        targets.wait();
+    });
+
+    size_t targets = 0;
+    for (const Variant &v : variants_)
+        targets += v.targets.size();
+    obs::StatsScope counts = obs::globalScope("stage");
+    counts.bump("prefix/requests", units_);
+    counts.bump("prefix/unique", variants_.size());
+    counts.bump("lower/requests", units_);
+    counts.bump("lower/unique", targets);
+}
 
 ExperimentResult
 runExperiment(const ExperimentRequest &req, ExperimentCache *cache)

@@ -20,10 +20,6 @@
 #include "kernels/kernel.hh"
 
 #include "ir/builder.hh"
-
-#include <map>
-#include <mutex>
-
 #include "support/logging.hh"
 #include "video/synthetic.hh"
 #include "xform/passes.hh"
@@ -245,37 +241,21 @@ goldenCsc(const Function &fn, MemoryImage &mem)
     }
 }
 
-const RgbFrame &
-rgbFor(const FrameGeometry &geom)
-{
-    // Shared across sweep workers; map nodes are stable, so the
-    // reference stays valid after the lock is released.
-    static std::map<std::pair<int, int>, RgbFrame> cache;
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(geom.width, geom.height);
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-        SyntheticVideo video(geom.width, geom.height, 23);
-        it = cache.emplace(key, video.rgbFrame(0)).first;
-    }
-    return it->second;
-}
-
 void
 prepareCscUnit(const Function &fn, MemoryImage &mem,
                const FrameGeometry &geom, int index)
 {
-    const RgbFrame &frame = rgbFor(geom);
+    const SyntheticVideo video(geom.width, geom.height, 23);
     int mbx = index % geom.macroblocksX();
     int mby = (index / geom.macroblocksX()) % geom.macroblocksY();
     std::vector<uint16_t> r(256), g(256), bch(256);
     for (int y = 0; y < 16; ++y) {
         for (int x = 0; x < 16; ++x) {
             size_t i = static_cast<size_t>(y * 16 + x);
-            r[i] = frame.r.at(mbx * 16 + x, mby * 16 + y);
-            g[i] = frame.g.at(mbx * 16 + x, mby * 16 + y);
-            bch[i] = frame.b.at(mbx * 16 + x, mby * 16 + y);
+            Rgb c = video.rgbAt(mbx * 16 + x, mby * 16 + y, 0);
+            r[i] = c.r;
+            g[i] = c.g;
+            bch[i] = c.b;
         }
     }
     fillAllByName(fn, mem, "r", r);

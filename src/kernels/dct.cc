@@ -30,8 +30,6 @@
 
 #include <array>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "support/logging.hh"
 #include "video/synthetic.hh"
@@ -567,28 +565,11 @@ goldenTraditionalOpt(const Function &fn, MemoryImage &mem)
 // Shared prepare.
 // ---------------------------------------------------------------------
 
-const Plane &
-lumaFor(const FrameGeometry &geom)
-{
-    // Shared across sweep workers; map nodes are stable, so the
-    // reference stays valid after the lock is released.
-    static std::map<std::pair<int, int>, Plane> cache;
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(geom.width, geom.height);
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-        SyntheticVideo video(geom.width, geom.height, 11);
-        it = cache.emplace(key, video.lumaFrame(0)).first;
-    }
-    return it->second;
-}
-
 void
 prepareDctUnit(const Function &fn, MemoryImage &mem,
                const FrameGeometry &geom, int index)
 {
-    const Plane &luma = lumaFor(geom);
+    const SyntheticVideo video(geom.width, geom.height, 11);
     int bw = geom.width / 8;
     int bh = geom.height / 8;
     int bx = index % bw;
@@ -597,7 +578,8 @@ prepareDctUnit(const Function &fn, MemoryImage &mem,
     std::vector<uint16_t> block(64);
     for (int y = 0; y < 8; ++y) {
         for (int x = 0; x < 8; ++x) {
-            int v = static_cast<int>(luma.at(bx * 8 + x, by * 8 + y)) -
+            int v = static_cast<int>(
+                        video.lumaAt(bx * 8 + x, by * 8 + y, 0)) -
                     128;
             block[static_cast<size_t>(y * 8 + x)] =
                 static_cast<uint16_t>(v);

@@ -24,12 +24,10 @@
 
 #include "ir/builder.hh"
 
+#include <algorithm>
 #include <array>
-#include <map>
-#include <mutex>
 
 #include "support/logging.hh"
-#include "video/mpeg.hh"
 #include "video/synthetic.hh"
 #include "xform/passes.hh"
 
@@ -445,43 +443,32 @@ goldenThreeStep(const Function &fn, MemoryImage &mem)
 // Workload preparation (shared).
 // ---------------------------------------------------------------------
 
-struct FramePair
-{
-    Plane prev;
-    Plane next;
-};
-
-const FramePair &
-framesFor(const FrameGeometry &geom)
-{
-    // Shared across sweep workers; map nodes are stable, so the
-    // reference stays valid after the lock is released.
-    static std::map<std::pair<int, int>, FramePair> cache;
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(geom.width, geom.height);
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-        SyntheticVideo video(geom.width, geom.height, 7);
-        it = cache.emplace(key,
-                           FramePair{video.lumaFrame(0),
-                                     video.lumaFrame(1)})
-                 .first;
-    }
-    return it->second;
-}
-
 void
 prepareSearchUnit(const Function &fn, MemoryImage &mem,
                   const FrameGeometry &geom, int index)
 {
-    const FramePair &frames = framesFor(geom);
+    // The current macroblock from frame 1 and its search window,
+    // edge-replicated at the frame border, from frame 0.
+    const SyntheticVideo video(geom.width, geom.height, 7);
     int mbx = index % geom.macroblocksX();
     int mby = (index / geom.macroblocksX()) % geom.macroblocksY();
-    fillAllByName(fn, mem, "cur",
-                  extractMacroblock(frames.next, mbx, mby));
-    fillAllByName(fn, mem, "win",
-                  extractSearchWindow(frames.prev, mbx, mby));
+    std::vector<uint16_t> cur(256), win(32 * 32);
+    for (int y = 0; y < 16; ++y) {
+        for (int x = 0; x < 16; ++x) {
+            cur[static_cast<size_t>(y * 16 + x)] =
+                video.lumaAt(mbx * 16 + x, mby * 16 + y, 1);
+        }
+    }
+    for (int y = 0; y < 32; ++y) {
+        int wy = std::clamp(mby * 16 + y - 8, 0, geom.height - 1);
+        for (int x = 0; x < 32; ++x) {
+            int wx = std::clamp(mbx * 16 + x - 8, 0, geom.width - 1);
+            win[static_cast<size_t>(y * 32 + x)] =
+                video.lumaAt(wx, wy, 0);
+        }
+    }
+    fillAllByName(fn, mem, "cur", cur);
+    fillAllByName(fn, mem, "win", win);
 }
 
 double

@@ -25,8 +25,6 @@
 
 #include <array>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "support/logging.hh"
 #include "video/mpeg.hh"
@@ -305,30 +303,17 @@ goldenVbrPhase(const Function &fn, MemoryImage &mem)
 // Workload: quantized DCT coefficients of synthetic video.
 // ---------------------------------------------------------------------
 
-const std::vector<std::vector<uint16_t>> &
-coefBlocksFor(const FrameGeometry &geom)
+/**
+ * The quantized coefficients of 8x8 block (bx, by) of frame 0: a
+ * reference float DCT plus the uniform quantizer, which produce the
+ * sparse blocks with characteristic zero runs.
+ */
+std::vector<uint16_t>
+coefBlock(const SyntheticVideo &video, int bx, int by)
 {
-    // Shared across sweep workers; map nodes are stable, so the
-    // reference stays valid after the lock is released.
-    static std::map<std::pair<int, int>,
-                    std::vector<std::vector<uint16_t>>>
-        cache;
-    static std::mutex mutex;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto key = std::make_pair(geom.width, geom.height);
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-
-    SyntheticVideo video(geom.width, geom.height, 31);
-    Plane luma = video.lumaFrame(0);
-    std::vector<std::vector<uint16_t>> blocks;
-    int bw = geom.width / 8, bh = geom.height / 8;
-    // Basis values tabulated once: the transcendental calls were the
-    // dominant cost of first-use workload generation (a full CCIR-601
-    // frame is ~44M cos() evaluations). Same doubles, same summation
-    // order, so the quantized blocks are bit-identical to computing
-    // cos() inline.
+    // Basis values tabulated once per block, not per product. Same
+    // doubles, same summation order as calling cos() inline, so the
+    // quantized block is bit-identical.
     std::array<std::array<double, 8>, 8> ct;
     for (int u = 0; u < 8; ++u) {
         for (int y = 0; y < 8; ++y) {
@@ -336,51 +321,51 @@ coefBlocksFor(const FrameGeometry &geom)
                 std::cos((2 * y + 1) * u * M_PI / 16.0);
         }
     }
-    for (int by = 0; by < bh; ++by) {
-        for (int bx = 0; bx < bw; ++bx) {
-            // Reference float DCT + uniform quantizer: produces the
-            // sparse blocks with characteristic zero runs.
-            std::array<double, 64> d{};
-            for (int u = 0; u < 8; ++u) {
-                for (int v = 0; v < 8; ++v) {
-                    double acc = 0;
-                    for (int y = 0; y < 8; ++y) {
-                        for (int x = 0; x < 8; ++x) {
-                            double px =
-                                luma.at(bx * 8 + x, by * 8 + y) - 128;
-                            acc += px *
-                                   ct[static_cast<size_t>(u)]
-                                     [static_cast<size_t>(y)] *
-                                   ct[static_cast<size_t>(v)]
-                                     [static_cast<size_t>(x)];
-                        }
-                    }
-                    double au = u == 0 ? std::sqrt(1.0 / 8) : 0.5;
-                    double av = v == 0 ? std::sqrt(1.0 / 8) : 0.5;
-                    d[static_cast<size_t>(u * 8 + v)] = au * av * acc;
-                }
-            }
-            std::vector<uint16_t> raw(64);
-            for (int i = 0; i < 64; ++i) {
-                raw[static_cast<size_t>(i)] = static_cast<uint16_t>(
-                    static_cast<int16_t>(std::lround(
-                        d[static_cast<size_t>(i)])));
-            }
-            blocks.push_back(quantizeBlock(raw));
+    std::array<int, 64> pix;
+    for (int y = 0; y < 8; ++y) {
+        for (int x = 0; x < 8; ++x) {
+            pix[static_cast<size_t>(y * 8 + x)] =
+                video.lumaAt(bx * 8 + x, by * 8 + y, 0) - 128;
         }
     }
-    cache.emplace(key, std::move(blocks));
-    return cache.at(key);
+    std::array<double, 64> d{};
+    for (int u = 0; u < 8; ++u) {
+        for (int v = 0; v < 8; ++v) {
+            double acc = 0;
+            for (int y = 0; y < 8; ++y) {
+                for (int x = 0; x < 8; ++x) {
+                    double px = pix[static_cast<size_t>(y * 8 + x)];
+                    acc += px *
+                           ct[static_cast<size_t>(u)]
+                             [static_cast<size_t>(y)] *
+                           ct[static_cast<size_t>(v)]
+                             [static_cast<size_t>(x)];
+                }
+            }
+            double au = u == 0 ? std::sqrt(1.0 / 8) : 0.5;
+            double av = v == 0 ? std::sqrt(1.0 / 8) : 0.5;
+            d[static_cast<size_t>(u * 8 + v)] = au * av * acc;
+        }
+    }
+    std::vector<uint16_t> raw(64);
+    for (int i = 0; i < 64; ++i) {
+        raw[static_cast<size_t>(i)] = static_cast<uint16_t>(
+            static_cast<int16_t>(
+                std::lround(d[static_cast<size_t>(i)])));
+    }
+    return quantizeBlock(raw);
 }
 
 void
 prepareVbrUnit(const Function &fn, MemoryImage &mem,
                const FrameGeometry &geom, int index)
 {
-    const auto &blocks = coefBlocksFor(geom);
-    const auto &block = blocks[static_cast<size_t>(index) %
-                               blocks.size()];
-    fillAllByName(fn, mem, "coef", block);
+    // Units cycle over the frame's blocks in raster order.
+    const int bw = geom.width / 8, bh = geom.height / 8;
+    const int block = index % (bw * bh);
+    fillAllByName(fn, mem, "coef",
+                  coefBlock(SyntheticVideo(geom.width, geom.height, 31),
+                            block % bw, block / bw));
 
     std::vector<uint16_t> zig(64);
     for (int i = 0; i < 64; ++i)

@@ -56,11 +56,11 @@ class UnionFind
 } // anonymous namespace
 
 void
-autoPartition(Function &fn, const MachineModel &machine, int clusters)
+autoPartition(Function &fn, const LoweringTarget &target)
 {
-    vvsp_assert(clusters >= 1 && clusters <= machine.clusters(),
-                "cannot partition onto %d of %d clusters", clusters,
-                machine.clusters());
+    const int clusters = target.partitionClusters;
+    vvsp_assert(clusters >= 1, "cannot partition onto %d clusters",
+                clusters);
     auto ivs = inductionVars(fn);
     auto uses = passes::useCounts(fn);
 

@@ -30,12 +30,11 @@ namespace vvsp
 {
 
 /**
- * Greedily spread operations over `clusters` clusters: memory ops go
- * to their buffer's cluster, other ops follow their operands' homes
- * with load balancing as the tie-break.
+ * Greedily spread operations over the target's partitionClusters
+ * clusters: memory ops go to their buffer's cluster, other ops
+ * follow their operands' homes with load balancing as the tie-break.
  */
-void autoPartition(Function &fn, const MachineModel &machine,
-                   int clusters);
+void autoPartition(Function &fn, const LoweringTarget &target);
 
 /**
  * Insert Xfer operations for every cross-cluster register use and

@@ -41,30 +41,40 @@ SyntheticVideo::background(int x, int y) const
     return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
 }
 
+uint8_t
+SyntheticVideo::lumaAt(int x, int y, int t) const
+{
+    uint8_t v = background(x, y);
+    for (const auto &o : objects_) {
+        int dx = x - static_cast<int>(std::lround(o.x0 + o.vx * t));
+        int dy = y - static_cast<int>(std::lround(o.y0 + o.vy * t));
+        if (dx < 0 || dx >= o.w || dy < 0 || dy >= o.h)
+            continue;
+        int s = o.shade + ((dx * 7 + dy * 13) % (o.texture + 1)) -
+                o.texture / 2;
+        v = static_cast<uint8_t>(s < 0 ? 0 : (s > 255 ? 255 : s));
+    }
+    return v;
+}
+
+Rgb
+SyntheticVideo::rgbAt(int x, int y, int t) const
+{
+    auto clamp8 = [](int v) {
+        return static_cast<uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));
+    };
+    int l = lumaAt(x, y, t);
+    return Rgb{clamp8(l + (x * 255) / width_ / 3 - 32), clamp8(l),
+               clamp8(l + (y * 255) / height_ / 3 - 32)};
+}
+
 Plane
 SyntheticVideo::lumaFrame(int t) const
 {
     Plane p(width_, height_);
     for (int y = 0; y < height_; ++y) {
         for (int x = 0; x < width_; ++x)
-            p.set(x, y, background(x, y));
-    }
-    for (const auto &o : objects_) {
-        int ox = static_cast<int>(std::lround(o.x0 + o.vx * t));
-        int oy = static_cast<int>(std::lround(o.y0 + o.vy * t));
-        for (int dy = 0; dy < o.h; ++dy) {
-            for (int dx = 0; dx < o.w; ++dx) {
-                int x = ox + dx, y = oy + dy;
-                if (x < 0 || x >= width_ || y < 0 || y >= height_)
-                    continue;
-                int v = o.shade +
-                        ((dx * 7 + dy * 13) % (o.texture + 1)) -
-                        o.texture / 2;
-                p.set(x, y,
-                      static_cast<uint8_t>(
-                          v < 0 ? 0 : (v > 255 ? 255 : v)));
-            }
-        }
+            p.set(x, y, lumaAt(x, y, t));
     }
     return p;
 }
@@ -72,21 +82,13 @@ SyntheticVideo::lumaFrame(int t) const
 RgbFrame
 SyntheticVideo::rgbFrame(int t) const
 {
-    Plane luma = lumaFrame(t);
     RgbFrame f(width_, height_);
     for (int y = 0; y < height_; ++y) {
         for (int x = 0; x < width_; ++x) {
-            int l = luma.at(x, y);
-            int r = l + (x * 255) / width_ / 3 - 32;
-            int g = l;
-            int b = l + (y * 255) / height_ / 3 - 32;
-            auto clamp8 = [](int v) {
-                return static_cast<uint8_t>(
-                    v < 0 ? 0 : (v > 255 ? 255 : v));
-            };
-            f.r.set(x, y, clamp8(r));
-            f.g.set(x, y, clamp8(g));
-            f.b.set(x, y, clamp8(b));
+            Rgb c = rgbAt(x, y, t);
+            f.r.set(x, y, c.r);
+            f.g.set(x, y, c.g);
+            f.b.set(x, y, c.b);
         }
     }
     return f;

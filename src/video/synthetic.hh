@@ -23,7 +23,17 @@
 namespace vvsp
 {
 
-/** Deterministic moving-scene generator. */
+/** One RGB sample. */
+struct Rgb
+{
+    uint8_t r, g, b;
+};
+
+/**
+ * Deterministic moving-scene generator. Every sample is a pure
+ * function of (seed, geometry, x, y, t), so a consumer draws only the
+ * pixels it reads.
+ */
 class SyntheticVideo
 {
   public:
@@ -32,6 +42,16 @@ class SyntheticVideo
      * @param seed scene layout seed (object positions/velocities).
      */
     SyntheticVideo(int width, int height, uint64_t seed = 1);
+
+    /**
+     * Luma sample (x, y) of frame t: the textured background, unless
+     * an object covers it (the last object listed wins). Inside the
+     * frame it is what lumaFrame(t) holds there.
+     */
+    uint8_t lumaAt(int x, int y, int t) const;
+
+    /** RGB sample (x, y) of frame t (colored gradients over luma). */
+    Rgb rgbAt(int x, int y, int t) const;
 
     /** Luma frame at time t (textured background + moving objects). */
     Plane lumaFrame(int t) const;

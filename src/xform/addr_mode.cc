@@ -105,9 +105,9 @@ foldAdds(Function &fn, BlockNode &block,
 } // anonymous namespace
 
 void
-lowerAddressing(Function &fn, const MachineModel &machine)
+lowerAddressing(Function &fn, const LoweringTarget &target)
 {
-    if (machine.complexAddressing()) {
+    if (target.complexAddressing) {
         auto uses = useCounts(fn);
         forEachBlock(fn,
                      [&](BlockNode &b) { foldAdds(fn, b, uses); });

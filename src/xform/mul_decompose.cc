@@ -364,9 +364,9 @@ emitGeneral(Function &fn, std::vector<Operation> &out,
 } // anonymous namespace
 
 void
-decomposeMultiplies(Function &fn, const MachineModel &machine)
+decomposeMultiplies(Function &fn, const LoweringTarget &target)
 {
-    if (machine.hasMul16())
+    if (target.mul16)
         return;
     // Decide every multiply's lowering BEFORE rewriting any block:
     // the range analysis holds pointers into the op vectors that the
@@ -391,15 +391,16 @@ decomposeMultiplies(Function &fn, const MachineModel &machine)
         });
     }
 
-    forEachBlock(fn, [&fn, &machine, &decision](BlockNode &block) {
+    forEachBlock(fn, [&fn, &decision](BlockNode &block) {
         std::vector<Operation> out;
         out.reserve(block.ops.size());
         for (const auto &op : block.ops) {
             if (op.op == Opcode::Mul16Hi) {
-                vvsp_fatal("%s: kernel '%s' needs Mul16Hi, which has "
-                           "no exact 8x8 decomposition; rewrite the "
+                vvsp_fatal("kernel '%s' needs Mul16Hi, which has no "
+                           "exact 8x8 decomposition on a datapath "
+                           "without 16x16 multipliers; rewrite the "
                            "kernel scale-safe",
-                           machine.name().c_str(), fn.name.c_str());
+                           fn.name.c_str());
             }
             if (op.op != Opcode::Mul16Lo) {
                 out.push_back(op);

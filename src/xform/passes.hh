@@ -152,14 +152,14 @@ class RangeAnalysis
  * Mul16Hi is rejected there (kernels are written scale-safe
  * instead, as the paper's precision analysis did).
  */
-void decomposeMultiplies(Function &fn, const MachineModel &machine);
+void decomposeMultiplies(Function &fn, const LoweringTarget &target);
 
 /**
  * Addressing-mode lowering: on simple-addressing datapaths, split
  * two-component addresses into an explicit add; on complex ones,
  * fold single-use address adds into the memory operation.
  */
-void lowerAddressing(Function &fn, const MachineModel &machine);
+void lowerAddressing(Function &fn, const LoweringTarget &target);
 
 } // namespace passes
 } // namespace vvsp

@@ -48,7 +48,7 @@ TEST(AutoPartition, SpreadsIndependentChains)
 {
     Function fn = buildChains();
     MachineModel machine(models::i4c8s4());
-    autoPartition(fn, machine, 4);
+    autoPartition(fn, LoweringTarget::of(machine, 4));
     std::set<int> used;
     passes::forEachBlock(fn, [&](BlockNode &blk) {
         for (const auto &op : blk.ops) {
@@ -63,7 +63,7 @@ TEST(AutoPartition, ChainsStayTogether)
 {
     Function fn = buildChains();
     MachineModel machine(models::i4c8s4());
-    autoPartition(fn, machine, 4);
+    autoPartition(fn, LoweringTarget::of(machine, 4));
     // Within each chain, producer and consumer share a cluster.
     std::map<Vreg, int> def_cluster;
     passes::forEachBlock(fn, [&](BlockNode &blk) {
@@ -90,7 +90,7 @@ TEST(AutoPartition, MemoryOpsPinnedToBufferCluster)
     b.store(buf, R(v), K(0)); // stores pin to the buffer's home.
     Function fn = b.finish();
     MachineModel machine(models::i4c8s4());
-    autoPartition(fn, machine, 4);
+    autoPartition(fn, LoweringTarget::of(machine, 4));
     passes::forEachBlock(fn, [&](BlockNode &blk) {
         for (const auto &op : blk.ops) {
             if (op.op == Opcode::Store) {
@@ -105,7 +105,7 @@ TEST(InsertTransfers, CrossClusterValuesGetXfers)
 {
     Function fn = buildChains();
     MachineModel machine(models::i4c8s4());
-    autoPartition(fn, machine, 4);
+    autoPartition(fn, LoweringTarget::of(machine, 4));
     insertTransfers(fn);
     fn.renumberAll();
     verifyOrDie(fn);
@@ -129,7 +129,7 @@ TEST(InsertTransfers, PreservesSemantics)
     Function fn = buildChains();
     Function ref = fn.clone();
     MachineModel machine(models::i4c8s4());
-    autoPartition(fn, machine, 4);
+    autoPartition(fn, LoweringTarget::of(machine, 4));
     insertTransfers(fn);
     fn.renumberAll();
     verifyOrDie(fn);

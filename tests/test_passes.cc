@@ -643,7 +643,7 @@ TEST_P(MulDecompose, ExactLow16OnEveryPath)
     Function fn = b.finish();
 
     MachineModel machine(models::i4c8s4());
-    passes::decomposeMultiplies(fn, machine);
+    passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
     verifyOrDie(fn);
     EXPECT_EQ(countOps(fn, Opcode::Mul16Lo), 0u);
 
@@ -680,7 +680,7 @@ TEST(MulDecompose, SkippedOnM16Models)
     b.store(out, R(m), K(0));
     Function fn = b.finish();
     MachineModel machine(models::i4c8s5m16());
-    passes::decomposeMultiplies(fn, machine);
+    passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
     EXPECT_EQ(countOps(fn, Opcode::Mul16Lo), 1u);
 }
 
@@ -695,7 +695,7 @@ TEST(MulDecompose, GeneralPathOpCount)
     Function fn = b.finish();
     MachineModel machine(models::i4c8s4());
     size_t before = totalOps(fn);
-    passes::decomposeMultiplies(fn, machine);
+    passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
     // 1 multiply -> 10 ops ("as many as 21 issue slots" was the full
     // 32-bit case; the low-16 form costs 10).
     EXPECT_EQ(totalOps(fn), before + 9);
@@ -712,7 +712,7 @@ TEST(AddrMode, SplitsOnSimpleMachines)
     b.store(buf, R(v), K(0));
     Function fn = b.finish();
     MachineModel machine(models::i4c8s4());
-    passes::lowerAddressing(fn, machine);
+    passes::lowerAddressing(fn, LoweringTarget::of(machine));
     verifyOrDie(fn);
     forEachNode(fn.body, [&](const Node &n) {
         if (n.kind() != NodeKind::Block)
@@ -737,7 +737,7 @@ TEST(AddrMode, FoldsSingleUseAddsOnComplexMachines)
     b.store(buf, R(v), K(0));
     Function fn = b.finish();
     MachineModel machine(models::i4c8s5());
-    passes::lowerAddressing(fn, machine);
+    passes::lowerAddressing(fn, LoweringTarget::of(machine));
     verifyOrDie(fn);
     EXPECT_EQ(countOps(fn, Opcode::Add), 0u); // folded + DCE'd.
     EXPECT_EQ(runAndDump(fn, {0, 0, 0, 0, 0, 0, 0, 42})[0], 42);
@@ -754,7 +754,7 @@ TEST(AddrMode, DoesNotFoldMultiUseAdds)
     b.store(buf, R(w), K(0));
     Function fn = b.finish();
     MachineModel machine(models::i4c8s5());
-    passes::lowerAddressing(fn, machine);
+    passes::lowerAddressing(fn, LoweringTarget::of(machine));
     EXPECT_EQ(countOps(fn, Opcode::Add), 2u);
 }
 
@@ -822,8 +822,8 @@ TEST(Cleanup, EqualsFourRoundsOnEveryLowering)
                 expectCleanupMatchesFourRounds(fn);
                 passes::cleanup(fn);
                 passes::strengthReduce(fn);
-                passes::decomposeMultiplies(fn, machine);
-                passes::lowerAddressing(fn, machine);
+                passes::decomposeMultiplies(fn, LoweringTarget::of(machine));
+                passes::lowerAddressing(fn, LoweringTarget::of(machine));
                 expectCleanupMatchesFourRounds(fn);
             }
         }

@@ -3,10 +3,11 @@
  * Sweep engine tests: thread-pool mechanics, cache bit-identity (a
  * cell evaluated twice through a disk-backed cache returns the exact
  * same result, and the counters prove the second evaluation was a
- * disk hit), the batch stages (cells with one profile key interpret
- * once), and determinism of the parallel runner (the full Table 1
- * grid yields identical cycles-per-frame and identical counters at
- * 1 and N threads).
+ * disk hit), the batch stages (cells of one variant lower its prefix
+ * once, cells of one LoweringTarget share one lowering, cells with
+ * one profile key interpret once), and determinism of the parallel
+ * runner (the full Table 1 grid yields identical cycles-per-frame
+ * and identical counters at 1 and N threads).
  */
 
 #include <gtest/gtest.h>
@@ -347,6 +348,56 @@ TEST(SweepRunnerTest, SameKeyCellsInterpretOnce)
     expectBitIdentical(results[16], runExperiment(twin));
 }
 
+TEST(SweepRunnerTest, TargetsShareOneLoweringAcrossThreads)
+{
+    // Sixteen copies of one cell over four machines: three share a
+    // LoweringTarget (the base model, its +AD and +2LS forms differ
+    // only in units lowering does not read), the fourth folds address
+    // adds. On eight workers one prefix and two lowerings serve all
+    // sixteen, and each cell equals its serial evaluation.
+    const KernelSpec &k =
+        kernelByName("RGB:YCrCb converter/subsampler");
+    const DatapathConfig base = models::byName("I4C8S4");
+    const std::vector<DatapathConfig> machines{
+        base, models::withAbsDiff(base),
+        models::withDualLoadStore(base), models::byName("I4C8S5")};
+    std::vector<ExperimentRequest> batch;
+    for (size_t i = 0; i < 16; ++i) {
+        ExperimentRequest req;
+        req.kernel = &k;
+        req.variant = &k.variant("List-scheduled");
+        req.model = machines[i % machines.size()];
+        req.geometry = FrameGeometry{48, 32};
+        req.profileUnits = 1;
+        batch.push_back(req);
+    }
+    ExperimentCache cache;
+    obs::StatsRegistry stats;
+    SweepOptions opts;
+    opts.threads = 8;
+    opts.cache = &cache;
+    opts.stats = &stats;
+    std::vector<ExperimentResult> results = SweepRunner(opts).run(batch);
+
+    EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 16u);
+    EXPECT_EQ(stats.counterValue("stage/prefix/unique"), 1u);
+    EXPECT_EQ(stats.counterValue("stage/lower/requests"), 16u);
+    EXPECT_EQ(stats.counterValue("stage/lower/unique"), 2u);
+    EXPECT_EQ(stats.counterValue("phase/lowering_prefix/runs"), 1u);
+    EXPECT_EQ(stats.counterValue("phase/lowering/runs"), 2u);
+    EXPECT_EQ(stats.counterValue("phase/compose/runs"), 16u);
+
+    ASSERT_EQ(results.size(), batch.size());
+    std::vector<ExperimentResult> alone;
+    for (size_t m = 0; m < machines.size(); ++m)
+        alone.push_back(runExperiment(batch[m]));
+    for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE(batch[i].model.name);
+        EXPECT_TRUE(results[i].passed) << results[i].note;
+        expectBitIdentical(results[i], alone[i % machines.size()]);
+    }
+}
+
 /** Counters that must not depend on the thread count: all but *_us. */
 std::map<std::string, uint64_t>
 countersWithoutWallTime(const obs::StatsRegistry &stats)
@@ -384,12 +435,19 @@ TEST(SweepRunnerTest, Table1GridIsDeterministicAcrossThreadCounts)
     std::vector<ExperimentResult> par = pooled.run(grid);
 
     // The same work runs at any thread count: one prefix per
-    // (kernel, variant), one interpreter run per profile key.
-    EXPECT_EQ(serial_stats.counterValue("stage/prefix/requests"), 180u);
-    EXPECT_EQ(serial_stats.counterValue("stage/prefix/unique"), 36u);
-    EXPECT_EQ(serial_stats.counterValue("stage/interp/requests"), 180u);
-    EXPECT_EQ(serial_stats.counterValue("stage/interp/unique"), 101u);
-    EXPECT_EQ(serial_stats.counterValue("phase/interp_sim/runs"), 101u);
+    // (kernel, variant), one lowering per (variant, LoweringTarget),
+    // one interpreter run per profile key.
+    for (const obs::StatsRegistry *stats :
+         {&serial_stats, &pooled_stats}) {
+        EXPECT_EQ(stats->counterValue("stage/prefix/requests"), 180u);
+        EXPECT_EQ(stats->counterValue("stage/prefix/unique"), 36u);
+        EXPECT_EQ(stats->counterValue("stage/lower/requests"), 180u);
+        EXPECT_EQ(stats->counterValue("stage/lower/unique"), 112u);
+        EXPECT_EQ(stats->counterValue("phase/lowering/runs"), 112u);
+        EXPECT_EQ(stats->counterValue("stage/interp/requests"), 180u);
+        EXPECT_EQ(stats->counterValue("stage/interp/unique"), 101u);
+        EXPECT_EQ(stats->counterValue("phase/interp_sim/runs"), 101u);
+    }
     EXPECT_EQ(countersWithoutWallTime(serial_stats),
               countersWithoutWallTime(pooled_stats));
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "video/bitstream.hh"
 #include "video/frame.hh"
@@ -36,6 +37,59 @@ TEST(Synthetic, Deterministic)
     SyntheticVideo a(64, 48, 5), b(64, 48, 5);
     Plane fa = a.lumaFrame(3), fb = b.lumaFrame(3);
     EXPECT_EQ(fa.data(), fb.data());
+}
+
+uint64_t
+fnv1a(uint64_t h, uint8_t byte)
+{
+    return (h ^ byte) * 1099511628211ull;
+}
+
+TEST(SyntheticVideo, LumaAtMatchesFrame)
+{
+    // Samples drawn one at a time equal the frames, and the frames
+    // keep the FNV-1a digests of the draw-background-then-overlay-
+    // objects generator the kernels' inputs were first taken from.
+    struct Pin
+    {
+        uint64_t seed;
+        int t;
+        uint64_t luma, rgb;
+    };
+    for (const Pin &pin : {
+             Pin{7, 0, 0xd7167096c5b0f5e1ull, 0x379e27e0e2c64e59ull},
+             Pin{7, 1, 0x6c1c03fd857575a8ull, 0x345d0b776168e09eull},
+             Pin{11, 0, 0x4232929f910d6cbfull, 0x593b040f8f26e2ebull},
+             Pin{11, 1, 0x220cc4f3e4e5ce4dull, 0x06d5c28570977a68ull},
+             Pin{23, 0, 0x3f8ed9dee1818484ull, 0xc7c1a8c7de612a5cull},
+             Pin{23, 1, 0xab2237c62723ad90ull, 0x43a11a5f05c9f46cull},
+             Pin{31, 0, 0x690797a9154750f6ull, 0xcb5d4d55c2d31f94ull},
+             Pin{31, 1, 0x70fe54ff348dab1dull, 0xf415680de7a8db87ull},
+         }) {
+        SCOPED_TRACE("seed " + std::to_string(pin.seed) + " t " +
+                     std::to_string(pin.t));
+        const FrameGeometry g = FrameGeometry::ccir601();
+        SyntheticVideo video(g.width, g.height, pin.seed);
+        const Plane luma = video.lumaFrame(pin.t);
+        const RgbFrame rgb = video.rgbFrame(pin.t);
+        uint64_t hl = 1469598103934665603ull, hr = hl;
+        size_t mismatches = 0;
+        for (int y = 0; y < g.height; ++y) {
+            for (int x = 0; x < g.width; ++x) {
+                const uint8_t l = video.lumaAt(x, y, pin.t);
+                const Rgb c = video.rgbAt(x, y, pin.t);
+                mismatches += l != luma.at(x, y) ||
+                              c.r != rgb.r.at(x, y) ||
+                              c.g != rgb.g.at(x, y) ||
+                              c.b != rgb.b.at(x, y);
+                hl = fnv1a(hl, l);
+                hr = fnv1a(fnv1a(fnv1a(hr, c.r), c.g), c.b);
+            }
+        }
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_EQ(hl, pin.luma);
+        EXPECT_EQ(hr, pin.rgb);
+    }
 }
 
 TEST(Synthetic, FramesChangeOverTime)
