@@ -124,11 +124,11 @@ IsaModule
 encodeKernelModule(const KernelSpec &kernel, const VariantSpec &variant,
                    const DatapathConfig &cfg, int profile_units)
 {
-    DatapathConfig eff = cfg;
-    if (variant.needsAbsDiff && !eff.cluster.hasAbsDiff) {
+    DatapathConfig eff = variantConfig(variant, cfg);
+    if (eff.cluster.hasAbsDiff != cfg.cluster.hasAbsDiff) {
         // The "+AD" derivation, so the emitted `.machine` name stays
         // registry-resolvable when the text is re-assembled.
-        eff = models::withAbsDiff(std::move(eff));
+        eff = models::withAbsDiff(cfg);
     }
     MachineModel machine(eff);
 

@@ -73,10 +73,7 @@ unitVariant(const Unit &unit)
 MachineModel
 unitMachine(const Unit &unit)
 {
-    DatapathConfig cfg = *unit.model;
-    if (unitVariant(unit).needsAbsDiff && !cfg.cluster.hasAbsDiff)
-        cfg.cluster.hasAbsDiff = true;
-    return MachineModel(cfg);
+    return MachineModel(variantConfig(unitVariant(unit), *unit.model));
 }
 
 /** Cycle-simulate the unit's lowered variant on its model. */

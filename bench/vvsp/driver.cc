@@ -200,8 +200,9 @@ Observability::~Observability()
     if (opts_.profile) {
         // Per-phase wall-time breakdown from the "phase/<name>"
         // scopes timedPhase records (see obs/stats_registry.hh).
-        // Phases nest - list_sched/modulo_sched run inside compose -
-        // so nested phases print indented under their parent with a
+        // Phases nest - list_sched, modulo_sched, encode and the
+        // rest of the schedule walk (walk) run inside compose - so
+        // nested phases print indented under their parent with a
         // share of the *parent's* time; top-level shares are of the
         // pipeline total and sum to ~100%.
         struct Row
@@ -210,7 +211,8 @@ Observability::~Observability()
             IntStat wall;
         };
         auto parent_of = [](const std::string &name) -> const char * {
-            if (name == "list_sched" || name == "modulo_sched")
+            if (name == "list_sched" || name == "modulo_sched" ||
+                name == "encode" || name == "walk")
                 return "compose";
             return nullptr;
         };

@@ -14,6 +14,12 @@ DatapathConfig::validationError() const
         return format("%s: cluster needs at least one issue slot",
                       name.c_str());
     }
+    if (cluster.numLoadStoreUnits > cluster.issueSlots) {
+        return format("%s: %d load/store units but only %d issue slots "
+                      "(a slot holds at most one load/store unit)",
+                      name.c_str(), cluster.numLoadStoreUnits,
+                      cluster.issueSlots);
+    }
     if (cluster.regFilePorts < 3 * cluster.issueSlots) {
         return format("%s: %d issue slots need %d register-file "
                       "ports, only %d provided",

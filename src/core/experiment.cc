@@ -99,6 +99,14 @@ lowerMachineFree(const VariantSpec &variant)
     return fn;
 }
 
+DatapathConfig
+variantConfig(const VariantSpec &variant, DatapathConfig model)
+{
+    if (variant.needsAbsDiff)
+        model.cluster.hasAbsDiff = true;
+    return model;
+}
+
 LoweringTarget
 loweringTarget(const VariantSpec &variant, const MachineModel &machine)
 {

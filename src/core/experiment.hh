@@ -99,6 +99,15 @@ ExperimentResult runExperiment(const ExperimentRequest &req,
 Function lowerMachineFree(const VariantSpec &variant);
 
 /**
+ * The machine a variant runs on: `model`, with the absolute-
+ * difference ALU added when the variant needs it and the model lacks
+ * it (the "Add spec. op" rows). The name is kept, so a cell still
+ * reports, and is keyed by, the model it was asked for.
+ */
+DatapathConfig variantConfig(const VariantSpec &variant,
+                             DatapathConfig model);
+
+/**
  * The LoweringTarget (arch/machine_model.hh) of a variant on a
  * machine: ganged variants partition over min(gang, clusters)
  * clusters, the others over one.

@@ -43,10 +43,7 @@ forEachOnPool(ThreadPool *pool, size_t n, const Fn &fn)
 DatapathConfig
 cellConfig(const ExperimentRequest &req)
 {
-    DatapathConfig cfg = req.model;
-    if (req.variant->needsAbsDiff && !cfg.cluster.hasAbsDiff)
-        cfg.cluster.hasAbsDiff = true; // "> cycle & area" rows.
-    return cfg;
+    return variantConfig(*req.variant, req.model);
 }
 
 /**

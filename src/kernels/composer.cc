@@ -1,8 +1,10 @@
 #include "kernels/composer.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "obs/stats_registry.hh"
 #include "sched/list_scheduler.hh"
@@ -206,6 +208,9 @@ struct Composer::Walker
     ModuloScheduler msched;
     BankOfFn bankOf;
     obs::StatsScope phase = obs::globalScope("phase");
+    /** Wall time of the phases the walk nests (scheduling and
+     *  encoding); the rest of the walk is reported as `walk`. */
+    uint64_t nestedUs = 0;
     KernelSchedule out;
 
     /** Keep each group's ops and placements; pricing alone reads
@@ -231,6 +236,15 @@ struct Composer::Walker
                          -1);
     }
 
+    /** timedPhase() for a phase the walk nests. */
+    template <typename Body>
+    auto
+    timed(const char *name, Body &&body)
+    {
+        return obs::timedPhase(phase, name, std::forward<Body>(body),
+                               &nestedUs);
+    }
+
     /** Encode a scheduled group as the group closing at `site`. */
     void
     addGroup(GroupSite site, int node, GroupCount count, int block_ops,
@@ -241,9 +255,12 @@ struct Composer::Walker
         vvsp_assert(slot < 0, "two groups close at site %d of node %d",
                     static_cast<int>(site), node);
         slot = static_cast<int>(out.groups.size());
-        IsaSection sec =
-            buildSection(label, ops, sched, width1, machine, bankOf);
-        SectionStats stats = sectionStats(sec, out.module.fmt);
+        auto [sec, stats] = timed("encode", [&] {
+            IsaSection s =
+                buildSection(label, ops, sched, width1, machine, bankOf);
+            SectionStats st = sectionStats(s, out.module.fmt);
+            return std::pair{std::move(s), st};
+        });
         if (!keepCode) {
             sec.ops = std::vector<Operation>();
             sec.placed = std::vector<IsaPlacement>();
@@ -263,7 +280,7 @@ struct Composer::Walker
         if (pending.empty())
             return;
         bool width1 = mode == ScheduleMode::Sequential;
-        BlockSchedule sched = obs::timedPhase(phase, "list_sched", [&] {
+        BlockSchedule sched = timed("list_sched", [&] {
             return lsched.schedule(pending, width1);
         });
         addGroup(site, node, pendingCount,
@@ -311,7 +328,7 @@ struct Composer::Walker
         size_t body_ops = ops.size();
         auto ctrl = loopControlOps(fn, loop);
         ops.insert(ops.end(), ctrl.begin(), ctrl.end());
-        BlockSchedule sched = obs::timedPhase(phase, "modulo_sched", [&] {
+        BlockSchedule sched = timed("modulo_sched", [&] {
             auto swp_sched = msched.scheduleBudgeted(
                 ops, machine.registersPerCluster(), schedBudget());
             if (swp_sched)
@@ -436,8 +453,17 @@ Composer::walk(Function &fn, bool keep_code)
     };
     Walker walker(fn, machine_, mode_, bank_of);
     walker.keepCode = keep_code;
+    std::chrono::steady_clock::time_point t0;
+    if (walker.phase.enabled())
+        t0 = std::chrono::steady_clock::now();
     walker.walkList(fn.body);
     walker.flush(GroupSite::FunctionEnd, -1);
+    if (walker.phase.enabled()) {
+        // The walk's own time: what its nested phases leave over.
+        uint64_t us = obs::microsSince(t0);
+        obs::recordPhase(walker.phase, "walk",
+                         us - std::min(us, walker.nestedUs));
+    }
     return std::move(walker.out);
 }
 

@@ -199,6 +199,26 @@ class StatsScope
     std::string prefix_;
 };
 
+/** Microseconds on the steady clock since `t0`. */
+inline uint64_t
+microsSince(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+}
+
+/** Record one run of phase `name` that took `wall_us`, under
+ *  "scope-prefix/<name>" as timedPhase does. */
+inline void
+recordPhase(const StatsScope &scope, const char *name, uint64_t wall_us)
+{
+    StatsScope p = scope.scope(name);
+    p.bump("runs");
+    p.sample("wall_us", wall_us);
+}
+
 /**
  * Run `body`, recording its wall time under "scope-prefix/<name>"
  * ("runs" count + "wall_us" distribution) when the scope is enabled;
@@ -207,24 +227,23 @@ class StatsScope
  * wrap lowering / interpreter-profiling / scheduling in it, and
  * `vvsp sweep --profile` reports the per-phase breakdown. wall_us
  * samples are, of course, nondeterministic; determinism-asserting
- * consumers skip *_us paths.
+ * consumers skip *_us paths. `*wall_us`, when given, accumulates the
+ * recorded time, so a caller can report its own time net of the
+ * phases it nests.
  */
 template <typename Body>
 auto
-timedPhase(const StatsScope &scope, const char *name, Body &&body)
+timedPhase(const StatsScope &scope, const char *name, Body &&body,
+           uint64_t *wall_us = nullptr)
 {
     if (!scope.enabled())
         return body();
     auto t0 = std::chrono::steady_clock::now();
     auto result = body();
-    auto t1 = std::chrono::steady_clock::now();
-    StatsScope p = scope.scope(name);
-    p.bump("runs");
-    p.sample("wall_us",
-             static_cast<uint64_t>(
-                 std::chrono::duration_cast<std::chrono::microseconds>(
-                     t1 - t0)
-                     .count()));
+    uint64_t us = microsSince(t0);
+    recordPhase(scope, name, us);
+    if (wall_us)
+        *wall_us += us;
     return result;
 }
 

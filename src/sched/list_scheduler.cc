@@ -1,6 +1,10 @@
 #include "sched/list_scheduler.hh"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <numeric>
+#include <utility>
 
 #include "ir/dependence_graph.hh"
 #include "sched/reg_pressure.hh"
@@ -54,9 +58,7 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     // on its cluster is busy: the first failure stamps the op's
     // (cluster, class) key with the cycle, and later ops with that key
     // skip the probe. Transfers also fail on crossbar ports, which are
-    // not per class, so they always probe (key -1). A width-1 table
-    // refuses every op once the cycle holds one, so there one stamp
-    // covers the whole cycle.
+    // not per class, so they always probe (key -1).
     const int classes = table.numClasses();
     std::vector<int32_t> key(static_cast<size_t>(n), -1);
     for (int i = 0; i < n; ++i) {
@@ -67,8 +69,8 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
     }
     std::vector<int32_t> full_in(
         static_cast<size_t>(machine_.clusters() * classes), -1);
-    int cycle_full = -1;
     uint64_t probes = 0;
+    uint64_t visits = 0;
 
     std::vector<int32_t> start(static_cast<size_t>(n), -1);
     std::vector<int32_t> unplaced_preds(static_cast<size_t>(n), 0);
@@ -83,48 +85,100 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
         }
     }
 
-    auto priority_less = [&ddg](int32_t a, int32_t b) {
-        int ha = ddg.height(a), hb = ddg.height(b);
-        if (ha != hb)
-            return ha > hb;
-        return a < b;
-    };
+    // Priority: height descending, ties in program order. It is a
+    // strict total order, so it ranks the ops once for the block.
+    std::vector<int32_t> by_rank(static_cast<size_t>(n));
+    std::iota(by_rank.begin(), by_rank.end(), 0);
+    std::sort(by_rank.begin(), by_rank.end(),
+              [&ddg](int32_t a, int32_t b) {
+                  int ha = ddg.height(a), hb = ddg.height(b);
+                  if (ha != hb)
+                      return ha > hb;
+                  return a < b;
+              });
+    std::vector<int32_t> rank_of(static_cast<size_t>(n));
+    for (int r = 0; r < n; ++r)
+        rank_of[static_cast<size_t>(by_rank[static_cast<size_t>(r)])] = r;
 
-    // `ready` is kept sorted by priority at all times: the per-cycle
-    // pass walks it in order and compacts survivors in place, and
-    // ops that become ready during a cycle are batched in `pending`
-    // and merged by sorted insertion afterwards (they are not
-    // eligible until the next cycle anyway). priority_less is a
-    // strict total order, so this reproduces the historical
-    // sort-every-cycle schedule exactly.
-    std::vector<int32_t> ready, pending;
+    // `ready` holds the ops whose operands are available in the
+    // current cycle, as a bitset over priority ranks, so the walk
+    // visits them in priority order and placing one clears its bit.
+    // An op whose last predecessor is placed joins `ready` from the
+    // next cycle on, or waits in `calendar` (a min-heap on its
+    // earliest cycle) while its operands are still in flight. So each
+    // cycle offers the walk the ops whose operands are ready, in the
+    // order a walk over every op would probe them.
+    //
+    // `ready_in` counts the ready ops per (cluster, class) key. Once
+    // every key that still has ready ops carries this cycle's stamp
+    // and no transfer is left to visit, every op left would skip its
+    // probe, so the walk ends there. A width-1 table refuses every op
+    // once the cycle holds one, so that walk ends at its placement.
+    std::vector<uint64_t> ready((static_cast<size_t>(n) + 63) / 64, 0);
+    std::vector<int32_t> ready_in(full_in.size(), 0);
+    int ready_keys = 0; // keys with ready ops.
+    int ready_xfers = 0;
+    auto make_ready = [&](int32_t i) {
+        const auto r = static_cast<size_t>(rank_of[static_cast<size_t>(i)]);
+        ready[r / 64] |= uint64_t{1} << (r % 64);
+        const int32_t k = key[static_cast<size_t>(i)];
+        if (k < 0)
+            ++ready_xfers;
+        else if (ready_in[static_cast<size_t>(k)]++ == 0)
+            ++ready_keys;
+    };
+    std::vector<std::pair<int32_t, int32_t>> calendar; // (cycle, op).
+    std::vector<int32_t> pending;
     for (int i = 0; i < n; ++i) {
         if (i != branch_idx && unplaced_preds[static_cast<size_t>(i)] == 0)
-            ready.push_back(i);
+            make_ready(i);
     }
-    std::sort(ready.begin(), ready.end(), priority_less);
 
     int placed_count = branch_idx >= 0 ? 1 : 0;
     int cycle = 0;
     const int guard = 64 * n + 1024;
     while (placed_count < n) {
         vvsp_assert(cycle < guard, "list scheduler did not converge");
-        size_t keep = 0;
-        for (size_t rdi = 0; rdi < ready.size(); ++rdi) {
-            int i = ready[rdi];
-            const int32_t k = key[static_cast<size_t>(i)];
-            if (earliest[static_cast<size_t>(i)] > cycle ||
-                cycle_full == cycle ||
-                (k >= 0 && full_in[static_cast<size_t>(k)] == cycle)) {
-                ready[keep++] = i;
-                continue;
-            }
-            int slot = -1;
-            ++probes;
-            if (table.tryReserve(ops[static_cast<size_t>(i)], cycle,
-                                 &slot)) {
+        while (!calendar.empty() && calendar.front().first <= cycle) {
+            std::pop_heap(calendar.begin(), calendar.end(),
+                          std::greater<>());
+            make_ready(calendar.back().second);
+            calendar.pop_back();
+        }
+        int open_keys = ready_keys; // ready keys not stamped yet.
+        int xfers_left = ready_xfers;
+        for (size_t w = 0;
+             w < ready.size() && (open_keys > 0 || xfers_left > 0); ++w) {
+            for (uint64_t bits = ready[w];
+                 bits != 0 && (open_keys > 0 || xfers_left > 0);
+                 bits &= bits - 1) {
+                const int i = by_rank[w * 64 + static_cast<size_t>(
+                                                   std::countr_zero(bits))];
+                ++visits;
+                const int32_t k = key[static_cast<size_t>(i)];
+                if (k >= 0 && full_in[static_cast<size_t>(k)] == cycle)
+                    continue;
+                if (k < 0)
+                    --xfers_left;
+                int slot = -1;
+                ++probes;
+                if (!table.tryReserve(ops[static_cast<size_t>(i)], cycle,
+                                      &slot)) {
+                    if (k >= 0) {
+                        full_in[static_cast<size_t>(k)] = cycle;
+                        --open_keys;
+                    }
+                    continue;
+                }
+                ready[w] &= ~(bits & -bits);
+                if (k < 0) {
+                    --ready_xfers;
+                } else if (--ready_in[static_cast<size_t>(k)] == 0) {
+                    --ready_keys;
+                    --open_keys;
+                }
                 if (width1)
-                    cycle_full = cycle;
+                    open_keys = xfers_left = 0;
                 start[static_cast<size_t>(i)] = cycle;
                 result.placed[static_cast<size_t>(i)] =
                     PlacedOp{cycle, ops[static_cast<size_t>(i)].cluster,
@@ -143,21 +197,22 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
                         pending.push_back(edge.to);
                     }
                 }
-            } else {
-                if (k >= 0)
-                    full_in[static_cast<size_t>(k)] = cycle;
-                ready[keep++] = i;
             }
         }
-        ready.resize(keep);
         for (int32_t i : pending) {
-            ready.insert(std::lower_bound(ready.begin(), ready.end(),
-                                          i, priority_less),
-                         i);
+            const int32_t at = earliest[static_cast<size_t>(i)];
+            if (at <= cycle + 1) {
+                make_ready(i);
+            } else {
+                calendar.emplace_back(at, i);
+                std::push_heap(calendar.begin(), calendar.end(),
+                               std::greater<>());
+            }
         }
         pending.clear();
         ++cycle;
     }
+    stats_.bump("list_visits", visits);
     stats_.bump("list_probes", probes);
 
     int issue_max = 0;

@@ -202,15 +202,17 @@ ModuloScheduler::attempt(const std::vector<Operation> &ops,
         lo = std::min(lo, r / 64);
     };
 
-    // Placement steps per candidate. A candidate's path is a pure
-    // function of (ops, ddg, ii) and the budget only decides where it
-    // stops, so a smaller budget can turn a success into a failure
-    // but never the reverse. The cap binds above 1016 ops, where
-    // every deciding candidate needs a small fraction of it
-    // (BlockSchedule::decidingPlacements); below, one 241-op success
-    // needs 93 % of its 32n+256.
-    constexpr long kMaxCandidateSteps = 32768;
-    const long budget = std::min(32L * n + 256, kMaxCandidateSteps);
+    // Placement steps per candidate: one per op plus a fixed
+    // backtracking allowance, or 32n+256 when that is smaller. A
+    // candidate's path is a pure function of (ops, ddg, ii) and the
+    // budget only decides where it stops, so a smaller budget can
+    // turn a success into a failure but never the reverse. The
+    // allowance binds above 520 ops, where no feasible candidate the
+    // search consumes backtracks more than 9672 steps
+    // (BlockSchedule::maxFeasiblePlacements); below, one 241-op
+    // success needs 93 % of its 32n+256.
+    constexpr long kBacktrackSteps = 16384;
+    const long budget = std::min(32L * n + 256, n + kBacktrackSteps);
     long steps = 0;
     while (true) {
         // Highest-priority unscheduled op: height descending, ties
@@ -358,8 +360,11 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
     BlockSchedule best;
     bool have_best = false;
     int pressure_retries = 0;
+    long max_feasible_steps = 0;
     BlockSchedule decided;
     auto consume = [&](BlockSchedule cand) -> bool {
+        max_feasible_steps =
+            std::max(max_feasible_steps, cand.decidingPlacements);
         if (max_live_target <= 0 || cand.maxLive <= max_live_target) {
             decided = std::move(cand);
             return true;
@@ -394,6 +399,7 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         s.recMii = rec_mii;
         s.iiAttempts = attempts;
         s.placements = placements;
+        s.maxFeasiblePlacements = max_feasible_steps;
         return s;
     };
 

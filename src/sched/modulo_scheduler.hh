@@ -58,8 +58,8 @@ class ModuloScheduler
      * Software-pipeline the loop-body ops (cluster fields assigned;
      * loop-control ops included). Panics if no schedule is found up
      * to a generous II bound, which would be a scheduler bug since
-     * II = length(list schedule) is always feasible (for bodies of
-     * up to 32768 ops; see attempt()).
+     * II = length(list schedule) is always feasible (each candidate
+     * gets at least one placement step per op; see attempt()).
      *
      * When max_live_target > 0 and the minimum-II schedule needs
      * more simultaneously-live values than the target, the II is
@@ -69,9 +69,10 @@ class ModuloScheduler
      *
      * The returned schedule records the ResMII and RecMII the search
      * started from, the number of candidate IIs it consumed, the
-     * placement steps those candidates took and the steps of the one
-     * it came from (BlockSchedule::resMii, recMii, iiAttempts,
-     * placements, decidingPlacements).
+     * placement steps those candidates took, the steps of the one it
+     * came from and those of the costliest feasible one it consumed
+     * (BlockSchedule::resMii, recMii, iiAttempts, placements,
+     * decidingPlacements, maxFeasiblePlacements).
      */
     BlockSchedule schedule(const std::vector<Operation> &ops,
                            int max_live_target = 0) const;
@@ -106,10 +107,10 @@ class ModuloScheduler
      * in scheduleBudgeted() and shared by every attempt. The
      * reservation table and all other scratch are local to the call.
      * `*placements` receives the placement steps taken; a failing
-     * try runs out its whole budget of min(32n+256, 32768) steps.
-     * Every op takes at least one step, so a body above 32768 ops
-     * finds no II (the composer then list-schedules it, degraded);
-     * the largest body any registered model lowers has 6979 ops.
+     * try runs out its whole budget of min(32n+256, n+16384) steps:
+     * one per op plus a fixed backtracking allowance. Every body
+     * gets at least one step per op, so the budget never rules out
+     * a candidate that places each op once.
      */
     bool attempt(const std::vector<Operation> &ops,
                  const DependenceGraph &ddg, int ii,

@@ -204,9 +204,10 @@ ReservationTable::tryOrder(const Operation &op) const
     return *classOrders_[static_cast<size_t>(opClassId(op))];
 }
 
-bool
-ReservationTable::tryReserve(const Operation &op, int cycle,
-                             int *slot_out)
+inline bool
+ReservationTable::reserveFrom(const Operation &op, int cycle,
+                              const int *order_begin,
+                              const int *order_end, int *slot_out)
 {
     int r = row(cycle);
     ensureRows(r + 1);
@@ -251,9 +252,9 @@ ReservationTable::tryReserve(const Operation &op, int cycle,
                                static_cast<size_t>(stride_) +
         static_cast<size_t>(cluster) * static_cast<size_t>(slots_);
     int chosen = -1;
-    for (int s : tryOrder(op)) {
-        if (!busy_row[static_cast<size_t>(s)]) {
-            chosen = s;
+    for (const int *s = order_begin; s != order_end; ++s) {
+        if (!busy_row[static_cast<size_t>(*s)]) {
+            chosen = *s;
             break;
         }
     }
@@ -297,6 +298,26 @@ ReservationTable::tryReserve(const Operation &op, int cycle,
     }
     *slot_out = chosen;
     return true;
+}
+
+bool
+ReservationTable::tryReserve(const Operation &op, int cycle,
+                             int *slot_out)
+{
+    const std::vector<int> &order = tryOrder(op);
+    return reserveFrom(op, cycle, order.data(),
+                       order.data() + order.size(), slot_out);
+}
+
+bool
+ReservationTable::tryReserveSlot(const Operation &op, int cycle, int slot)
+{
+    const std::vector<int> &order = tryOrder(op);
+    vvsp_assert(std::find(order.begin(), order.end(), slot) !=
+                    order.end(),
+                "slot %d cannot issue '%s'", slot, op.str().c_str());
+    int chosen = -1;
+    return reserveFrom(op, cycle, &slot, &slot + 1, &chosen);
 }
 
 int
@@ -454,10 +475,68 @@ witnessSlots(const std::vector<Operation> &ops,
                          return hardness(ops[a]) < hardness(ops[b]);
                      });
     std::vector<int> slots(ops.size(), -1);
+
+    // The op holding each (cluster, slot) of the current row, -1 when
+    // free: the order reserves one row after another.
+    const int per_cluster = machine.slotsPerCluster();
+    std::vector<int> holder(
+        static_cast<size_t>(machine.clusters() * per_cluster), -1);
+    auto held = [&](size_t i, int slot) -> int & {
+        return holder[static_cast<size_t>(ops[i].cluster * per_cluster +
+                                          slot)];
+    };
+    // Kuhn's augmenting path from op `i`: a slot of its class that is
+    // free, or whose holder can move on to another slot of its own
+    // class. The moves are collected deepest first.
+    std::vector<uint8_t> seen(static_cast<size_t>(per_cluster));
+    std::vector<std::pair<size_t, int>> moves;
+    auto augment = [&](auto &&self, size_t i) -> bool {
+        for (int s : table.tryOrder(ops[i])) {
+            if (seen[static_cast<size_t>(s)])
+                continue;
+            seen[static_cast<size_t>(s)] = 1;
+            int h = held(i, s);
+            if (h < 0 || self(self, static_cast<size_t>(h))) {
+                moves.emplace_back(i, s);
+                return true;
+            }
+        }
+        return false;
+    };
+    auto reseat = [&](size_t i) -> bool {
+        std::fill(seen.begin(), seen.end(), 0);
+        moves.clear();
+        if (!augment(augment, i))
+            return false;
+        for (const auto &[j, s] : moves) {
+            if (j != i) {
+                table.release(ops[j], placed[j].cycle, slots[j]);
+                held(j, slots[j]) = -1;
+            }
+        }
+        for (const auto &[j, s] : moves) {
+            if (!table.tryReserveSlot(ops[j], placed[j].cycle, s))
+                return false;
+            slots[j] = s;
+            held(j, s) = static_cast<int>(j);
+        }
+        return true;
+    };
+
+    int current_row = -1;
     for (size_t i : order) {
         if (width1 && ops[i].info().isBranch)
             continue;
-        bool ok = table.tryReserve(ops[i], placed[i].cycle, &slots[i]);
+        if (row(i) != current_row) {
+            std::fill(holder.begin(), holder.end(), -1);
+            current_row = row(i);
+        }
+        if (table.tryReserve(ops[i], placed[i].cycle, &slots[i])) {
+            if (slots[i] >= 0)
+                held(i, slots[i]) = static_cast<int>(i);
+            continue;
+        }
+        bool ok = !width1 && reseat(i);
         vvsp_assert(ok, "no witness slot for '%s' at cycle %d",
                     ops[i].str().c_str(), placed[i].cycle);
     }

@@ -55,6 +55,13 @@ class ReservationTable
     bool tryReserve(const Operation &op, int cycle, int *slot_out);
 
     /**
+     * tryReserve() restricted to one issue slot, which must be one of
+     * tryOrder(op): fails when that slot, or a crossbar port the op
+     * needs, is busy.
+     */
+    bool tryReserveSlot(const Operation &op, int cycle, int slot);
+
+    /**
      * Modulo tables only (ii > 0): earliest cycle in
      * [estart, estart + ii) where op fits, reserving it there and
      * returning the cycle (slot in *slot_out), or -1 when no modulo
@@ -80,13 +87,18 @@ class ReservationTable
     /** Number of candidate-slot classes. */
     int numClasses() const { return numClasses_; }
 
+    /** Candidate slots for an op, in reservation-preference order. */
+    const std::vector<int> &tryOrder(const Operation &op) const;
+
   private:
     int row(int cycle) const;
     void ensureRows(int rows);
     void initModuloBits();
 
-    /** Candidate slots for an op, in reservation-preference order. */
-    const std::vector<int> &tryOrder(const Operation &op) const;
+    /** tryReserve() on the first free slot of `order`. */
+    bool reserveFrom(const Operation &op, int cycle,
+                     const int *order_begin, const int *order_end,
+                     int *slot_out);
 
     const MachineModel &machine_;
     BankOfFn bank_of_;
@@ -155,9 +167,12 @@ class ReservationTable
  * Re-derive an issue slot for every op of a placed group through a
  * fresh table (`ii` 0 for acyclic groups): ops are reserved in order
  * of (row, unit-class hardness), hardest-constrained classes first
- * within each row. A set the scheduler accumulated greedily is
- * feasible, and this order always finds a witness assignment
- * (alternate-unit ops are slot-bound, ALUs fill the remaining slots).
+ * within each row. When an op finds every slot of its class taken,
+ * the ops already in its row and cluster are re-seated along an
+ * augmenting path (one slot's holder moves to another slot of its
+ * own class, and so on to a free slot), so a row the scheduler
+ * could fill always gets a witness assignment, even where two
+ * alternate units share a slot with a load/store unit.
  * Returns the slot per op (-1 for the control slot). In width-1 mode
  * the trailing branch's instruction is charged by the block-length
  * formula, so it is not reserved and gets -1. Panics when an op finds

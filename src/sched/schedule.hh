@@ -58,9 +58,15 @@ struct BlockSchedule
     long placements = 0;
     /** Modulo schedule: placement steps of the candidate this
      *  schedule came from (0 for acyclic). Each candidate stops
-     *  after min(32n+256, 32768) steps, so the gap to that cap is
-     *  the headroom left before the schedule would move. */
+     *  after min(32n+256, n+16384) steps, so the gap to that budget
+     *  is the headroom left before the schedule would move. */
     long decidingPlacements = 0;
+    /** Modulo schedule: placement steps of the costliest feasible
+     *  candidate the search consumed: the deciding one, or one the
+     *  register-pressure retry passed over (0 for acyclic). A retry
+     *  candidate that ran out its budget would change which
+     *  schedule the retry picks, so its headroom counts too. */
+    long maxFeasiblePlacements = 0;
 
     /** Long-instruction words occupied in the instruction cache. */
     int instructions = 0;

@@ -105,10 +105,7 @@ TEST_P(BytecodeDiff, MatchesTreeWalkerBitExactly)
     const DiffCase &t = GetParam();
     const KernelSpec &kernel = kernelByName(t.kernel);
     const VariantSpec &variant = kernel.variant(t.variant);
-    DatapathConfig cfg = models::byName(t.model);
-    if (variant.needsAbsDiff && !cfg.cluster.hasAbsDiff)
-        cfg.cluster.hasAbsDiff = true; // same upgrade runExperiment does.
-    MachineModel machine(cfg);
+    MachineModel machine(variantConfig(variant, models::byName(t.model)));
     Function fn = lowerVariant(kernel, variant, machine);
 
     FrameGeometry geom{48, 32};

@@ -52,10 +52,7 @@ TEST_P(SimEquivalence, MatchesInterpreterAndComposer)
     const SimCase &t = GetParam();
     const KernelSpec &k = kernelByName(t.kernel);
     const VariantSpec &v = k.variant(t.variant);
-    DatapathConfig cfg = models::byName(t.model);
-    if (v.needsAbsDiff)
-        cfg.cluster.hasAbsDiff = true;
-    MachineModel machine(cfg);
+    MachineModel machine(variantConfig(v, models::byName(t.model)));
     FrameGeometry geom{48, 32};
 
     Function fn = lowerVariant(k, v, machine);

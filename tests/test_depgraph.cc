@@ -758,10 +758,8 @@ TEST(DepGraphBuild, MatchesReferenceOnEveryKernelBody)
     for (const char *model : {"I4C8S4", "I2C16S5"}) {
         for (const KernelSpec &k : allKernels()) {
             for (const VariantSpec &v : k.variants) {
-                DatapathConfig cfg = models::byName(model);
-                if (v.needsAbsDiff)
-                    cfg.cluster.hasAbsDiff = true;
-                MachineModel machine(cfg);
+                MachineModel machine(
+                    variantConfig(v, models::byName(model)));
                 Function fn = lowerVariant(k, v, machine);
                 // Each block as the list scheduler sees it, and each
                 // pipelined loop body with its materialized control.

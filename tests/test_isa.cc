@@ -41,7 +41,8 @@ IsaModule
 pipelineModule(const KernelSpec &kernel, const VariantSpec &variant,
                DatapathConfig cfg, int profile_units = 1)
 {
-    if (variant.needsAbsDiff && !cfg.cluster.hasAbsDiff)
+    if (variantConfig(variant, cfg).cluster.hasAbsDiff !=
+        cfg.cluster.hasAbsDiff)
         cfg = models::withAbsDiff(std::move(cfg));
     MachineModel machine(cfg);
 

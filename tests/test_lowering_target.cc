@@ -108,10 +108,7 @@ TEST(LoweringTarget, EqualTargetsLowerToOneFunction)
             };
             std::vector<Group> groups;
             for (const DatapathConfig &base : configs) {
-                DatapathConfig cfg = base;
-                if (v.needsAbsDiff)
-                    cfg.cluster.hasAbsDiff = true;
-                const MachineModel machine(cfg);
+                const MachineModel machine(variantConfig(v, base));
                 const LoweringTarget target =
                     loweringTarget(v, machine);
                 Function fn = prefix.clone();
@@ -126,11 +123,11 @@ TEST(LoweringTarget, EqualTargetsLowerToOneFunction)
                 }
                 if (!group) {
                     groups.push_back(
-                        {target, cfg.name, fingerprint, fn.str()});
+                        {target, base.name, fingerprint, fn.str()});
                     continue;
                 }
                 ++shared;
-                SCOPED_TRACE(k.name + " / " + v.name + ": " + cfg.name +
+                SCOPED_TRACE(k.name + " / " + v.name + ": " + base.name +
                              " shares the target of " +
                              group->firstMachine + " (fields that " +
                              "differ: " +
@@ -146,9 +143,7 @@ TEST(LoweringTarget, EqualTargetsLowerToOneFunction)
             for (const Group &g : groups) {
                 if (!g.last)
                     continue;
-                DatapathConfig cfg = *g.last;
-                if (v.needsAbsDiff)
-                    cfg.cluster.hasAbsDiff = true;
+                const DatapathConfig cfg = variantConfig(v, *g.last);
                 SCOPED_TRACE(k.name + " / " + v.name + " on " +
                              cfg.name);
                 const Function via =

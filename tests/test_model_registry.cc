@@ -51,11 +51,24 @@ TEST(ModelRegistry, DerivationSuffixes)
     EXPECT_EQ(dual->name, "I4C8S4+2LS");
     EXPECT_EQ(*dual, models::withDualLoadStore(models::i4c8s4()));
 
-    auto both = ModelRegistry::instance().find("I2C16S4+2LS+AD");
+    auto both = ModelRegistry::instance().find("I2C16S5+2LS+AD");
     ASSERT_TRUE(both.has_value());
-    EXPECT_EQ(both->name, "I2C16S4+2LS+AD");
+    EXPECT_EQ(both->name, "I2C16S5+2LS+AD");
     EXPECT_TRUE(both->cluster.hasAbsDiff);
     EXPECT_EQ(both->cluster.memPortsPerBank, 2);
+
+    // I2C16S4 already has a load/store unit on each of its two
+    // slots; a third has no slot to sit on.
+    DatapathConfig three = models::i2c16s4();
+    three.name += "+2LS";
+    three.cluster.numLoadStoreUnits += 1;
+    EXPECT_EQ(three.validationError(),
+              "I2C16S4+2LS: 3 load/store units but only 2 issue slots "
+              "(a slot holds at most one load/store unit)");
+    EXPECT_EXIT(ModelRegistry::instance().find("I2C16S4+2LS"),
+                ::testing::ExitedWithCode(1),
+                "I2C16S4\\+2LS: 3 load/store units but only 2 issue "
+                "slots");
 
     EXPECT_FALSE(
         ModelRegistry::instance().find("I4C8S4+BOGUS").has_value());

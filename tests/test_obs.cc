@@ -300,10 +300,7 @@ TEST(SimTelemetry, AccountingIdentity)
           "RGB:YCrCb converter/subsampler"}) {
         const KernelSpec &k = kernelByName(kernel);
         const VariantSpec &v = k.variants.back();
-        DatapathConfig cfg = models::byName("I4C8S4");
-        if (v.needsAbsDiff)
-            cfg.cluster.hasAbsDiff = true;
-        MachineModel machine(cfg);
+        MachineModel machine(variantConfig(v, models::byName("I4C8S4")));
         Function fn = lowerVariant(k, v, machine);
         MemoryImage mem(fn);
         k.prepare(fn, mem, FrameGeometry{48, 32}, 0);
