@@ -78,7 +78,6 @@ cmdConclusions(const ExperimentSpec &spec, const DriverOptions &opts)
         sinks.setMachines(model_set);
     }
     DiskCacheAttachment disk(opts);
-    SweepOptions sopts = sweepOptions(opts, sinks);
 
     ClockEstimator clock;
     AreaEstimator area;
@@ -96,7 +95,7 @@ cmdConclusions(const ExperimentSpec &spec, const DriverOptions &opts)
         requests.insert(requests.end(), g.requests.begin(),
                         g.requests.end());
     }
-    SweepRunner runner(sopts);
+    SweepRunner runner(sweepOptions(opts, sinks, disk));
     std::vector<ExperimentResult> results = runner.run(requests);
 
     CellIndex batch;

@@ -111,8 +111,7 @@ cmdExplore(const DriverOptions &opts)
         sinks.setMachines({*sweep.base});
     DiskCacheAttachment disk(opts);
 
-    SweepOptions sopts = sweepOptions(opts, sinks);
-    SweepRunner runner(sopts);
+    SweepRunner runner(sweepOptions(opts, sinks, disk));
     std::vector<DesignPoint> points =
         exploreDesignSpace(sweep, opts.score ? &runner : nullptr);
     std::printf("%zu candidate datapaths priced%s "

@@ -229,9 +229,7 @@ cmdFigs(const DriverOptions &opts)
     // each figure is a timed phase, so --profile/--stats/--ledger
     // work here exactly like on the experiment subcommands.
     Observability sinks(opts);
-    SweepOptions sopts;
-    sinks.configure(sopts);
-    obs::StatsScope phase(sopts.stats, "phase");
+    const obs::StatsScope phase = obs::globalScope("phase");
 
     std::vector<std::string> which = opts.positional;
     if (which.empty())

@@ -190,10 +190,8 @@ cmdAsm(const DriverOptions &opts)
 
         Observability sinks(opts);
         sinks.setMachines(machines);
-        obs::setGlobalStats(&sinks.stats());
         IsaModule module = encodeKernelModule(
             *kernel, *variant, machines.front(), profile_units);
-        obs::setGlobalStats(nullptr);
         return emitModule(module, opts);
     }
 

@@ -21,45 +21,10 @@ namespace vvsp
 namespace cli
 {
 
-namespace
-{
-
-/** The spec sections selected by the positional argument, if any. */
-std::vector<const SpecSection *>
-selectSections(const ExperimentSpec &spec, const DriverOptions &opts)
-{
-    std::vector<const SpecSection *> sections;
-    if (opts.positional.empty()) {
-        for (const SpecSection &s : spec.sections)
-            sections.push_back(&s);
-        return sections;
-    }
-    for (const std::string &name : opts.positional) {
-        const SpecSection *s = spec.section(name);
-        if (!s) {
-            std::fprintf(stderr,
-                         "vvsp: %s has no section '%s' (sections:",
-                         spec.name.c_str(), name.c_str());
-            for (const SpecSection &sec : spec.sections)
-                std::fprintf(stderr, " %s", sec.alias.c_str());
-            std::fprintf(stderr, ")\n");
-            std::exit(2);
-        }
-        sections.push_back(s);
-    }
-    return sections;
-}
-
-} // anonymous namespace
-
 int
 cmdTable(const ExperimentSpec &spec, const DriverOptions &opts)
 {
-    std::vector<DatapathConfig> machines = resolveMachines(opts);
-    Observability sinks(opts);
-    sinks.setMachines(machines);
-    DiskCacheAttachment disk(opts);
-    runSections(spec, selectSections(spec, opts), machines, opts, sinks);
+    runSections(spec, resolveMachines(opts), opts);
     return 0;
 }
 
@@ -75,8 +40,7 @@ cmdAblation(const ExperimentSpec &spec, const DriverOptions &opts)
     SectionGrid grid =
         lowerSection(spec, section, machines, opts.variant);
 
-    SweepOptions sopts = sweepOptions(opts, sinks);
-    SweepRunner runner(sopts);
+    SweepRunner runner(sweepOptions(opts, sinks, disk));
     std::vector<ExperimentResult> results = runner.run(grid.requests);
 
     if (opts.json) {

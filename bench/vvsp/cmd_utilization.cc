@@ -111,8 +111,6 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     Observability sinks(opts);
     sinks.setMachines(model_set);
     DiskCacheAttachment disk(opts);
-    if (opts.stats)
-        obs::setGlobalStats(&sinks.stats());
 
     const FrameGeometry geom{48, 32};
     const bool traced = !opts.traceFile.empty();
@@ -178,10 +176,8 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
             const CycleSimReport &rep = unit.report;
             const obs::GroupTelemetry &t = unit.telemetry;
             model_total.addScaled(t, 1);
-            if (opts.stats) {
-                t.recordTo(sinks.stats().scope(
-                    "sim/" + model_name + "/" + k.name));
-            }
+            t.recordTo(
+                obs::globalScope("sim/" + model_name + "/" + k.name));
 
             uint64_t stalls = t.stallOperand + t.stallStructural +
                               t.stallTransfer + t.stallNoWork;
@@ -259,8 +255,7 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
         findExperimentSpec("conclusions");
     const SpecSection &fs_section = conclusions->sections.front();
     SectionGrid grid = lowerSection(*conclusions, fs_section);
-    SweepOptions sopts = sweepOptions(opts, sinks);
-    SweepRunner runner(sopts);
+    SweepRunner runner(sweepOptions(opts, sinks, disk));
     std::vector<ExperimentResult> results = runner.run(grid.requests);
 
     ClockEstimator clock;
@@ -301,8 +296,6 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     } else {
         std::printf("check: %s\n", band_ok ? "PASS" : "FAIL");
     }
-    if (opts.stats)
-        obs::setGlobalStats(nullptr);
     return band_ok ? 0 : 1;
 }
 

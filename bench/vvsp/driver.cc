@@ -195,8 +195,18 @@ resolveMachines(const DriverOptions &opts,
     return machines;
 }
 
+Observability::Observability(const DriverOptions &opts)
+    : opts_(opts), start_(std::chrono::steady_clock::now())
+{
+    // The ledger persists the registry snapshot, so recording must be
+    // on whenever any consumer (print, profile, or ledger) wants it.
+    if (opts_.stats || opts_.profile || !opts_.ledgerPath.empty())
+        obs::setGlobalStats(&stats_);
+}
+
 Observability::~Observability()
 {
+    obs::setGlobalStats(nullptr);
     if (opts_.profile) {
         // Per-phase wall-time breakdown from the "phase/<name>"
         // scopes timedPhase records (see obs/stats_registry.hh).
@@ -208,7 +218,7 @@ Observability::~Observability()
         struct Row
         {
             std::string name;
-            IntStat wall;
+            obs::Log2Histogram wall;
         };
         auto parent_of = [](const std::string &name) -> const char * {
             if (name == "list_sched" || name == "modulo_sched" ||
@@ -240,7 +250,8 @@ Observability::~Observability()
                        stdout);
         } else {
             auto print_row = [](const std::string &label,
-                                const IntStat &wall, uint64_t base_us,
+                                const obs::Log2Histogram &wall,
+                                uint64_t base_us,
                                 const char *share_note) {
                 std::printf(
                     "%-16s %8llu %12.3f %10.1f %6.1f%%%s\n",
@@ -300,10 +311,7 @@ Observability::~Observability()
                      : opts_.cacheDir.empty()
                          ? DiskCache::defaultDir()
                          : opts_.cacheDir;
-        m.wallUs = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count());
+        m.wallUs = obs::microsSince(start_);
         obs::snapshotStats(stats_, m);
         double wall_s = static_cast<double>(m.wallUs) / 1e6;
         uint64_t cells = stats_.counterValue("sweep/cells");
@@ -329,17 +337,6 @@ Observability::~Observability()
 }
 
 void
-Observability::configure(SweepOptions &sopts)
-{
-    // The ledger persists the registry snapshot, so recording must be
-    // on whenever any consumer (print, profile, or ledger) wants it.
-    if (opts_.stats || opts_.profile || !opts_.ledgerPath.empty())
-        sopts.stats = &stats_;
-    if (!opts_.traceFile.empty())
-        sopts.trace = &trace_;
-}
-
-void
 Observability::setMachines(const std::vector<DatapathConfig> &machines)
 {
     machines_.clear();
@@ -349,25 +346,21 @@ Observability::setMachines(const std::vector<DatapathConfig> &machines)
 
 DiskCacheAttachment::DiskCacheAttachment(const DriverOptions &opts)
 {
-    if (!opts.diskCache)
-        return;
-    disk_.emplace(opts.cacheDir.empty() ? DiskCache::defaultDir()
-                                        : opts.cacheDir);
-    ExperimentCache::global().setDiskCache(&*disk_);
-}
-
-DiskCacheAttachment::~DiskCacheAttachment()
-{
-    if (disk_)
-        ExperimentCache::global().setDiskCache(nullptr);
+    if (opts.diskCache) {
+        disk_.emplace(opts.cacheDir.empty() ? DiskCache::defaultDir()
+                                            : opts.cacheDir);
+    }
 }
 
 SweepOptions
-sweepOptions(const DriverOptions &opts, Observability &sinks)
+sweepOptions(const DriverOptions &opts, Observability &sinks,
+             DiskCacheAttachment &disk)
 {
     SweepOptions sopts;
     sopts.threads = opts.threads;
-    sinks.configure(sopts);
+    sopts.disk = disk.get();
+    if (!opts.traceFile.empty())
+        sopts.trace = &sinks.trace();
     return sopts;
 }
 
@@ -462,14 +455,45 @@ printTextSection(const std::string &kernel_name,
                 "instruction words\n\n");
 }
 
+/** The sections the positional arguments name; all without any. */
+std::vector<const SpecSection *>
+selectSections(const ExperimentSpec &spec, const DriverOptions &opts)
+{
+    std::vector<const SpecSection *> sections;
+    if (opts.positional.empty()) {
+        for (const SpecSection &s : spec.sections)
+            sections.push_back(&s);
+        return sections;
+    }
+    for (const std::string &name : opts.positional) {
+        const SpecSection *s = spec.section(name);
+        if (!s) {
+            std::fprintf(stderr,
+                         "vvsp: %s has no section '%s' (sections:",
+                         spec.name.c_str(), name.c_str());
+            for (const SpecSection &sec : spec.sections)
+                std::fprintf(stderr, " %s", sec.alias.c_str());
+            std::fprintf(stderr, ")\n");
+            std::exit(2);
+        }
+        sections.push_back(s);
+    }
+    return sections;
+}
+
 } // anonymous namespace
 
 void
 runSections(const ExperimentSpec &spec,
-            const std::vector<const SpecSection *> &sections,
             const std::vector<DatapathConfig> &machines,
-            const DriverOptions &opts, Observability &sinks)
+            const DriverOptions &opts)
 {
+    const std::vector<const SpecSection *> sections =
+        selectSections(spec, opts);
+    Observability sinks(opts);
+    sinks.setMachines(machines);
+    DiskCacheAttachment disk(opts);
+
     // Every selected section's cells as one batch, in paper order.
     std::vector<SectionGrid> grids;
     std::vector<ExperimentRequest> requests;
@@ -479,14 +503,13 @@ runSections(const ExperimentSpec &spec,
         requests.insert(requests.end(), g.requests.begin(),
                         g.requests.end());
     }
-    SweepOptions sopts = sweepOptions(opts, sinks);
-    SweepRunner runner(sopts);
+    SweepRunner runner(sweepOptions(opts, sinks, disk));
     const std::vector<ExperimentResult> results = runner.run(requests);
 
     // The distance from the paper, as counters a ledger diff flags.
     const FidelityScorecard card = scoreFidelity(grids, results);
     const obs::StatsScope fidelity =
-        sinks.stats().scope("fidelity").scope(spec.name);
+        obs::globalScope("fidelity").scope(spec.name);
     card.batch.record(fidelity);
     for (size_t i = 0; i < sections.size(); ++i)
         card.sections[i].record(fidelity.scope(sections[i]->alias));

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared infrastructure for the `vvsp` CLI driver: option parsing,
- * per-run observability sinks, the persistent-cache attachment, and
- * the table/JSON renderers every experiment subcommand shares.
+ * per-run observability sinks, the persistent disk cache, and the
+ * table/JSON renderers every experiment subcommand shares.
  *
  * The driver replaces the per-table benchmark binaries: every
  * experiment in the repo is declared in the core ExperimentSpec
@@ -114,28 +114,29 @@ resolveMachines(const DriverOptions &opts,
 
 /**
  * Per-run observability sinks: one registry and one trace shared by
- * every section a subcommand runs, emitted on destruction. Wire
- * `sinks.configure(sopts)` into each SweepOptions. When --ledger is
- * set, destruction also appends a structured RunManifest (machines,
- * cache config, phase timers with quantiles, throughput) to the
- * JSONL run ledger.
+ * every section a subcommand runs, emitted on destruction. Under
+ * --stats, --profile or --ledger the registry is the process-global
+ * one (obs::globalStats) for the sinks' whole lifetime, so every
+ * instrumentation site records into it through obs::globalScope. A
+ * command declares its SweepRunner and ThreadPool after its sinks,
+ * so every pool has joined before the registry is removed. When
+ * --ledger is set, destruction also appends a structured RunManifest
+ * (machines, cache config, phase timers with quantiles, throughput)
+ * to the JSONL run ledger.
  */
 class Observability
 {
   public:
-    explicit Observability(const DriverOptions &opts)
-        : opts_(opts), start_(std::chrono::steady_clock::now())
-    {
-    }
+    explicit Observability(const DriverOptions &opts);
     ~Observability();
 
-    /** Point a sweep's stats/trace fields at these sinks. */
-    void configure(SweepOptions &sopts);
+    /** The global registry points into this object. */
+    Observability(const Observability &) = delete;
+    Observability &operator=(const Observability &) = delete;
 
     /** Record the resolved machine set for the ledger manifest. */
     void setMachines(const std::vector<DatapathConfig> &machines);
 
-    obs::StatsRegistry &stats() { return stats_; }
     obs::TraceWriter &trace() { return trace_; }
 
   private:
@@ -148,39 +149,44 @@ class Observability
 };
 
 /**
- * Attaches the persistent disk layer to the process-global cache for
- * the attachment's lifetime. No-op under --no-disk-cache (or its
- * alias --no-cache): every cell is then computed, still sharing its
- * batch's prefix and interpreter stages with the other cells.
+ * The persistent disk cache a subcommand's sweeps read and write,
+ * open for the attachment's lifetime. None under --no-disk-cache (or
+ * its alias --no-cache): every cell is then computed, still sharing
+ * its batch's prefix and interpreter stages with the other cells.
  */
 class DiskCacheAttachment
 {
   public:
     explicit DiskCacheAttachment(const DriverOptions &opts);
-    ~DiskCacheAttachment();
+
+    /** The open cache; null under --no-disk-cache. */
+    DiskCache *get() { return disk_ ? &*disk_ : nullptr; }
 
   private:
     std::optional<DiskCache> disk_;
 };
 
-/** Build SweepOptions from the driver options + sinks. */
+/** Build SweepOptions from the driver options, sinks and disk. */
 SweepOptions sweepOptions(const DriverOptions &opts,
-                          Observability &sinks);
+                          Observability &sinks,
+                          DiskCacheAttachment &disk);
 
 /**
- * Lower the selected sections of a Table-kind spec on `machines`
- * (the spec's columns when empty) with the --variant filter, run all
- * their cells as one SweepRunner batch in section order, and print
- * each section from its slice of the results: the paper-style text
- * table (with the `!`/`^`/`*` flag legend) or, with --json, one
- * `{"kernel": ..., "cells": [...]}` object, byte-identical to the old
- * per-table binaries. Under --json, more than one section prints one
- * JSON array of those objects.
+ * Run the sections of a Table-kind spec that the positional
+ * arguments name (every section when there are none; exit status 2,
+ * listing the spec's sections, on an unknown name) on `machines`
+ * (the spec's columns when empty) with the --variant filter: all
+ * their cells as one SweepRunner batch in section order, under the
+ * subcommand's sinks and disk cache. Records the fidelity scorecard
+ * and prints each section from its slice of the results: the
+ * paper-style text table (with the `!`/`^`/`*` flag legend) or, with
+ * --json, one `{"kernel": ..., "cells": [...]}` object,
+ * byte-identical to the old per-table binaries. Under --json, more
+ * than one section prints one JSON array of those objects.
  */
 void runSections(const ExperimentSpec &spec,
-                 const std::vector<const SpecSection *> &sections,
                  const std::vector<DatapathConfig> &machines,
-                 const DriverOptions &opts, Observability &sinks);
+                 const DriverOptions &opts);
 
 // Subcommand entry points (cmd_*.cc). Each returns the process exit
 // status.

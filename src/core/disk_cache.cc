@@ -289,15 +289,6 @@ outcomeName(DiskLoadOutcome outcome)
     return "unknown";
 }
 
-uint64_t
-usSince(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
 /**
  * Open a temp file for writing, retrying transient errno values.
  * `site` is a failpoint that simulates one transient open failure
@@ -419,19 +410,12 @@ DiskLoadOutcome
 DiskCache::loadClassified(const std::string &key,
                           ExperimentResult &out) const
 {
-    // The scope check comes first so a disabled registry costs one
-    // branch - no clock reads on the stats-off path.
-    obs::StatsScope stats = obs::globalScope("disk_cache");
-    if (!stats.enabled()) {
-        if (failpoint::evaluate("disk_cache/load_io"))
-            return DiskLoadOutcome::Corrupt; // simulated EIO.
-        std::ifstream is(entryPath(key), std::ios::binary);
-        if (!is)
-            return DiskLoadOutcome::Miss;
-        return deserialize(is, key, out);
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
+    // A disabled registry costs one branch: the clock is read only
+    // when stats are on.
+    const obs::StatsScope stats = obs::globalScope("disk_cache");
+    const auto t0 = stats.enabled()
+                        ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
     DiskLoadOutcome outcome;
     if (failpoint::evaluate("disk_cache/load_io")) {
         outcome = DiskLoadOutcome::Corrupt; // simulated EIO.
@@ -440,9 +424,11 @@ DiskCache::loadClassified(const std::string &key,
         outcome = is ? deserialize(is, key, out)
                      : DiskLoadOutcome::Miss;
     }
-    const char *name = outcomeName(outcome);
-    stats.bump(name);
-    stats.sample(std::string(name) + "_us", usSince(t0));
+    if (stats.enabled()) {
+        const char *name = outcomeName(outcome);
+        stats.bump(name);
+        stats.sample(std::string(name) + "_us", obs::microsSince(t0));
+    }
     return outcome;
 }
 
@@ -470,7 +456,7 @@ DiskCache::store(const std::string &key,
         return false;
     if (stats.enabled()) {
         stats.bump("store");
-        stats.sample("store_us", usSince(t0));
+        stats.sample("store_us", obs::microsSince(t0));
     }
     return true;
 }

@@ -2,12 +2,14 @@
  * @file
  * Persistent on-disk experiment cache.
  *
- * The result level of ExperimentCache: a finished cell is serialized
- * to one file in the cache directory, keyed by its content key
- * (ExperimentCache::resultKey), so a later process re-running any
- * table bench skips the whole lower/validate/compose pipeline for
- * cells it has seen before - across processes and across
- * differently-named models with the same parameters.
+ * The sweep's one result cache (SweepOptions::disk, core/sweep.hh):
+ * a finished cell is serialized to one file in the cache directory,
+ * keyed by its content key (ExperimentCache::resultKey), so a later
+ * process re-running any table bench skips the whole
+ * lower/validate/compose pipeline for cells it has seen before -
+ * across processes and across differently-named models with the
+ * same parameters. Its "disk_cache/<event>" counters are the only
+ * count of each lookup and store.
  *
  * Entry format (text): a schema-version header, the full content key
  * echoed verbatim (the filename is only a 64-bit FNV-1a hash of the
@@ -69,7 +71,9 @@ class DiskCache
     /**
      * Atomically publish an entry for a content key. Returns whether
      * the entry was written (false on I/O failure; the cache is an
-     * accelerator, so failures are non-fatal).
+     * accelerator, so failures are non-fatal). With a global stats
+     * registry installed, counts "disk_cache/store" (and samples
+     * "store_us") or "disk_cache/store_fail".
      */
     bool store(const std::string &key,
                const ExperimentResult &res) const;

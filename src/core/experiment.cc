@@ -44,13 +44,8 @@ timedPass(const obs::StatsScope &xform, const char *name,
     uint64_t before = countOps(fn);
     auto t0 = std::chrono::steady_clock::now();
     body();
-    auto t1 = std::chrono::steady_clock::now();
+    obs::recordPhase(xform, name, obs::microsSince(t0));
     obs::StatsScope p = xform.scope(name);
-    p.bump("runs");
-    p.sample("wall_us",
-             std::chrono::duration_cast<std::chrono::microseconds>(
-                 t1 - t0)
-                 .count());
     p.sample("ops_in", before);
     p.sample("ops_out", countOps(fn));
 }
@@ -182,14 +177,8 @@ interpretCell(const ExperimentRequest &req, const Function &fn)
                     : std::chrono::steady_clock::time_point{};
     BytecodeEngine engine(fn);
     if (timed) {
-        auto t1 = std::chrono::steady_clock::now();
-        interp_stats.sample(
-            "compile_us",
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    t1 - t0)
-                    .count()));
-        t0 = t1;
+        interp_stats.sample("compile_us", obs::microsSince(t0));
+        t0 = std::chrono::steady_clock::now();
     }
 
     UnitProfileEntry out;
@@ -227,14 +216,8 @@ interpretCell(const ExperimentRequest &req, const Function &fn)
         }
     }
     out.avg.scale(1.0 / req.profileUnits);
-    if (timed) {
-        interp_stats.sample(
-            "exec_us",
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count()));
-    }
+    if (timed)
+        interp_stats.sample("exec_us", obs::microsSince(t0));
     return out;
 }
 
@@ -252,10 +235,7 @@ composeCell(const ExperimentRequest &req, const MachineModel &machine,
     res.passed = profile.passed;
     res.note = profile.note;
 
-    Composer composer(machine, variant.mode);
-    res.comp = obs::timedPhase(obs::globalScope("phase"), "compose", [&] {
-        return composer.compose(fn, profile.avg);
-    });
+    res.comp = Composer(machine, variant.mode).compose(fn, profile.avg);
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
     int gang = variant.gangAllClusters ? machine.clusters()

@@ -36,7 +36,7 @@
 namespace vvsp
 {
 
-class ExperimentCache;
+class DiskCache;
 
 /** One Table 1/2 cell to evaluate. */
 struct ExperimentRequest
@@ -83,13 +83,13 @@ struct UnitProfileEntry
 
 /**
  * Run one cell: the batch pipeline of core/sweep.cc (where it is
- * defined) on a batch of one, inline on the caller. With a cache
- * whose disk layer is attached, the finished cell is looked up
- * before any work and stored after it (see experiment_cache.hh);
- * cached and uncached evaluations produce identical results.
+ * defined) on a batch of one, inline on the caller. With a disk
+ * cache, the finished cell is looked up before any work and stored
+ * after it (see disk_cache.hh); cached and uncached evaluations
+ * produce identical results.
  */
 ExperimentResult runExperiment(const ExperimentRequest &req,
-                               ExperimentCache *cache = nullptr);
+                               DiskCache *disk = nullptr);
 
 /**
  * Stage 2: the machine-free front of lowering (build, verify,

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "arch/config_json.hh"
-#include "core/disk_cache.hh"
 #include "support/logging.hh"
 
 namespace vvsp
@@ -46,45 +45,6 @@ ExperimentCache::profileKey(const ExperimentRequest &req,
 }
 
 bool
-ExperimentCache::findResult(const std::string &key,
-                            const std::string &model_name,
-                            ExperimentResult &out)
-{
-    DiskCache *disk;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        disk = disk_;
-    }
-    if (!disk)
-        return false;
-    // Disk I/O happens outside the lock; concurrent lookups of
-    // different cells read in parallel.
-    bool hit = disk->load(key, out);
-    if (hit)
-        out.model = model_name;
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++(hit ? stats_.diskHits : stats_.diskMisses);
-    return hit;
-}
-
-void
-ExperimentCache::storeResult(const std::string &key,
-                             const ExperimentResult &res)
-{
-    DiskCache *disk;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        disk = disk_;
-    }
-    // The write is atomic-rename safe on its own, so it runs outside
-    // the lock.
-    if (disk && disk->store(key, res)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.diskStores;
-    }
-}
-
-bool
 ExperimentCache::findProfile(const std::string &key,
                              UnitProfileEntry &out)
 {
@@ -107,25 +67,11 @@ ExperimentCache::storeProfile(const std::string &key,
     profiles_.try_emplace(key, entry);
 }
 
-void
-ExperimentCache::setDiskCache(DiskCache *disk)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    disk_ = disk;
-}
-
 ExperimentCacheStats
 ExperimentCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
-}
-
-ExperimentCache &
-ExperimentCache::global()
-{
-    static ExperimentCache cache;
-    return cache;
 }
 
 } // namespace vvsp

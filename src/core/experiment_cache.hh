@@ -9,22 +9,21 @@
  * and the check flag - so identical work is recognized no matter
  * which named model or harness asked for it.
  *
- * One level serves the pipeline: result entries (on disk, see
- * disk_cache.hh, when attached), the complete ExperimentResult of a
- * cell, looked up before any work and published after it, with only
- * the display model name patched per request. Work repeated inside
- * one batch (a variant's machine-free prefix, its lowering per
- * LoweringTarget, one interpreter run per profile key) is shared by
- * the sweep's stages instead (core/sweep.hh); profileKey() is the
- * key of that interpreter stage.
+ * The keys serve the pipeline: resultKey() names a cell's entry in
+ * the sweep's disk cache (core/disk_cache.hh, SweepOptions::disk),
+ * the complete ExperimentResult of a cell, looked up before any work
+ * and published after it, with only the display model name patched
+ * per request. Work repeated inside one batch (a variant's
+ * machine-free prefix, its lowering per LoweringTarget, one
+ * interpreter run per profile key) is shared by the sweep's stages
+ * instead (core/sweep.hh); profileKey() is the key of that
+ * interpreter stage.
  *
  * The unit-profile memo (findProfile/storeProfile) is no longer
  * called by the pipeline. It is kept only for perfbench's traced
  * harness (perfbench/trace.cc), which replays one cell at a time,
- * until a benchmark change moves that harness off it.
- *
- * All methods are thread-safe; the sweep runner's workers share one
- * instance.
+ * until a benchmark change moves that harness off it. Its methods
+ * are thread-safe.
  */
 
 #ifndef VVSP_CORE_EXPERIMENT_CACHE_HH
@@ -40,23 +39,16 @@
 namespace vvsp
 {
 
-class DiskCache;
-
-/** Hit/miss counters (one snapshot; totals since construction). */
+/** Hit/miss counters of the profile memo (one snapshot; totals
+ *  since construction). */
 struct ExperimentCacheStats
 {
-    /** Unit-profile memo (traced harness only; see the file comment). */
     uint64_t profileHits = 0;
     uint64_t profileMisses = 0;
-    /** Disk result entries (counted only while a disk is attached). */
-    uint64_t diskHits = 0;
-    /** Disk lookups that found no usable entry. */
-    uint64_t diskMisses = 0;
-    uint64_t diskStores = 0;
 };
 
-/** Thread-safe front of the disk result layer (plus the traced
- *  harness's unit-profile memo). */
+/** The pipeline's content keys, plus the traced harness's
+ *  unit-profile memo. */
 class ExperimentCache
 {
   public:
@@ -84,18 +76,6 @@ class ExperimentCache
     static std::string profileKey(const ExperimentRequest &req,
                                   uint64_t fn_fingerprint);
 
-    /**
-     * Look up a finished cell on the attached disk; patches
-     * out.model to `model_name`. Always a miss with no disk.
-     */
-    bool findResult(const std::string &key,
-                    const std::string &model_name,
-                    ExperimentResult &out);
-
-    /** Publish a finished cell to the attached disk, if any. */
-    void storeResult(const std::string &key,
-                     const ExperimentResult &res);
-
     /** Look up a memoized interp_sim outcome (traced harness only). */
     bool findProfile(const std::string &key, UnitProfileEntry &out);
 
@@ -104,24 +84,12 @@ class ExperimentCache
     void storeProfile(const std::string &key,
                       const UnitProfileEntry &entry);
 
-    /**
-     * Attach (or, with nullptr, detach) the persistent layer. The
-     * caller keeps ownership and must outlive the attachment. Not
-     * meant to be raced against lookups: attach before submitting
-     * work.
-     */
-    void setDiskCache(DiskCache *disk);
-
     ExperimentCacheStats stats() const;
-
-    /** Process-wide shared instance. */
-    static ExperimentCache &global();
 
   private:
     mutable std::mutex mutex_;
     std::unordered_map<std::string, UnitProfileEntry> profiles_;
     ExperimentCacheStats stats_;
-    DiskCache *disk_ = nullptr;
 };
 
 } // namespace vvsp

@@ -10,6 +10,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/disk_cache.hh"
+#include "core/experiment_cache.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "sched/modulo_scheduler.hh"
@@ -78,12 +80,10 @@ class Batch
 {
   public:
     Batch(const std::vector<ExperimentRequest> &requests,
-          ExperimentCache *cache, ThreadPool *pool,
-          obs::StatsRegistry *stats = nullptr,
+          DiskCache *disk, ThreadPool *pool,
           obs::TraceWriter *trace = nullptr, int trace_pid = 1)
-        : requests_(requests), cache_(cache), pool_(pool),
-          stats_(stats), trace_(trace), tracePid_(trace_pid),
-          results_(requests.size())
+        : requests_(requests), disk_(disk), pool_(pool),
+          trace_(trace), tracePid_(trace_pid), results_(requests.size())
     {
     }
 
@@ -101,14 +101,13 @@ class Batch
                         args);
 
     const std::vector<ExperimentRequest> &requests_;
-    ExperimentCache *cache_;
+    DiskCache *disk_;
     ThreadPool *pool_;
-    obs::StatsRegistry *stats_;
     obs::TraceWriter *trace_;
     int tracePid_;
     const Clock::time_point start_ = Clock::now();
     std::vector<ExperimentResult> results_;
-    std::vector<std::string> keys_; ///< result keys (with a cache).
+    std::vector<std::string> keys_; ///< result keys (with a disk).
 
     /**
      * One entry per profile key in the batch. The first cell to
@@ -127,7 +126,7 @@ Batch::run()
         vvsp_assert(req.kernel && req.variant, "incomplete request");
     const size_t n = requests_.size();
     std::vector<uint8_t> hit(n, 0);
-    if (cache_) {
+    if (disk_) {
         keys_.resize(n);
         forEachOnPool(pool_, n, [&](size_t i) { hit[i] = lookup(i); });
     }
@@ -169,8 +168,10 @@ Batch::lookup(size_t i)
     const ExperimentRequest &req = requests_[i];
     const Clock::time_point t0 = Clock::now();
     keys_[i] = ExperimentCache::resultKey(req, cellConfig(req));
-    if (!cache_->findResult(keys_[i], req.model.name, results_[i]))
+    if (!disk_->load(keys_[i], results_[i]))
         return false;
+    // The entry holds whichever model name stored it.
+    results_[i].model = req.model.name;
     finishCell(i, t0);
     return true;
 }
@@ -186,8 +187,8 @@ Batch::runCell(size_t i, Function fn, uint64_t fingerprint)
         composeCell(req, machine, fn, profile(req, fn, fingerprint));
     // Degraded results are budget-dependent; never cache them (the
     // content key doesn't include the budget).
-    if (cache_ && res.comp.degradedRegions == 0)
-        cache_->storeResult(keys_[i], res);
+    if (disk_ && res.comp.degradedRegions == 0)
+        disk_->store(keys_[i], res);
     results_[i] = std::move(res);
     finishCell(i, t0);
 }
@@ -226,15 +227,10 @@ Batch::finishCell(size_t i, Clock::time_point t0)
 {
     traceSlice(requests_[i], "cell", t0,
                {{"model", requests_[i].model.name}});
-    if (stats_) {
-        obs::StatsScope sweep = stats_->scope("sweep");
+    const obs::StatsScope sweep = obs::globalScope("sweep");
+    if (sweep.enabled()) {
         sweep.bump("cells");
-        sweep.sample("cell_wall_us",
-                     static_cast<uint64_t>(
-                         std::chrono::duration_cast<
-                             std::chrono::microseconds>(Clock::now() -
-                                                        t0)
-                             .count()));
+        sweep.sample("cell_wall_us", obs::microsSince(t0));
     }
 }
 
@@ -340,29 +336,21 @@ LoweringStages::run(ThreadPool *pool, const UnitFn &unit,
 }
 
 ExperimentResult
-runExperiment(const ExperimentRequest &req, ExperimentCache *cache)
+runExperiment(const ExperimentRequest &req, DiskCache *disk)
 {
     const std::vector<ExperimentRequest> one{req};
-    return Batch(one, cache, nullptr).run().front();
+    return Batch(one, disk, nullptr).run().front();
 }
 
 SweepRunner::SweepRunner(SweepOptions opts)
-    : pool_(opts.threads),
-      cache_(opts.cache ? opts.cache : &ExperimentCache::global()),
-      stats_(opts.stats), trace_(opts.trace), tracePid_(opts.tracePid)
+    : pool_(opts.threads), disk_(opts.disk), trace_(opts.trace),
+      tracePid_(opts.tracePid)
 {
 }
 
 std::vector<ExperimentResult>
 SweepRunner::run(const std::vector<ExperimentRequest> &requests)
 {
-    // Install the batch's registry so the pipeline's global
-    // instrumentation sites record into it; restored after the
-    // batch, before results are returned.
-    obs::StatsRegistry *prev = obs::globalStats();
-    if (stats_)
-        obs::setGlobalStats(stats_);
-
     if (trace_) {
         trace_->processName(tracePid_, "sweep");
         for (int w = 0; w < pool_.threadCount(); ++w) {
@@ -370,26 +358,14 @@ SweepRunner::run(const std::vector<ExperimentRequest> &requests)
                                "worker" + std::to_string(w));
         }
     }
-    const ExperimentCacheStats before = cache_->stats();
-
     // Let modulo schedulers borrow idle workers for speculative II
     // attempts. Bit-identical schedules at any thread count (see
     // ModuloScheduler::setIiSearch); cleared before the pool can
     // outlive the batch's use of it.
     ModuloScheduler::setIiSearch(&pool_);
     std::vector<ExperimentResult> results =
-        Batch(requests, cache_, &pool_, stats_, trace_, tracePid_).run();
+        Batch(requests, disk_, &pool_, trace_, tracePid_).run();
     ModuloScheduler::setIiSearch(nullptr);
-
-    if (stats_) {
-        // This batch's contribution to the shared cache's counters.
-        const ExperimentCacheStats after = cache_->stats();
-        obs::StatsScope cs = stats_->scope("cache");
-        cs.bump("disk_hits", after.diskHits - before.diskHits);
-        cs.bump("disk_misses", after.diskMisses - before.diskMisses);
-        cs.bump("disk_stores", after.diskStores - before.diskStores);
-        obs::setGlobalStats(prev);
-    }
     return results;
 }
 

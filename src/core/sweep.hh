@@ -24,15 +24,15 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "core/experiment_cache.hh"
 #include "support/thread_pool.hh"
 
 namespace vvsp
 {
 
+class DiskCache;
+
 namespace obs
 {
-class StatsRegistry;
 class TraceWriter;
 } // namespace obs
 
@@ -95,25 +95,21 @@ class LoweringStages
     size_t units_ = 0;
 };
 
-/** Sweep engine configuration. */
+/**
+ * Sweep engine configuration. Stats are not configured here: every
+ * stage records through the global registry (obs::globalScope),
+ * which the caller installs around its runs.
+ */
 struct SweepOptions
 {
     /** Worker threads; 0 = hardware concurrency. */
     int threads = 0;
     /**
-     * Cache whose disk layer serves and stores finished cells
-     * (nullptr = the process-global cache). With no disk attached
-     * every lookup misses.
+     * The disk cache that serves and stores finished cells; the
+     * caller keeps it alive. Null: every cell is computed and none
+     * is stored.
      */
-    ExperimentCache *cache = nullptr;
-    /**
-     * When set, installed as the global stats registry for the
-     * duration of each run() so the pipeline's instrumentation sites
-     * (xform pass timing, stage counts, scheduler II telemetry)
-     * record into it, and per-batch sweep counters are recorded.
-     * Null: zero-cost off.
-     */
-    obs::StatsRegistry *stats = nullptr;
+    DiskCache *disk = nullptr;
     /**
      * When set, each run() renders a batch timeline into it: one
      * trace track per pool worker, one slice per machine-free prefix,
@@ -141,8 +137,7 @@ class SweepRunner
 
   private:
     ThreadPool pool_;
-    ExperimentCache *cache_ = nullptr;
-    obs::StatsRegistry *stats_ = nullptr;
+    DiskCache *disk_ = nullptr;
     obs::TraceWriter *trace_ = nullptr;
     int tracePid_ = 1;
 };

@@ -37,7 +37,6 @@
 #include "sim/memory_image.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/stats.hh"
 #include "support/table.hh"
 #include "support/thread_pool.hh"
 #include "video/bitstream.hh"

@@ -442,7 +442,8 @@ Composer::Composer(const MachineModel &machine, ScheduleMode mode)
 KernelSchedule
 Composer::schedule(Function &fn)
 {
-    return walk(fn, true);
+    return obs::timedPhase(obs::globalScope("phase"), "compose",
+                           [&] { return walk(fn, true); });
 }
 
 KernelSchedule
@@ -525,11 +526,13 @@ CompositionResult
 Composer::compose(Function &fn, const AvgProfile &profile,
                   IsaModule *emit)
 {
-    KernelSchedule sched = walk(fn, emit != nullptr);
-    CompositionResult result = price(sched, profile);
-    if (emit)
-        *emit = std::move(sched.module);
-    return result;
+    return obs::timedPhase(obs::globalScope("phase"), "compose", [&] {
+        KernelSchedule sched = walk(fn, emit != nullptr);
+        CompositionResult result = price(sched, profile);
+        if (emit)
+            *emit = std::move(sched.module);
+        return result;
+    });
 }
 
 } // namespace vvsp

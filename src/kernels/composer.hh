@@ -180,7 +180,8 @@ class Composer
      * Form, schedule and encode every group of one kernel unit. The
      * function gains fresh vregs/ops (materialized loop control);
      * the tree itself is not restructured. Each section's word count
-     * is asserted equal to the scheduler's estimate.
+     * is asserted equal to the scheduler's estimate. Records one run
+     * of the "compose" phase.
      */
     KernelSchedule schedule(Function &fn);
 
@@ -193,7 +194,8 @@ class Composer
      * RegionCost::instructions and the code-size totals come from
      * the encoder's actual word count. When `emit` is non-null it
      * receives the encoded module; otherwise no group's code is kept
-     * past its measurement.
+     * past its measurement. Records one run of the "compose" phase,
+     * which nests list_sched, modulo_sched, encode and walk.
      */
     CompositionResult compose(Function &fn, const AvgProfile &profile,
                               IsaModule *emit = nullptr);

@@ -88,7 +88,7 @@ snapshotStats(const StatsRegistry &stats, RunManifest &m)
 {
     m.counters = stats.counters();
     m.distributions.clear();
-    for (const auto &[path, hist] : stats.histograms()) {
+    for (const auto &[path, hist] : stats.distributions()) {
         DistSummary d;
         d.path = path;
         d.count = hist.count();

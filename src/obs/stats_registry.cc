@@ -48,12 +48,13 @@ StatsRegistry::counterValue(const std::string &path) const
     return it == counters_.end() ? 0 : it->second->get();
 }
 
-IntStat
+Log2Histogram
 StatsRegistry::distributionValue(const std::string &path) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = dists_.find(path);
-    return it == dists_.end() ? IntStat{} : it->second->snapshot();
+    return it == dists_.end() ? Log2Histogram{}
+                              : it->second->histogram();
 }
 
 std::vector<std::pair<std::string, uint64_t>>
@@ -67,19 +68,8 @@ StatsRegistry::counters() const
     return out;
 }
 
-std::vector<std::pair<std::string, IntStat>>
-StatsRegistry::distributions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::string, IntStat>> out;
-    out.reserve(dists_.size());
-    for (const auto &[path, d] : dists_)
-        out.emplace_back(path, d->snapshot());
-    return out;
-}
-
 std::vector<std::pair<std::string, Log2Histogram>>
-StatsRegistry::histograms() const
+StatsRegistry::distributions() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::pair<std::string, Log2Histogram>> out;
@@ -116,7 +106,7 @@ StatsRegistry::str() const
     std::ostringstream os;
     for (const auto &[path, value] : counters())
         os << path << " = " << value << "\n";
-    for (const auto &[path, hist] : histograms()) {
+    for (const auto &[path, hist] : distributions()) {
         os << path << " : count=" << hist.count()
            << " sum=" << hist.sum();
         if (hist.count() > 0) {
@@ -144,7 +134,7 @@ StatsRegistry::json() const
     }
     os << "}, \"distributions\": {";
     first = true;
-    for (const auto &[path, hist] : histograms()) {
+    for (const auto &[path, hist] : distributions()) {
         os << (first ? "" : ", ") << "\"" << json::escape(path)
            << "\": {\"count\": " << hist.count()
            << ", \"sum\": " << hist.sum();

@@ -4,12 +4,12 @@
  * observability layer (DESIGN.md "Observability").
  *
  * A registry owns named counters (monotonic uint64, lock-free after
- * the first lookup) and distributions (integer running stats),
- * addressed by '/'-separated paths. A StatsScope is a lightweight
- * (registry, prefix) pair that instrumentation sites carry; scopes
- * nest, and a scope over a null registry swallows every record at
- * the cost of one branch - the "null sink" that keeps disabled-stats
- * overhead unmeasurable.
+ * the first lookup) and distributions (log2 histograms of integer
+ * samples), addressed by '/'-separated paths. A StatsScope is a
+ * lightweight (registry, prefix) pair that instrumentation sites
+ * carry; scopes nest, and a scope over a null registry swallows every
+ * record at the cost of one branch - the "null sink" that keeps
+ * disabled-stats overhead unmeasurable.
  *
  * Determinism contract: counters and distributions are commutative
  * accumulators over integers, so a sweep recording into one registry
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "obs/histogram.hh"
-#include "support/stats.hh"
 
 namespace vvsp
 {
@@ -56,11 +55,11 @@ class Counter
 };
 
 /**
- * Named distribution over integer samples. Alongside the running
- * count/sum/min/max it keeps a log2 bucket histogram, so consumers
- * (--stats=json, the run ledger) can report p50/p90/p99 latency
- * estimates; both accumulators are commutative, preserving the
- * registry's determinism contract.
+ * Named distribution over integer samples: a log2 bucket histogram,
+ * which keeps the exact count/sum/min/max beside its buckets, so
+ * consumers (--stats=json, the run ledger) can also report
+ * p50/p90/p99 latency estimates. The histogram is a commutative
+ * accumulator, preserving the registry's determinism contract.
  */
 class Distribution
 {
@@ -69,18 +68,10 @@ class Distribution
     sample(uint64_t v)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        stat_.sample(v);
         hist_.sample(v);
     }
 
-    /** Consistent copy of the accumulated statistics. */
-    IntStat snapshot() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stat_;
-    }
-
-    /** Consistent copy of the bucketed histogram. */
+    /** Consistent copy of the accumulated histogram. */
     Log2Histogram histogram() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -89,7 +80,6 @@ class Distribution
 
   private:
     mutable std::mutex mutex_;
-    IntStat stat_;
     Log2Histogram hist_;
 };
 
@@ -116,17 +106,14 @@ class StatsRegistry
     uint64_t counterValue(const std::string &path) const;
 
     /** Snapshot of a distribution; empty if never created. */
-    IntStat distributionValue(const std::string &path) const;
+    Log2Histogram distributionValue(const std::string &path) const;
 
     /** All counter (path, value) pairs in path order. */
     std::vector<std::pair<std::string, uint64_t>> counters() const;
 
     /** All distribution (path, snapshot) pairs in path order. */
-    std::vector<std::pair<std::string, IntStat>> distributions() const;
-
-    /** All distribution (path, histogram) pairs in path order. */
     std::vector<std::pair<std::string, Log2Histogram>>
-    histograms() const;
+    distributions() const;
 
     /** Drop every counter and distribution. */
     void clear();
@@ -223,9 +210,10 @@ recordPhase(const StatsScope &scope, const char *name, uint64_t wall_us)
  * Run `body`, recording its wall time under "scope-prefix/<name>"
  * ("runs" count + "wall_us" distribution) when the scope is enabled;
  * a disabled scope costs one branch. Returns body's result. This is
- * the pipeline's phase-timing hook: runExperiment and the Composer
- * wrap lowering / interpreter-profiling / scheduling in it, and
- * `vvsp sweep --profile` reports the per-phase breakdown. wall_us
+ * the pipeline's phase-timing hook: the sweep stages, the Composer
+ * and CycleSim wrap lowering / interpreter-profiling / scheduling /
+ * cycle simulation in it, and `vvsp --profile` reports the per-phase
+ * breakdown. wall_us
  * samples are, of course, nondeterministic; determinism-asserting
  * consumers skip *_us paths. `*wall_us`, when given, accumulates the
  * recorded time, so a caller can report its own time net of the
@@ -248,10 +236,10 @@ timedPhase(const StatsScope &scope, const char *name, Body &&body,
 }
 
 /**
- * The process-global registry used by instrumentation sites that have
- * no natural parameter path (xform pass timing, scheduler telemetry).
- * Null - and therefore free - until enabled; reading it is one
- * relaxed atomic load.
+ * The process-global registry every instrumentation site records
+ * into (most have no natural parameter path: xform pass timing,
+ * scheduler telemetry, failpoints). Null - and therefore free -
+ * until enabled; reading it is one atomic load.
  */
 StatsRegistry *globalStats();
 

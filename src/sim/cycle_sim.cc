@@ -324,16 +324,18 @@ CycleSim::run(const Function &fn, const KernelSchedule &schedule,
     vvsp_assert(schedule.module.sections.size() == schedule.groups.size(),
                 "schedule holds %zu sections for %zu groups",
                 schedule.module.sections.size(), schedule.groups.size());
-    Engine engine(fn, machine_, schedule, mem);
-    engine.telem = telemetry;
-    if (trace_) {
-        engine.trace = trace_;
-        engine.tracePid = &nextTracePid_;
-        engine.traceLabel = &traceLabel_;
-    }
-    engine.runList(fn.body);
-    engine.flushAt(-1, GroupSite::FunctionEnd);
-    return engine.report;
+    return obs::timedPhase(obs::globalScope("phase"), "cycle_sim", [&] {
+        Engine engine(fn, machine_, schedule, mem);
+        engine.telem = telemetry;
+        if (trace_) {
+            engine.trace = trace_;
+            engine.tracePid = &nextTracePid_;
+            engine.traceLabel = &traceLabel_;
+        }
+        engine.runList(fn.body);
+        engine.flushAt(-1, GroupSite::FunctionEnd);
+        return engine.report;
+    });
 }
 
 } // namespace vvsp

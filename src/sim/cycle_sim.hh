@@ -68,9 +68,10 @@ class CycleSim
 
     /**
      * Schedule the function (Composer::schedule, which materializes
-     * its loop control) and execute it against the memory image
-     * (modified in place). Panics on any timing or resource
-     * violation - those are scheduler bugs by construction.
+     * its loop control and records the "compose" phase) and execute
+     * it against the memory image (modified in place). Panics on any
+     * timing or resource violation - those are scheduler bugs by
+     * construction.
      *
      * When `telemetry` is non-null, utilization and stall telemetry
      * is accumulated into it: each executed group is analyzed once
@@ -81,10 +82,11 @@ class CycleSim
                        obs::GroupTelemetry *telemetry = nullptr);
 
     /**
-     * Execute a kernel Composer::schedule(fn) already scheduled.
-     * Each group runs its section's ops, so a schedule whose
-     * sections were decoded from the encoded module runs the code
-     * in the instruction words.
+     * Execute a kernel Composer::schedule(fn) already scheduled,
+     * recorded as one run of the "cycle_sim" phase. Each group runs
+     * its section's ops, so a schedule whose sections were decoded
+     * from the encoded module runs the code in the instruction
+     * words.
      */
     CycleSimReport run(const Function &fn,
                        const KernelSchedule &schedule,

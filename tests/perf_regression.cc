@@ -1,6 +1,7 @@
 /**
  * @file
- * Perf regression gate (ctest -L perf-smoke): times a 6-cell cold
+ * Perf regression gate (label perf-smoke; the default `ctest` runs
+ * it serially, the sanitize preset excludes it): times a 6-cell cold
  * mini-sweep (no disk cache, so every cell is lowered, interpreted
  * once per distinct profile and scheduled) and fails when throughput
  * drops more than 30% below the committed floor in

@@ -1,11 +1,12 @@
 /**
  * @file
- * Perf smoke (ctest -L perf-smoke): runs a tiny sweep twice against
- * the same persistent cache directory and asserts that the second,
+ * Perf smoke (label perf-smoke): runs a tiny sweep twice against the
+ * same persistent cache directory and asserts that the second,
  * disk-warm run performs ZERO scheduler invocations - every cell must
  * come back from the on-disk experiment cache, bit-identical to the
- * cold run. Standalone (not gtest) so it can be excluded from the
- * default suite and wired to a ctest label.
+ * cold run. Standalone (not gtest) so it carries its own ctest label:
+ * the default `ctest` runs it (serially), and the sanitize preset
+ * excludes the label.
  */
 
 #include <cstdio>
@@ -59,15 +60,15 @@ tinyGrid()
 
 std::vector<ExperimentResult>
 runOnce(const std::vector<ExperimentRequest> &grid, DiskCache &disk,
-        obs::StatsRegistry *stats)
+        obs::StatsRegistry &stats)
 {
-    ExperimentCache cache;
-    cache.setDiskCache(&disk);
     SweepOptions opts;
-    opts.cache = &cache;
-    opts.stats = stats;
-    SweepRunner runner(opts);
-    return runner.run(grid);
+    opts.disk = &disk;
+    // Installed before the pool starts, removed after it joins.
+    obs::setGlobalStats(&stats);
+    std::vector<ExperimentResult> results = SweepRunner(opts).run(grid);
+    obs::setGlobalStats(nullptr);
+    return results;
 }
 
 } // namespace
@@ -85,20 +86,20 @@ main()
     // Cold run: populates the disk cache.
     obs::StatsRegistry cold_stats;
     std::vector<ExperimentResult> cold =
-        runOnce(grid, disk, &cold_stats);
+        runOnce(grid, disk, cold_stats);
     check(cold_stats.counterValue("sched/list_runs") > 0,
           "cold run must actually schedule");
 
-    // Warm run: fresh in-memory cache, same directory. Every cell
-    // must be a disk hit and the schedulers must never run.
+    // Warm run: fresh runner, same directory. Every cell must be a
+    // disk hit and the schedulers must never run.
     obs::StatsRegistry warm_stats;
     std::vector<ExperimentResult> warm =
-        runOnce(grid, disk, &warm_stats);
+        runOnce(grid, disk, warm_stats);
     check(warm_stats.counterValue("sched/list_runs") == 0,
           "disk-warm run ran the list scheduler");
     check(warm_stats.counterValue("sched/modulo_runs") == 0,
           "disk-warm run ran the modulo scheduler");
-    check(warm_stats.counterValue("cache/disk_hits") == grid.size(),
+    check(warm_stats.counterValue("disk_cache/hit") == grid.size(),
           "disk-warm run missed the persistent cache");
 
     check(cold.size() == warm.size(), "result count mismatch");

@@ -15,7 +15,6 @@
 
 #include "arch/models.hh"
 #include "core/experiment.hh"
-#include "core/experiment_cache.hh"
 #include "core/sweep.hh"
 #include "ir/builder.hh"
 #include "obs/stats_registry.hh"
@@ -352,13 +351,12 @@ TEST(Bytecode, ProfileMemoSharedAcrossIssueWidths)
     wide.model.cluster.issueSlots += 1; // lowering-invariant change.
     wide.model.cluster.regFilePorts += 3; // ports the extra slot needs.
 
-    ExperimentCache cache;
     obs::StatsRegistry stats;
     SweepOptions opts;
     opts.threads = 2;
-    opts.cache = &cache;
-    opts.stats = &stats;
+    obs::setGlobalStats(&stats);
     std::vector<ExperimentResult> rs = SweepRunner(opts).run({req, wide});
+    obs::setGlobalStats(nullptr);
     ASSERT_EQ(rs.size(), 2u);
     for (const ExperimentResult &r : rs) {
         EXPECT_TRUE(r.checked);

@@ -341,27 +341,39 @@ TEST(DiskCache, MultiProcessEntryWritersNeverTear)
 
 TEST(DiskCache, ExperimentCacheFallsBackToRecompute)
 {
+    // Disk holds a corrupt entry for a cell's key: the lookup misses
+    // as corrupt, the caller recomputes, then the store heals the
+    // entry. A later run under another display name hits, with the
+    // name patched to the requester's.
+    const KernelSpec &k = kernelByName("Three-step Search");
+    ExperimentRequest req;
+    req.kernel = &k;
+    req.variant = &k.variants.front();
+    req.model = models::i4c8s4();
+    req.profileUnits = 1;
+
     TempDir dir;
     DiskCache disk(dir.path);
-    ExperimentCache cache;
-    cache.setDiskCache(&disk);
+    writeFile(disk.entryPath(ExperimentCache::resultKey(
+                  req, variantConfig(*req.variant, req.model))),
+              "garbage");
 
-    // Disk holds a corrupt entry for the key: both layers miss and
-    // the caller recomputes, then the store heals the entry.
-    writeFile(disk.entryPath("cell"), "garbage");
-    ExperimentResult out;
-    EXPECT_FALSE(cache.findResult("cell", "I4C8S4", out));
-    EXPECT_EQ(cache.stats().diskMisses, 1u);
+    obs::StatsRegistry stats;
+    obs::StatsRegistry *prev = obs::globalStats();
+    obs::setGlobalStats(&stats);
+    const ExperimentResult cold = runExperiment(req, &disk);
+    const uint64_t corrupt = stats.counterValue("disk_cache/corrupt");
+    const uint64_t stores = stats.counterValue("disk_cache/store");
+    ExperimentRequest renamed = req;
+    renamed.model.name = "RENAMED";
+    const ExperimentResult warm = runExperiment(renamed, &disk);
+    obs::setGlobalStats(prev);
 
-    cache.storeResult("cell", sampleResult());
-    EXPECT_EQ(cache.stats().diskStores, 1u);
-
-    // A second process (fresh memory cache) now hits the disk.
-    ExperimentCache fresh;
-    fresh.setDiskCache(&disk);
-    ASSERT_TRUE(fresh.findResult("cell", "RENAMED", out));
-    EXPECT_EQ(out.model, "RENAMED"); // display name patched.
-    EXPECT_EQ(fresh.stats().diskHits, 1u);
+    EXPECT_EQ(corrupt, 1u);
+    EXPECT_EQ(stores, 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
+    EXPECT_EQ(warm.model, "RENAMED"); // display name patched.
+    EXPECT_EQ(warm.cyclesPerFrame, cold.cyclesPerFrame);
 }
 
 TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
@@ -388,12 +400,8 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
 
     TempDir dir;
     DiskCache disk(dir.path);
-    {
-        ExperimentCache fill;
-        fill.setDiskCache(&disk);
-        for (const ExperimentRequest &req : grid)
-            runExperiment(req, &fill);
-    }
+    for (const ExperimentRequest &req : grid)
+        runExperiment(req, &disk);
     // The fill leaves exactly one entry per cell and nothing else.
     size_t files = 0;
     for (const auto &e :
@@ -404,14 +412,19 @@ TEST(DiskCache, DiskWarmGridMatchesColdBitExactly)
     }
     EXPECT_EQ(files, grid.size());
 
-    ExperimentCache warm;
-    warm.setDiskCache(&disk);
-    for (size_t i = 0; i < grid.size(); ++i) {
-        ExperimentResult res = runExperiment(grid[i], &warm);
-        expectEqual(cold[i], res);
-    }
-    EXPECT_EQ(warm.stats().diskHits, grid.size());
-    EXPECT_EQ(warm.stats().diskMisses, 0u);
+    obs::StatsRegistry stats;
+    obs::StatsRegistry *prev = obs::globalStats();
+    obs::setGlobalStats(&stats);
+    std::vector<ExperimentResult> warm;
+    for (const ExperimentRequest &req : grid)
+        warm.push_back(runExperiment(req, &disk));
+    obs::setGlobalStats(prev);
+    for (size_t i = 0; i < grid.size(); ++i)
+        expectEqual(cold[i], warm[i]);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), grid.size());
+    EXPECT_EQ(stats.counterValue("disk_cache/miss"), 0u);
+    EXPECT_EQ(stats.counterValue("disk_cache/corrupt"), 0u);
+    EXPECT_EQ(stats.counterValue("disk_cache/collision"), 0u);
 }
 
 TEST(DiskCache, WarmHitSkipsLoweringProfilingAndCompose)
@@ -432,29 +445,28 @@ TEST(DiskCache, WarmHitSkipsLoweringProfilingAndCompose)
     obs::StatsRegistry *prev = obs::globalStats();
     obs::setGlobalStats(&stats);
 
-    ExperimentCache fill;
-    fill.setDiskCache(&disk);
-    ExperimentResult cold = runExperiment(req, &fill);
+    ExperimentResult cold = runExperiment(req, &disk);
     EXPECT_EQ(stats.counterValue("phase/lowering/runs"), 1u);
     EXPECT_EQ(stats.counterValue("phase/compose/runs"), 1u);
     EXPECT_GT(stats.counterValue("isa/sections"), 0u);
 
     stats.clear();
-    ExperimentCache warm;
-    warm.setDiskCache(&disk);
-    ExperimentResult res = runExperiment(req, &warm);
+    ExperimentResult res = runExperiment(req, &disk);
     obs::setGlobalStats(prev);
 
     expectEqual(cold, res);
-    ExperimentCacheStats s = warm.stats();
-    EXPECT_EQ(s.diskHits, 1u);
-    EXPECT_EQ(s.profileHits + s.profileMisses, 0u);
-    // The disk lookup is the only layer that recorded anything.
+    // The disk lookup is the only layer that recorded anything,
+    // beside the batch's count and wall time of its one cell.
     EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
+    EXPECT_EQ(stats.counterValue("sweep/cells"), 1u);
+    auto recorded_by_lookup = [](const std::string &path) {
+        return path.rfind("disk_cache/", 0) == 0 ||
+               path.rfind("sweep/", 0) == 0;
+    };
     for (const auto &[path, value] : stats.counters())
-        EXPECT_EQ(path.rfind("disk_cache/", 0), 0u) << path;
+        EXPECT_TRUE(recorded_by_lookup(path)) << path;
     for (const auto &[path, value] : stats.distributions())
-        EXPECT_EQ(path.rfind("disk_cache/", 0), 0u) << path;
+        EXPECT_TRUE(recorded_by_lookup(path)) << path;
 }
 
 TEST(DiskCache, DamagedEntryIsRecomputedAndHealed)
@@ -472,11 +484,7 @@ TEST(DiskCache, DamagedEntryIsRecomputedAndHealed)
 
     TempDir dir;
     DiskCache disk(dir.path);
-    {
-        ExperimentCache fill;
-        fill.setDiskCache(&disk);
-        runExperiment(req, &fill);
-    }
+    runExperiment(req, &disk);
     std::vector<std::filesystem::path> entries;
     for (const auto &e :
          std::filesystem::directory_iterator(dir.path))
@@ -485,18 +493,25 @@ TEST(DiskCache, DamagedEntryIsRecomputedAndHealed)
     std::string body = readFile(entries[0].string());
     writeFile(entries[0].string(), body.substr(0, body.size() / 2));
 
-    ExperimentCache recompute;
-    recompute.setDiskCache(&disk);
-    expectEqual(cold, runExperiment(req, &recompute));
-    EXPECT_EQ(recompute.stats().diskHits, 0u);
-    EXPECT_EQ(recompute.stats().diskMisses, 1u);
-    EXPECT_EQ(recompute.stats().diskStores, 1u);
-    EXPECT_EQ(readFile(entries[0].string()), body);
+    obs::StatsRegistry stats;
+    obs::StatsRegistry *prev = obs::globalStats();
+    obs::setGlobalStats(&stats);
+    const ExperimentResult recomputed = runExperiment(req, &disk);
+    const uint64_t hits = stats.counterValue("disk_cache/hit");
+    const uint64_t corrupt = stats.counterValue("disk_cache/corrupt");
+    const uint64_t stores = stats.counterValue("disk_cache/store");
+    const std::string healed = readFile(entries[0].string());
+    const ExperimentResult warm = runExperiment(req, &disk);
+    obs::setGlobalStats(prev);
 
-    ExperimentCache warm;
-    warm.setDiskCache(&disk);
-    expectEqual(cold, runExperiment(req, &warm));
-    EXPECT_EQ(warm.stats().diskHits, 1u);
+    expectEqual(cold, recomputed);
+    EXPECT_EQ(hits, 0u);
+    EXPECT_EQ(corrupt, 1u); // the torn entry misses as corrupt.
+    EXPECT_EQ(stores, 1u);
+    EXPECT_EQ(healed, body);
+
+    expectEqual(cold, warm);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
 }
 
 } // namespace

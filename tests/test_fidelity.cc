@@ -33,11 +33,8 @@ score(const std::string &spec_name, obs::StatsRegistry &stats)
         requests.insert(requests.end(), grids.back().requests.begin(),
                         grids.back().requests.end());
     }
-    ExperimentCache cache;
-    SweepOptions opts;
-    opts.cache = &cache;
     const std::vector<ExperimentResult> results =
-        SweepRunner(opts).run(requests);
+        SweepRunner().run(requests);
     const FidelityScorecard card = scoreFidelity(grids, results);
     const obs::StatsScope scope = stats.scope(spec_name);
     card.batch.record(scope);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Log2Histogram tests: bucket placement, quantile accuracy against
- * exact percentiles of the raw samples (the factor-of-2 bucket
- * bound), exactness on constant data, the commutative-merge
+ * Log2Histogram tests: running count/sum/min/max/mean, bucket
+ * placement, quantile accuracy against exact percentiles of the raw
+ * samples (the factor-of-2 bucket bound), exactness on constant data, the commutative-merge
  * determinism contract (1 thread vs 4 threads, any merge order), and
  * the Distribution/StatsRegistry quantile surface the run ledger
  * consumes.
@@ -42,6 +42,21 @@ exactQuantile(std::vector<uint64_t> sorted, double q)
     double frac = rank - static_cast<double>(lo);
     return static_cast<double>(sorted[lo]) +
            frac * static_cast<double>(sorted[hi] - sorted[lo]);
+}
+
+TEST(Log2Histogram, AccumulatesCountSumMinMaxMean)
+{
+    // The running statistics every registry distribution reports.
+    obs::Log2Histogram h;
+    EXPECT_EQ(h.count(), 0u);
+    h.sample(5);
+    h.sample(2);
+    h.sample(9);
+    EXPECT_EQ(h.count(), 3u);
+    EXPECT_EQ(h.sum(), 16u);
+    EXPECT_EQ(h.min(), 2u);
+    EXPECT_EQ(h.max(), 9u);
+    EXPECT_DOUBLE_EQ(h.mean(), 16.0 / 3.0);
 }
 
 TEST(Log2Histogram, BucketPlacement)
@@ -162,7 +177,7 @@ TEST(Log2Histogram, MergeMatchesSerialAtAnyThreadCount)
 
 TEST(Log2Histogram, DistributionExposesQuantiles)
 {
-    // Distribution folds every sample into its histogram, and the
+    // Distribution samples into its histogram, and the
     // registry renders p50/p90/p99 in both text and JSON - the
     // surface --stats=json and the ledger snapshot read.
     obs::StatsRegistry reg;

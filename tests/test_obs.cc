@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability-layer tests: stats accumulator arithmetic, scope
- * nesting, registry thread-safety under the worker pool, the
+ * Observability-layer tests: registry counters and distributions,
+ * scope nesting, registry thread-safety under the worker pool, the
  * sweep-stats determinism contract (identical registries at any
  * thread count), trace_event JSON shape, and the cycle-sim telemetry
  * accounting identity (offered slot-cycles = busy + attributed
@@ -27,47 +27,12 @@
 #include "sched/modulo_scheduler.hh"
 #include "sim/cycle_sim.hh"
 #include "support/json.hh"
-#include "support/stats.hh"
 #include "support/thread_pool.hh"
 
 namespace vvsp
 {
 namespace
 {
-
-TEST(IntStat, Accumulates)
-{
-    IntStat s;
-    EXPECT_EQ(s.count(), 0u);
-    s.sample(5);
-    s.sample(2);
-    s.sample(9);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_EQ(s.sum(), 16u);
-    EXPECT_EQ(s.min(), 2u);
-    EXPECT_EQ(s.max(), 9u);
-    EXPECT_DOUBLE_EQ(s.mean(), 16.0 / 3.0);
-}
-
-TEST(IntStat, MergeIsOrderIndependent)
-{
-    IntStat a, b, ab, ba;
-    for (uint64_t v : {7u, 1u, 3u})
-        a.sample(v);
-    for (uint64_t v : {10u, 0u})
-        b.sample(v);
-    ab = a;
-    ab.merge(b);
-    ba = b;
-    ba.merge(a);
-    EXPECT_EQ(ab.count(), ba.count());
-    EXPECT_EQ(ab.sum(), ba.sum());
-    EXPECT_EQ(ab.min(), ba.min());
-    EXPECT_EQ(ab.max(), ba.max());
-    EXPECT_EQ(ab.count(), 5u);
-    EXPECT_EQ(ab.min(), 0u);
-    EXPECT_EQ(ab.max(), 10u);
-}
 
 TEST(StatsRegistry, CountersAndDistributions)
 {
@@ -81,7 +46,7 @@ TEST(StatsRegistry, CountersAndDistributions)
     EXPECT_EQ(reg.counterValue("a/b"), 5u);
     EXPECT_EQ(reg.counterValue("a/c"), 2u);
     EXPECT_EQ(reg.counterValue("never/created"), 0u);
-    IntStat d = reg.distributionValue("d");
+    obs::Log2Histogram d = reg.distributionValue("d");
     EXPECT_EQ(d.count(), 2u);
     EXPECT_EQ(d.sum(), 10u);
     EXPECT_EQ(reg.distributionValue("nope").count(), 0u);
@@ -147,7 +112,7 @@ TEST(StatsRegistry, ConcurrentRecordingSumsExactly)
     pool.wait();
     EXPECT_EQ(reg.counterValue("par/hits"),
               uint64_t(tasks) * bumps);
-    IntStat v = reg.distributionValue("par/val");
+    obs::Log2Histogram v = reg.distributionValue("par/val");
     EXPECT_EQ(v.count(), uint64_t(tasks) * bumps);
     EXPECT_EQ(v.min(), 0u);
     EXPECT_EQ(v.max(), uint64_t(tasks - 1));
@@ -169,9 +134,8 @@ deterministicDists(const obs::StatsRegistry &reg)
             name.compare(name.size() - 3, 3, "_us") == 0) {
             continue;
         }
-        rows.emplace_back(name, stat.count(), stat.sum(),
-                          stat.count() ? stat.min() : 0,
-                          stat.count() ? stat.max() : 0);
+        rows.emplace_back(name, stat.count(), stat.sum(), stat.min(),
+                          stat.max());
     }
     return rows;
 }
@@ -203,9 +167,11 @@ TEST(SweepStats, DeterministicAcrossThreadCounts)
                                obs::StatsRegistry &reg) {
         SweepOptions sopts;
         sopts.threads = threads;
-        sopts.stats = &reg;
-        SweepRunner runner(sopts);
-        return runner.run(requests);
+        obs::setGlobalStats(&reg);
+        std::vector<ExperimentResult> results =
+            SweepRunner(sopts).run(requests);
+        obs::setGlobalStats(nullptr);
+        return results;
     };
 
     obs::StatsRegistry serial, parallel2;

@@ -127,8 +127,9 @@ TEST(RunLedger, SnapshotCapturesPhaseTimersWithQuantiles)
     obs::StatsRegistry reg;
     SweepOptions sopts;
     sopts.threads = 1;
-    sopts.stats = &reg;
+    obs::setGlobalStats(&reg);
     SweepRunner(sopts).run(requests);
+    obs::setGlobalStats(nullptr);
 
     obs::RunManifest m;
     obs::snapshotStats(reg, m);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Sweep engine tests: thread-pool mechanics, cache bit-identity (a
- * cell evaluated twice through a disk-backed cache returns the exact
- * same result, and the counters prove the second evaluation was a
- * disk hit), the batch stages (cells of one variant lower its prefix
+ * cell evaluated twice through a disk cache returns the exact same
+ * result, and the disk cache's counters prove the second evaluation
+ * was a hit), the batch stages (cells of one variant lower its prefix
  * once, cells of one LoweringTarget share one lowering, cells with
  * one profile key interpret once), and determinism of the parallel
  * runner (the full Table 1 grid yields identical cycles-per-frame
@@ -23,6 +23,7 @@
 
 #include "arch/models.hh"
 #include "core/disk_cache.hh"
+#include "core/experiment_cache.hh"
 #include "core/sweep.hh"
 #include "obs/stats_registry.hh"
 
@@ -66,6 +67,19 @@ struct TempDir
     }
     ~TempDir() { std::filesystem::remove_all(path); }
     std::string path;
+};
+
+/**
+ * The global stats registry for the guard's lifetime. Declared
+ * before a test's runners, so their pools join before it is removed.
+ */
+struct InstallStats
+{
+    explicit InstallStats(obs::StatsRegistry &stats)
+    {
+        obs::setGlobalStats(&stats);
+    }
+    ~InstallStats() { obs::setGlobalStats(nullptr); }
 };
 
 void
@@ -141,39 +155,31 @@ TEST(ExperimentCacheTest, SecondEvaluationIsABitIdenticalHit)
 
     TempDir dir;
     DiskCache disk(dir.path);
-    ExperimentCache cache;
-    cache.setDiskCache(&disk);
     obs::StatsRegistry stats;
+    InstallStats install(stats);
     SweepOptions opts;
-    opts.cache = &cache;
-    opts.stats = &stats;
+    opts.disk = &disk;
     SweepRunner runner(opts);
 
     ExperimentResult first = runner.run({req})[0];
-    ExperimentCacheStats s1 = cache.stats();
-    EXPECT_EQ(s1.diskHits, 0u);
-    EXPECT_EQ(s1.diskMisses, 1u);
-    EXPECT_EQ(s1.diskStores, 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 0u);
+    EXPECT_EQ(stats.counterValue("disk_cache/miss"), 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/store"), 1u);
     EXPECT_EQ(stats.counterValue("stage/interp/requests"), 1u);
     EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
 
     // The second run is served by the disk entry before any work,
     // so no stage after the lookup runs.
     ExperimentResult second = runner.run({req})[0];
-    ExperimentCacheStats s2 = cache.stats();
-    EXPECT_EQ(s2.diskHits, 1u);
-    EXPECT_EQ(s2.diskMisses, 1u);
-    EXPECT_EQ(s2.diskStores, 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/miss"), 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/store"), 1u);
 
-    // The runner exports the stage and disk counters, summed over
-    // both batches.
+    // The stage counters, summed over both batches.
     EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 1u);
     EXPECT_EQ(stats.counterValue("stage/interp/requests"), 1u);
     EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
     EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
-    EXPECT_EQ(stats.counterValue("cache/disk_hits"), 1u);
-    EXPECT_EQ(stats.counterValue("cache/disk_misses"), 1u);
-    EXPECT_EQ(stats.counterValue("cache/disk_stores"), 1u);
 
     EXPECT_TRUE(first.passed);
     expectBitIdentical(first, second);
@@ -194,10 +200,10 @@ TEST(ExperimentCacheTest, KeysOnContentNotOnModelName)
 
     TempDir dir;
     DiskCache disk(dir.path);
-    ExperimentCache cache;
-    cache.setDiskCache(&disk);
+    obs::StatsRegistry stats;
+    InstallStats install(stats);
     SweepOptions opts;
-    opts.cache = &cache;
+    opts.disk = &disk;
     SweepRunner runner(opts);
     ExperimentResult first = runner.run({req})[0];
 
@@ -206,7 +212,7 @@ TEST(ExperimentCacheTest, KeysOnContentNotOnModelName)
     ExperimentRequest renamed = req;
     renamed.model.name = "I2C16S4 (copy)";
     ExperimentResult second = runner.run({renamed})[0];
-    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
     EXPECT_EQ(second.model, "I2C16S4 (copy)");
     second.model = first.model;
     expectBitIdentical(first, second);
@@ -215,9 +221,9 @@ TEST(ExperimentCacheTest, KeysOnContentNotOnModelName)
     ExperimentRequest changed = req;
     changed.model.cluster.registers *= 2;
     runner.run({changed});
-    EXPECT_EQ(cache.stats().diskHits, 1u);
-    EXPECT_EQ(cache.stats().diskMisses, 2u);
-    EXPECT_EQ(cache.stats().diskStores, 2u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit"), 1u);
+    EXPECT_EQ(stats.counterValue("disk_cache/miss"), 2u);
+    EXPECT_EQ(stats.counterValue("disk_cache/store"), 2u);
 }
 
 TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
@@ -233,23 +239,21 @@ TEST(ExperimentCacheTest, ProfileMemoServesRepeatsWithoutADisk)
     req.model = models::byName("I4C8S4");
     req.profileUnits = 2;
 
-    ExperimentCache cache;
     obs::StatsRegistry stats;
-    SweepOptions opts;
-    opts.cache = &cache;
-    opts.stats = &stats;
-    SweepRunner runner(opts);
+    InstallStats install(stats);
+    SweepRunner runner;
 
     std::vector<ExperimentResult> both = runner.run({req, req});
     ASSERT_EQ(both.size(), 2u);
-    ExperimentCacheStats s = cache.stats();
-    EXPECT_EQ(s.diskHits + s.diskMisses + s.diskStores, 0u);
+    EXPECT_EQ(stats.counterValue("disk_cache/hit") +
+                  stats.counterValue("disk_cache/miss") +
+                  stats.counterValue("disk_cache/store"),
+              0u);
     EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 2u);
     EXPECT_EQ(stats.counterValue("stage/prefix/unique"), 1u);
     EXPECT_EQ(stats.counterValue("stage/interp/requests"), 2u);
     EXPECT_EQ(stats.counterValue("stage/interp/unique"), 1u);
     EXPECT_EQ(stats.counterValue("phase/interp_sim/runs"), 1u);
-    EXPECT_EQ(stats.counterValue("cache/disk_misses"), 0u);
     EXPECT_EQ(stats.counterValue("phase/compose/runs"), 2u);
 
     EXPECT_TRUE(both[0].passed);
@@ -324,12 +328,10 @@ TEST(SweepRunnerTest, SameKeyCellsInterpretOnce)
 
     std::vector<ExperimentRequest> batch(16, req);
     batch.push_back(twin);
-    ExperimentCache cache;
     obs::StatsRegistry stats;
+    InstallStats install(stats);
     SweepOptions opts;
     opts.threads = 8;
-    opts.cache = &cache;
-    opts.stats = &stats;
     std::vector<ExperimentResult> results = SweepRunner(opts).run(batch);
 
     EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 17u);
@@ -371,12 +373,10 @@ TEST(SweepRunnerTest, TargetsShareOneLoweringAcrossThreads)
         req.profileUnits = 1;
         batch.push_back(req);
     }
-    ExperimentCache cache;
     obs::StatsRegistry stats;
+    InstallStats install(stats);
     SweepOptions opts;
     opts.threads = 8;
-    opts.cache = &cache;
-    opts.stats = &stats;
     std::vector<ExperimentResult> results = SweepRunner(opts).run(batch);
 
     EXPECT_EQ(stats.counterValue("stage/prefix/requests"), 16u);
@@ -416,23 +416,17 @@ TEST(SweepRunnerTest, Table1GridIsDeterministicAcrossThreadCounts)
     std::vector<ExperimentRequest> grid = table1Grid();
     ASSERT_GE(grid.size(), 100u);
 
-    obs::StatsRegistry serial_stats;
-    SweepOptions serial_opts;
-    serial_opts.threads = 1;
-    serial_opts.stats = &serial_stats;
-    SweepRunner serial(serial_opts);
-    std::vector<ExperimentResult> base = serial.run(grid);
-
-    // The pooled run goes through a private cache with no disk, as
-    // `--no-disk-cache` does; the serial one through the global one.
-    ExperimentCache cache;
-    obs::StatsRegistry pooled_stats;
-    SweepOptions pooled_opts;
-    pooled_opts.threads = 8;
-    pooled_opts.cache = &cache;
-    pooled_opts.stats = &pooled_stats;
-    SweepRunner pooled(pooled_opts);
-    std::vector<ExperimentResult> par = pooled.run(grid);
+    // Both runs go without a disk, as `--no-disk-cache` does, each
+    // recording into its own registry.
+    auto runWith = [&grid](int threads, obs::StatsRegistry &stats) {
+        InstallStats install(stats);
+        SweepOptions opts;
+        opts.threads = threads;
+        return SweepRunner(opts).run(grid);
+    };
+    obs::StatsRegistry serial_stats, pooled_stats;
+    std::vector<ExperimentResult> base = runWith(1, serial_stats);
+    std::vector<ExperimentResult> par = runWith(8, pooled_stats);
 
     // The same work runs at any thread count: one prefix per
     // (kernel, variant), one lowering per (variant, LoweringTarget),

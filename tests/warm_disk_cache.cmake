@@ -14,7 +14,7 @@ execute_process(
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "cold run exited with ${status}")
 endif()
-if(NOT cold MATCHES "cache/disk_stores = 1")
+if(NOT cold MATCHES "disk_cache/store = 1")
     message(FATAL_ERROR "cold run did not store to disk:\n${cold}")
 endif()
 execute_process(
@@ -25,7 +25,7 @@ execute_process(
 if(NOT status EQUAL 0)
     message(FATAL_ERROR "warm run exited with ${status}")
 endif()
-if(NOT warm MATCHES "cache/disk_hits = 1")
+if(NOT warm MATCHES "disk_cache/hit = 1")
     message(FATAL_ERROR "warm run missed the disk cache:\n${warm}")
 endif()
 # The rendered table (everything before the stats dump) must agree.
