@@ -48,13 +48,6 @@ IRBuilder::currentBlock()
     return static_cast<BlockNode &>(*list.back());
 }
 
-void
-IRBuilder::push(NodePtr node)
-{
-    node->id = fn_.newNodeId();
-    currentList().push_back(std::move(node));
-}
-
 Vreg
 IRBuilder::emit(Opcode op, Operand s0, Operand s1, Operand s2)
 {
@@ -112,15 +105,15 @@ IRBuilder::store(int buf, Operand value, Operand base, Operand index,
 }
 
 LoopNode &
-IRBuilder::beginLoop(long trip, const std::string &label, int step,
-                     bool do_all)
+IRBuilder::beginLoop(long trip, const std::string &label, int step)
 {
+    vvsp_assert(trip >= 0, "loop '%s' has negative trip count %ld",
+                label.c_str(), trip);
     auto loop = std::make_unique<LoopNode>();
     loop->id = fn_.newNodeId();
     loop->label = label;
     loop->tripCount = trip;
     loop->step = step;
-    loop->isDoAll = do_all;
     loop->inductionVar = fn_.newVreg();
     LoopNode *raw = loop.get();
     currentList().push_back(std::move(loop));
@@ -169,15 +162,6 @@ IRBuilder::endIf()
                     stack_.back().node->kind() == NodeKind::If,
                 "endIf without a matching beginIf");
     stack_.pop_back();
-}
-
-void
-IRBuilder::breakIf(Operand cond, bool sense)
-{
-    auto brk = std::make_unique<BreakNode>();
-    brk->cond = cond;
-    brk->sense = sense;
-    push(std::move(brk));
 }
 
 Function

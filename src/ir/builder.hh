@@ -114,11 +114,11 @@ class IRBuilder
 
     // ---- structured control -----------------------------------------
     /**
-     * Open a counted loop; returns the loop node, whose inductionVar
-     * reads 0, step, 2*step, ... Use trip < 0 for a dynamic loop.
+     * Open a counted loop of `trip` >= 0 iterations; returns the
+     * loop node, whose inductionVar reads 0, step, 2*step, ...
      */
     LoopNode &beginLoop(long trip, const std::string &label = "",
-                        int step = 1, bool do_all = false);
+                        int step = 1);
 
     void endLoop();
 
@@ -128,16 +128,12 @@ class IRBuilder
     void beginElse();
     void endIf();
 
-    /** Conditional exit from the innermost loop. */
-    void breakIf(Operand cond, bool sense = true);
-
     /** Finish and return the function (builder becomes empty). */
     Function finish();
 
   private:
     BlockNode &currentBlock();
     NodeList &currentList();
-    void push(NodePtr node);
 
     struct OpenRegion
     {

@@ -60,7 +60,6 @@ LoopNode::clone() const
     n->step = step;
     n->ivInit = ivInit;
     n->boundVreg = boundVreg;
-    n->isDoAll = isDoAll;
     n->body = cloneList(body);
     return n;
 }
@@ -72,14 +71,9 @@ LoopNode::str(int indent) const
     os << pad(indent) << "loop";
     if (!label.empty())
         os << " '" << label << "'";
-    if (tripCount >= 0)
-        os << " trip=" << tripCount;
-    else
-        os << " dynamic";
+    os << " trip=" << tripCount;
     if (inductionVar != kNoVreg)
         os << " iv=v" << inductionVar << " step=" << step;
-    if (isDoAll)
-        os << " doall";
     os << " {\n" << listStr(body, indent + 1) << pad(indent) << "}\n";
     return os.str();
 }
@@ -108,28 +102,6 @@ IfNode::str(int indent) const
         os << pad(indent) << "} else {\n" << listStr(elseBody, indent + 1);
     }
     os << pad(indent) << "}\n";
-    return os.str();
-}
-
-NodePtr
-BreakNode::clone() const
-{
-    auto n = std::make_unique<BreakNode>();
-    n->id = id;
-    n->label = label;
-    n->cond = cond;
-    n->sense = sense;
-    return n;
-}
-
-std::string
-BreakNode::str(int indent) const
-{
-    std::ostringstream os;
-    os << pad(indent) << "break";
-    if (!cond.isNone())
-        os << (sense ? " if " : " ifnot ") << cond.str();
-    os << "\n";
     return os.str();
 }
 

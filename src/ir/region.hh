@@ -3,10 +3,10 @@
  * Structured intermediate representation.
  *
  * A kernel is a tree of regions rather than an arbitrary CFG: video
- * kernels are structured loop nests, and a structured form makes
- * loop unrolling, interchange, and if-conversion direct while still
- * expressing the data-dependent control of the VBR coder (If and
- * conditional Break nodes inside dynamic loops).
+ * kernels are structured nests of counted loops, and a structured
+ * form makes loop unrolling, interchange, and if-conversion direct
+ * while still expressing the data-dependent control of the VBR coder
+ * (If arms and predication inside counted loops).
  */
 
 #ifndef VVSP_IR_REGION_HH
@@ -30,9 +30,8 @@ using NodeList = std::vector<NodePtr>;
 enum class NodeKind : uint8_t
 {
     Block, ///< straight-line (possibly predicated) operations.
-    Loop,  ///< counted or dynamic loop.
+    Loop,  ///< counted loop.
     If,    ///< two-armed conditional.
-    Break, ///< exit the innermost enclosing loop (optionally guarded).
 };
 
 /** A node in the structured IR tree. */
@@ -75,20 +74,20 @@ class BlockNode : public Node
 };
 
 /**
- * A loop. Counted loops (tripCount >= 0) expose their trip count to
- * the unroller and the frame composer; dynamic loops (tripCount < 0)
- * iterate until a Break fires. The induction variable, when present,
- * reads 0, step, 2*step, ... in successive iterations; its update,
- * compare, and back-edge branch are materialized by the scheduler's
- * loop lowering so that transformations never have to repair them.
+ * A counted loop: it runs exactly tripCount (>= 0) iterations, which
+ * the unroller and the frame composer read. The induction variable,
+ * when present, reads 0, step, 2*step, ... in successive iterations;
+ * its update, compare, and back-edge branch are materialized by the
+ * scheduler's loop lowering so that transformations never have to
+ * repair them.
  */
 class LoopNode : public Node
 {
   public:
     LoopNode() : Node(NodeKind::Loop) {}
 
-    /** Static trip count, or -1 for a dynamic (while) loop. */
-    long tripCount = -1;
+    /** Static trip count (never negative; the verifier checks). */
+    long tripCount = 0;
     /** Induction register, or kNoVreg. */
     Vreg inductionVar = kNoVreg;
     /** Induction step per iteration. */
@@ -105,12 +104,6 @@ class LoopNode : public Node
      * when ivInit is a register; kNoVreg otherwise.
      */
     Vreg boundVreg = kNoVreg;
-    /**
-     * True when iterations are independent (a do-all loop): the
-     * cluster assigner may replicate such loops SIMD-style across
-     * clusters (Sec. 3.3).
-     */
-    bool isDoAll = false;
 
     NodeList body;
 
@@ -130,20 +123,6 @@ class IfNode : public Node
 
     NodeList thenBody;
     NodeList elseBody;
-
-    NodePtr clone() const override;
-    std::string str(int indent = 0) const override;
-};
-
-/** Exit the innermost loop, optionally guarded by a condition. */
-class BreakNode : public Node
-{
-  public:
-    BreakNode() : Node(NodeKind::Break) {}
-
-    /** Break fires when cond is absent, or (cond != 0) == sense. */
-    Operand cond = Operand::none();
-    bool sense = true;
 
     NodePtr clone() const override;
     std::string str(int indent = 0) const override;

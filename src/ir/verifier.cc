@@ -18,7 +18,7 @@ class Verifier
     std::vector<std::string>
     run()
     {
-        walk(fn_.body, 0);
+        walk(fn_.body);
         return std::move(problems_);
     }
 
@@ -83,7 +83,7 @@ class Verifier
     }
 
     void
-    walk(const NodeList &list, int loop_depth)
+    walk(const NodeList &list)
     {
         for (const auto &n : list) {
             switch (n->kind()) {
@@ -95,6 +95,11 @@ class Verifier
                 break;
               case NodeKind::Loop: {
                 const auto &loop = static_cast<const LoopNode &>(*n);
+                if (loop.tripCount < 0) {
+                    problem("loop '" + loop.label +
+                            "' has negative trip count " +
+                            std::to_string(loop.tripCount));
+                }
                 if (loop.ivInit.isReg() &&
                     !defined_.count(loop.ivInit.reg)) {
                     problem("loop '" + loop.label +
@@ -102,9 +107,7 @@ class Verifier
                             std::to_string(loop.ivInit.reg) +
                             " undefined");
                 }
-                if (loop.ivInit.isReg() &&
-                    loop.boundVreg == kNoVreg &&
-                    loop.tripCount >= 0) {
+                if (loop.ivInit.isReg() && loop.boundVreg == kNoVreg) {
                     problem("pointer loop '" + loop.label +
                             "' needs a precomputed bound register");
                 }
@@ -116,31 +119,15 @@ class Verifier
                 }
                 if (loop.inductionVar != kNoVreg)
                     defined_.insert(loop.inductionVar);
-                bool has_break = false;
-                forEachNode(loop.body, [&has_break](const Node &m) {
-                    if (m.kind() == NodeKind::Break)
-                        has_break = true;
-                });
-                if (loop.tripCount < 0 && !has_break)
-                    problem("dynamic loop '" + loop.label +
-                            "' has no break");
-                walk(loop.body, loop_depth + 1);
+                walk(loop.body);
                 break;
               }
               case NodeKind::If: {
                 const auto &iff = static_cast<const IfNode &>(*n);
                 if (!iff.cond.isReg() && !iff.cond.isImm())
                     problem("if without a condition");
-                walk(iff.thenBody, loop_depth);
-                walk(iff.elseBody, loop_depth);
-                break;
-              }
-              case NodeKind::Break: {
-                const auto &brk = static_cast<const BreakNode &>(*n);
-                if (loop_depth == 0)
-                    problem("break outside of a loop");
-                if (!brk.cond.isNone() && !brk.cond.isReg())
-                    problem("break with a non-register condition");
+                walk(iff.thenBody);
+                walk(iff.elseBody);
                 break;
               }
             }

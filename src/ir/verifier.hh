@@ -22,7 +22,8 @@ namespace vvsp
  *  - memory operations reference declared buffers,
  *  - every register use is preceded (in pre-order) by a definition
  *    or is the induction variable of an enclosing loop,
- *  - dynamic loops contain a Break, Breaks sit inside loops,
+ *  - every loop is counted: its trip count is not negative, and a
+ *    pointer loop (register initial value) has a bound register,
  *  - predicates are registers.
  *
  * Returns the list of problems (empty when well-formed).

@@ -106,14 +106,6 @@ siteIndex(int node, GroupSite site)
 std::vector<Operation>
 loopControlOps(Function &fn, const LoopNode &loop)
 {
-    std::vector<Operation> ops;
-    if (loop.tripCount < 0) {
-        Operation br;
-        br.op = Opcode::Br;
-        br.id = fn.newOpId();
-        ops.push_back(br);
-        return ops;
-    }
     vvsp_assert(loop.inductionVar != kNoVreg,
                 "counted loop '%s' without an induction variable",
                 loop.label.c_str());
@@ -146,10 +138,7 @@ loopControlOps(Function &fn, const LoopNode &loop)
     br.op = Opcode::BrCond;
     br.src[0] = Operand::ofReg(cmp.dst);
     br.id = fn.newOpId();
-    ops.push_back(add);
-    ops.push_back(cmp);
-    ops.push_back(br);
-    return ops;
+    return {add, cmp, br};
 }
 
 bool
@@ -170,8 +159,6 @@ double
 GroupCount::of(const AvgProfile &profile) const
 {
     switch (kind) {
-      case Kind::None:
-        return 0;
       case Kind::Block:
         return at(profile.blockExec, node);
       case Kind::IfEvals:
@@ -180,9 +167,6 @@ GroupCount::of(const AvgProfile &profile) const
         return at(profile.ifThen, node);
       case Kind::LoopIters:
         return at(profile.loopIters, node);
-      case Kind::BackEdges:
-        return at(profile.loopIters, node) -
-               at(profile.loopEntries, node);
     }
     return 0;
 }
@@ -287,8 +271,6 @@ struct Composer::Walker
                  static_cast<int>(pending.size() - site_ops),
                  pendingLabel, pending, std::move(sched), width1);
         pending.clear();
-        pendingCount = GroupCount();
-        pendingLabel.clear();
     }
 
     void
@@ -375,10 +357,7 @@ struct Composer::Walker
         } else {
             walkList(loop.body);
             auto ctrl = loopControlOps(fn, loop);
-            appendOps(ctrl,
-                      {loop.tripCount < 0 ? GroupCount::Kind::BackEdges
-                                          : GroupCount::Kind::LoopIters,
-                       loop.id},
+            appendOps(ctrl, {GroupCount::Kind::LoopIters, loop.id},
                       "loop:" + loop.label);
             flush(GroupSite::BackEdge, loop.id, ctrl.size());
         }
@@ -421,12 +400,6 @@ struct Composer::Walker
                              GroupSite::ThenEnd, iff.id);
                 walkList(iff.elseBody);
                 flush(GroupSite::ElseEnd, iff.id);
-                break;
-              }
-              case NodeKind::Break: {
-                const auto &brk = static_cast<const BreakNode &>(*n);
-                appendBranch(brk.cond, pendingCount, GroupSite::Break,
-                             brk.id);
                 break;
               }
             }

@@ -113,29 +113,25 @@ enum class GroupSite : uint8_t
     IfCond,      ///< pending ops + an If's conditional branch.
     ThenEnd,     ///< an If's then arm (+ the branch over the else).
     ElseEnd,     ///< an If's else arm.
-    Break,       ///< pending ops + a Break's branch.
     FunctionEnd, ///< the function's trailing ops.
 };
 
 /**
  * How the profile counts a group's executions: by the first code the
- * group holds (a block, a branch, or loop control).
+ * group holds (a block, a branch, or loop control). Every loop is
+ * counted, so all code of one node list runs equally often and the
+ * first code's count is the group's.
  */
 struct GroupCount
 {
     enum class Kind : uint8_t
     {
-        None,      ///< never counted (a branch no code led into).
         Block,     ///< blockExec of `node`.
         IfEvals,   ///< ifThen + ifElse of `node`.
         IfThen,    ///< ifThen of `node`.
         LoopIters, ///< loopIters of `node`.
-        /** loopIters - loopEntries of `node`: a dynamic loop leaves
-         *  only through a Break, so its last iteration per entry
-         *  never takes the back edge. */
-        BackEdges,
     };
-    Kind kind = Kind::None;
+    Kind kind = Kind::Block;
     int node = -1;
 
     double of(const AvgProfile &profile) const;

@@ -45,12 +45,7 @@ class BcCompiler
     void compile()
     {
         compileList(fn_.body);
-        int32_t halt_pc = pc();
         emit(BcKind::kHalt);
-        // A Break with no enclosing loop ends the function, exactly
-        // as the tree walker's Flow::Break propagates out of run().
-        for (size_t site : toplevel_breaks_)
-            out_.code_[site].arg = halt_pc;
     }
 
   private:
@@ -132,9 +127,6 @@ class BcCompiler
           case NodeKind::If:
             compileIf(static_cast<const IfNode &>(node));
             return;
-          case NodeKind::Break:
-            compileBreak(static_cast<const BreakNode &>(node));
-            return;
         }
     }
 
@@ -190,29 +182,22 @@ class BcCompiler
         vvsp_assert(out_.loops_.size() < 0xffff,
                     "bytecode: too many loops");
         BcLoopInfo info;
-        info.tripCount = loop.tripCount;
+        info.tripCount = static_cast<uint64_t>(loop.tripCount);
         info.nodeId = nodeIndex(loop.id);
         if (loop.inductionVar != kNoVreg)
             info.ivReg = dstIndex(loop.inductionVar);
         info.ivInitIdx = operandIndex(loop.ivInit);
         info.step = static_cast<uint16_t>(loop.step);
-        info.label = loop.label;
-        out_.loops_.push_back(std::move(info));
+        out_.loops_.push_back(info);
 
         emit(BcKind::kLoopEnter).slot = slot;
         int32_t head_pc = pc();
         emit(BcKind::kLoopHead).slot = slot;
-
-        break_sites_.emplace_back();
         compileList(loop.body);
         emit(BcKind::kLoopBack).slot = slot;
-        int32_t exit_pc = pc();
 
         out_.loops_[slot].headPc = head_pc;
-        out_.loops_[slot].exitPc = exit_pc;
-        for (size_t site : break_sites_.back())
-            out_.code_[site].arg = exit_pc;
-        break_sites_.pop_back();
+        out_.loops_[slot].exitPc = pc();
     }
 
     void compileIf(const IfNode &iff)
@@ -232,29 +217,9 @@ class BcCompiler
         out_.code_[join].arg = pc(); // both arms rejoin here.
     }
 
-    void compileBreak(const BreakNode &brk)
-    {
-        size_t site = static_cast<size_t>(pc());
-        if (brk.cond.isNone()) {
-            emit(BcKind::kJump);
-        } else {
-            BcInst &inst = emit(BcKind::kBreakIf);
-            inst.a = operandIndex(brk.cond);
-            inst.sense = brk.sense ? 1 : 0;
-        }
-        // Target = exit of the innermost enclosing loop: the static
-        // equivalent of Flow::Break unwinding through runList.
-        if (break_sites_.empty())
-            toplevel_breaks_.push_back(site);
-        else
-            break_sites_.back().push_back(site);
-    }
-
     const Function &fn_;
     BytecodeProgram &out_;
     std::unordered_map<uint16_t, uint32_t> const_index_;
-    std::vector<std::vector<size_t>> break_sites_;
-    std::vector<size_t> toplevel_breaks_;
 };
 
 BytecodeProgram::BytecodeProgram(const Function &fn)
@@ -316,22 +281,6 @@ BytecodeEngine::run(MemoryImage &mem)
     const size_t num_loops = p.loops().size();
     loop_iter_.assign(num_loops, 0);
     loop_iv_.assign(num_loops, 0);
-    loop_bound_.resize(num_loops);
-    loop_panics_.resize(num_loops);
-    for (size_t i = 0; i < num_loops; ++i) {
-        // Fold the trip-count and max-iteration guards into one
-        // bound: a counted loop within the safety limit exits at its
-        // trip count; everything else panics at the limit (exactly
-        // the tree walker's assert-before-body placement).
-        const BcLoopInfo &info = p.loops()[i];
-        bool counted_ok =
-            info.tripCount >= 0 &&
-            static_cast<uint64_t>(info.tripCount) <= max_iters_;
-        loop_bound_[i] =
-            counted_ok ? static_cast<uint64_t>(info.tripCount)
-                       : max_iters_;
-        loop_panics_[i] = counted_ok ? 0 : 1;
-    }
 
     vvsp_assert(mem.numBuffers() >= p.numBuffers(),
                 "memory image has %zu buffers, program needs %zu",
@@ -347,9 +296,7 @@ BytecodeEngine::run(MemoryImage &mem)
     const BufSpan *const bufs = spans.data();
     const BcLoopInfo *const loops = p.loops().data();
     uint64_t *const iters = loop_iter_.data();
-    uint64_t *const bounds = loop_bound_.data();
     uint16_t *const ivs = loop_iv_.data();
-    const uint8_t *const panics = loop_panics_.data();
     uint64_t *const block_exec = profile.blockExec.data();
     uint64_t *const loop_entries = profile.loopEntries.data();
     uint64_t *const loop_iters = profile.loopIters.data();
@@ -368,7 +315,7 @@ BytecodeEngine::run(MemoryImage &mem)
         VVSP_BC_LABEL(BlockHead) VVSP_BC_LABEL(LoopEnter)
         VVSP_BC_LABEL(LoopHead) VVSP_BC_LABEL(LoopBack)
         VVSP_BC_LABEL(Jump) VVSP_BC_LABEL(IfHead)
-        VVSP_BC_LABEL(BreakIf) VVSP_BC_LABEL(Halt)
+        VVSP_BC_LABEL(Halt)
 #undef VVSP_BC_LABEL
     };
     VVSP_BC_NEXT();
@@ -444,13 +391,7 @@ BytecodeEngine::run(MemoryImage &mem)
     VVSP_BC_CASE(LoopHead) : {
         const uint16_t slot = ip->slot;
         const BcLoopInfo &info = loops[slot];
-        if (iters[slot] >= bounds[slot]) {
-            if (panics[slot]) {
-                vvsp_panic(
-                    "dynamic loop '%s' exceeded %llu iterations",
-                    info.label.c_str(),
-                    static_cast<unsigned long long>(max_iters_));
-            }
+        if (iters[slot] >= info.tripCount) {
             ip = code + info.exitPc;
             VVSP_BC_NEXT();
         }
@@ -484,15 +425,6 @@ BytecodeEngine::run(MemoryImage &mem)
             ++if_else[inst.dst];
             ip = code + inst.arg;
         }
-        VVSP_BC_NEXT();
-    }
-
-    VVSP_BC_CASE(BreakIf) : {
-        const BcInst &inst = *ip;
-        if ((regs[inst.a] != 0) == static_cast<bool>(inst.sense))
-            ip = code + inst.arg;
-        else
-            ++ip;
         VVSP_BC_NEXT();
     }
 
@@ -583,7 +515,6 @@ hashNode(Fnv64 &fnv, const Node &node)
         fnv.i64(loop.step);
         fnv.operand(loop.ivInit);
         fnv.u64(loop.boundVreg);
-        fnv.byte(loop.isDoAll ? 1 : 0);
         hashList(fnv, loop.body);
         return;
       }
@@ -594,12 +525,6 @@ hashNode(Fnv64 &fnv, const Node &node)
         hashList(fnv, iff.thenBody);
         fnv.byte(0xff); // arm separator.
         hashList(fnv, iff.elseBody);
-        return;
-      }
-      case NodeKind::Break: {
-        const auto &brk = static_cast<const BreakNode &>(node);
-        fnv.operand(brk.cond);
-        fnv.byte(brk.sense ? 1 : 0);
         return;
       }
     }

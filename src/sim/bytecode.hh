@@ -7,7 +7,7 @@
  * Operand and re-dispatches on node kind for every dynamic operation;
  * profiled cells execute the same lowered Function millions of ops at
  * a time, once per machine. BytecodeProgram flattens the structured
- * IR (blocks, loops, If arms, predication, Break) into a linear array
+ * IR (blocks, counted loops, If arms, predication) into a linear array
  * of fixed-width decoded instructions with all jump and back-edge
  * targets resolved at compile time, and BytecodeEngine replays it
  * with a threaded-dispatch loop (computed goto, a GCC/Clang extension
@@ -21,9 +21,8 @@
  *    dedicated always-zero slot, so there is no operand-kind test;
  *  - ALU handlers are instantiated per opcode, so the shared
  *    alu16::evaluate switch constant-folds away;
- *  - loop trip/max-iteration guards are folded into one per-iteration
- *    bound compare precomputed at run start (the panic-vs-exit
- *    decision is per-loop static for a given max);
+ *  - every loop is counted, so a loop head is one compare of the
+ *    iteration count against the static trip count;
  *  - register-file capacity and buffer ids are validated once at
  *    compile time, so the replay loop does unchecked register access;
  *    memory accesses keep their per-access bounds check (the address
@@ -40,7 +39,6 @@
 #define VVSP_SIM_BYTECODE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/function.hh"
@@ -71,12 +69,11 @@ enum class BcKind : uint8_t
     kStore,     ///< buffer[arg][u16(b + c)] = a.
     kBlockHead, ///< blockExec[arg]++.
     kLoopEnter, ///< reset loop state of `slot`; loopEntries++.
-    kLoopHead,  ///< bound check / iv publish / loopIters++ of `slot`.
+    kLoopHead,  ///< trip check / iv publish / loopIters++ of `slot`.
     kLoopBack,  ///< iter++, iv += step, jump to head of `slot`.
-    kJump,      ///< ip = arg (If-arm join, unconditional Break).
+    kJump,      ///< ip = arg (If-arm join).
     kIfHead,    ///< (regs[a] != 0) == sense ? then (fall through,
                 ///< ifThen[dst]++) : jump arg (ifElse[dst]++).
-    kBreakIf,   ///< jump arg when (regs[a] != 0) == sense.
     kHalt,      ///< end of program.
 };
 
@@ -107,14 +104,13 @@ struct BcInst
 /** Per-static-loop compile-time facts (side table, indexed by slot). */
 struct BcLoopInfo
 {
-    int64_t tripCount = -1; ///< static trip count, < 0 for dynamic.
+    uint64_t tripCount = 0; ///< static trip count.
     int32_t nodeId = 0;     ///< profile index (loopEntries/loopIters).
     uint32_t ivReg = kNoBcReg; ///< induction register index, if any.
     uint32_t ivInitIdx = 0; ///< regfile index of the initial value.
     uint16_t step = 1;      ///< per-iteration step, mod 2^16.
     int32_t headPc = 0;     ///< pc of the kLoopHead instruction.
     int32_t exitPc = 0;     ///< pc just past the kLoopBack.
-    std::string label;      ///< for the max-iteration panic message.
 };
 
 /**
@@ -170,9 +166,6 @@ class BytecodeEngine
 
     Profile run(MemoryImage &mem);
 
-    /** Safety bound for dynamic loops (same default as the oracle). */
-    void setMaxLoopIterations(uint64_t n) { max_iters_ = n; }
-
     const BytecodeProgram &program() const { return prog_; }
 
     /** Last value of a virtual register (for tests). */
@@ -182,10 +175,7 @@ class BytecodeEngine
     BytecodeProgram prog_;
     std::vector<uint16_t> regs_;
     std::vector<uint64_t> loop_iter_;
-    std::vector<uint64_t> loop_bound_;
     std::vector<uint16_t> loop_iv_;
-    std::vector<uint8_t> loop_panics_;
-    uint64_t max_iters_ = 1ull << 32;
 };
 
 /**

@@ -48,8 +48,6 @@ struct CycleSim::Engine
     int *tracePid = nullptr;
     const std::string *traceLabel = nullptr;
 
-    enum class Flow { Normal, Break };
-
     Engine(const Function &fn, const MachineModel &m,
            const KernelSchedule &schedule, MemoryImage &image)
         : machine(m), ks(schedule), mem(image),
@@ -243,24 +241,17 @@ struct CycleSim::Engine
             return;
         }
         uint16_t base = value(loop.ivInit);
-        for (uint64_t iter = 0;
-             loop.tripCount < 0 ||
-             iter < static_cast<uint64_t>(loop.tripCount);
-             ++iter) {
-            vvsp_assert(iter < (1ull << 24),
-                        "runaway dynamic loop '%s'",
-                        loop.label.c_str());
+        for (long k = 0; k < loop.tripCount; ++k) {
             if (loop.inductionVar != kNoVreg) {
                 regs.at(loop.inductionVar) = static_cast<uint16_t>(
-                    base + iter * static_cast<uint64_t>(loop.step));
+                    base + k * loop.step);
             }
-            if (runList(loop.body) == Flow::Break)
-                return;
+            runList(loop.body);
             runAt(loop.id, GroupSite::BackEdge);
         }
     }
 
-    Flow
+    void
     runList(const NodeList &list)
     {
         for (const auto &n : list) {
@@ -277,9 +268,7 @@ struct CycleSim::Engine
                 // execute before the condition is read.
                 runAt(iff.id, GroupSite::IfCond);
                 bool taken = (value(iff.cond) != 0) == iff.sense;
-                if (runList(taken ? iff.thenBody : iff.elseBody) ==
-                    Flow::Break)
-                    return Flow::Break;
+                runList(taken ? iff.thenBody : iff.elseBody);
                 if (iff.elseBody.empty()) {
                     flushAt(iff.id, GroupSite::ThenEnd);
                 } else if (taken) {
@@ -289,18 +278,8 @@ struct CycleSim::Engine
                 }
                 break;
               }
-              case NodeKind::Break: {
-                const auto &brk = static_cast<const BreakNode &>(*n);
-                runAt(brk.id, GroupSite::Break);
-                bool fires = brk.cond.isNone() ||
-                             (value(brk.cond) != 0) == brk.sense;
-                if (fires)
-                    return Flow::Break;
-                break;
-              }
             }
         }
-        return Flow::Normal;
     }
 };
 

@@ -84,37 +84,29 @@ Interpreter::runBlock(const BlockNode &block, MemoryImage &mem)
     }
 }
 
-Interpreter::Flow
+void
 Interpreter::runNode(const Node &node, MemoryImage &mem)
 {
     switch (node.kind()) {
       case NodeKind::Block:
         runBlock(static_cast<const BlockNode &>(node), mem);
-        return Flow::Normal;
+        return;
 
       case NodeKind::Loop: {
         const auto &loop = static_cast<const LoopNode &>(node);
         profile_.loopEntries[static_cast<size_t>(loop.id)]++;
         uint16_t iv_base = value(loop.ivInit);
-        uint64_t iter = 0;
-        while (loop.tripCount < 0 ||
-               iter < static_cast<uint64_t>(loop.tripCount)) {
-            vvsp_assert(iter < max_iters_,
-                        "dynamic loop '%s' exceeded %llu iterations",
-                        loop.label.c_str(),
-                        static_cast<unsigned long long>(max_iters_));
+        for (uint64_t iter = 0;
+             iter < static_cast<uint64_t>(loop.tripCount); ++iter) {
             if (loop.inductionVar != kNoVreg) {
                 regs_.at(loop.inductionVar) = static_cast<uint16_t>(
                     iv_base +
                     iter * static_cast<uint64_t>(loop.step));
             }
             profile_.loopIters[static_cast<size_t>(loop.id)]++;
-            Flow f = runList(loop.body, mem);
-            ++iter;
-            if (f == Flow::Break)
-                break;
+            runList(loop.body, mem);
         }
-        return Flow::Normal;
+        return;
       }
 
       case NodeKind::If: {
@@ -122,33 +114,21 @@ Interpreter::runNode(const Node &node, MemoryImage &mem)
         bool taken = (value(iff.cond) != 0) == iff.sense;
         if (taken) {
             profile_.ifThen[static_cast<size_t>(iff.id)]++;
-            return runList(iff.thenBody, mem);
+            runList(iff.thenBody, mem);
+        } else {
+            profile_.ifElse[static_cast<size_t>(iff.id)]++;
+            runList(iff.elseBody, mem);
         }
-        profile_.ifElse[static_cast<size_t>(iff.id)]++;
-        return runList(iff.elseBody, mem);
-      }
-
-      case NodeKind::Break: {
-        const auto &brk = static_cast<const BreakNode &>(node);
-        if (brk.cond.isNone() ||
-            (value(brk.cond) != 0) == brk.sense) {
-            return Flow::Break;
-        }
-        return Flow::Normal;
+        return;
       }
     }
-    return Flow::Normal;
 }
 
-Interpreter::Flow
+void
 Interpreter::runList(const NodeList &list, MemoryImage &mem)
 {
-    for (const auto &n : list) {
-        Flow f = runNode(*n, mem);
-        if (f == Flow::Break)
-            return f;
-    }
-    return Flow::Normal;
+    for (const auto &n : list)
+        runNode(*n, mem);
 }
 
 Profile

@@ -11,6 +11,9 @@
  *     feed the frame-level cycle composer, which is how the
  *     data-dependent VBR coder is costed with "typical data"
  *     exactly as in the paper.
+ *
+ * Every loop is counted (ir/region.hh), so a walk never leaves a list
+ * early: all nodes of one list run equally often.
  */
 
 #ifndef VVSP_SIM_INTERPRETER_HH
@@ -65,17 +68,12 @@ class Interpreter
      */
     Profile run(MemoryImage &mem);
 
-    /** Safety bound for dynamic loops. */
-    void setMaxLoopIterations(uint64_t n) { max_iters_ = n; }
-
     /** Last value of a virtual register (for tests). */
     uint16_t regValue(Vreg r) const;
 
   private:
-    enum class Flow { Normal, Break };
-
-    Flow runList(const NodeList &list, MemoryImage &mem);
-    Flow runNode(const Node &node, MemoryImage &mem);
+    void runList(const NodeList &list, MemoryImage &mem);
+    void runNode(const Node &node, MemoryImage &mem);
     void runBlock(const BlockNode &block, MemoryImage &mem);
     uint16_t value(const Operand &o) const
     {
@@ -85,7 +83,6 @@ class Interpreter
     const Function &fn_;
     std::vector<uint16_t> regs_;
     Profile profile_;
-    uint64_t max_iters_ = 1ull << 32;
 };
 
 } // namespace vvsp

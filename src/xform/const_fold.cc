@@ -278,27 +278,6 @@ class Folder
                 ++i;
                 break;
               }
-
-              case NodeKind::Break: {
-                auto &brk = static_cast<BreakNode &>(n);
-                substitute(brk.cond, known);
-                if (brk.cond.isImm()) {
-                    changed_ = true;
-                    bool fires = (brk.cond.imm != 0) == brk.sense;
-                    if (fires) {
-                        brk.cond = Operand::none();
-                        brk.sense = true;
-                        // Code after an unconditional break is dead.
-                        list.resize(i + 1);
-                    } else {
-                        list.erase(list.begin() +
-                                   static_cast<long>(i));
-                        break;
-                    }
-                }
-                ++i;
-                break;
-              }
             }
         }
     }

@@ -82,10 +82,7 @@ pruneEmptyNodes(NodeList &list, std::vector<uint32_t> &counts)
           case NodeKind::Loop: {
             auto &loop = static_cast<LoopNode &>(n);
             changed |= pruneEmptyNodes(loop.body, counts);
-            // Only counted loops can be dropped when empty; an empty
-            // dynamic loop would spin forever and is a kernel bug the
-            // verifier reports instead.
-            erase = loop.body.empty() && loop.tripCount >= 0;
+            erase = loop.body.empty();
             if (erase) {
                 releaseUse(counts, loop.ivInit);
                 if (loop.boundVreg != kNoVreg)
@@ -102,8 +99,6 @@ pruneEmptyNodes(NodeList &list, std::vector<uint32_t> &counts)
                 releaseUse(counts, iff.cond);
             break;
           }
-          case NodeKind::Break:
-            break;
         }
         if (erase) {
             list.erase(list.begin() + static_cast<long>(i));

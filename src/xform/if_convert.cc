@@ -186,7 +186,7 @@ class Converter
             convertList(iff.thenBody);
             convertList(iff.elseBody);
             if (!allBlocks(iff.thenBody) || !allBlocks(iff.elseBody)) {
-                ++i; // residual control (loops/breaks) stays branchy.
+                ++i; // residual control (loops) stays branchy.
                 continue;
             }
             size_t arm_ops = 0;

@@ -36,9 +36,6 @@ useCounts(const Function &fn)
           case NodeKind::If:
             count(static_cast<const IfNode &>(n).cond);
             break;
-          case NodeKind::Break:
-            count(static_cast<const BreakNode &>(n).cond);
-            break;
           case NodeKind::Loop: {
             const auto &loop = static_cast<const LoopNode &>(n);
             count(loop.ivInit);
@@ -46,8 +43,6 @@ useCounts(const Function &fn)
                 count(Operand::ofReg(loop.boundVreg));
             break;
           }
-          default:
-            break;
         }
     });
     return counts;

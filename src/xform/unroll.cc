@@ -98,7 +98,6 @@ class Copier
             nl->label = loop.label;
             nl->tripCount = loop.tripCount;
             nl->step = loop.step;
-            nl->isDoAll = loop.isDoAll;
             nl->ivInit = loop.ivInit;
             applySubst(nl->ivInit, map);
             if (loop.boundVreg != kNoVreg) {
@@ -139,15 +138,6 @@ class Copier
             ni->elseBody = copyList(iff.elseBody, map, true);
             return ni;
           }
-          case NodeKind::Break: {
-            const auto &brk = static_cast<const BreakNode &>(n);
-            auto nk = std::make_unique<BreakNode>();
-            nk->id = fn_.newNodeId();
-            nk->cond = brk.cond;
-            applySubst(nk->cond, map);
-            nk->sense = brk.sense;
-            return nk;
-          }
         }
         vvsp_panic("unknown node kind");
     }
@@ -186,8 +176,7 @@ findParent(NodeList &list, const LoopNode &target)
 void
 unrollLoop(Function &fn, LoopNode &loop, long factor)
 {
-    vvsp_assert(loop.tripCount > 0,
-                "cannot unroll dynamic or empty loop '%s'",
+    vvsp_assert(loop.tripCount > 0, "cannot unroll empty loop '%s'",
                 loop.label.c_str());
     long trip = loop.tripCount;
     bool full = factor <= 0 || factor >= trip;

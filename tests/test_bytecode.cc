@@ -5,8 +5,7 @@
  * Interpreter oracle — identical Profile vectors and identical
  * post-run MemoryImage contents — across every kernel x variant x
  * registry model, plus hand-built IR exercising the control-flow
- * corners (predication, dynamic loops, breaks inside Ifs, loop
- * re-entry, the max-iteration guard, memory bounds).
+ * corners (predication, loop re-entry, memory bounds).
  */
 
 #include <gtest/gtest.h>
@@ -176,28 +175,6 @@ TEST(Bytecode, PredicationNullifiesLikeOracle)
     EXPECT_EQ(p.nullifiedOps, 1u);
 }
 
-TEST(Bytecode, DynamicLoopBreaksFromInsideIf)
-{
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg n = b.movi(0);
-    b.beginLoop(-1, "w");
-    b.emitTo(n, Opcode::Add, R(n), K(1));
-    Vreg odd = b.band(R(n), K(1));
-    b.beginIf(R(odd));
-    Vreg done = b.cmpGe(R(n), K(9));
-    b.breakIf(R(done));
-    b.endIf();
-    b.endLoop();
-    b.store(buf, R(n), K(0));
-    Function fn = b.finish();
-
-    expectEnginesAgree(fn);
-    MemoryImage mem(fn);
-    BytecodeEngine(fn).run(mem);
-    EXPECT_EQ(mem.read(buf, 0), 9); // first odd n >= 9.
-}
-
 TEST(Bytecode, NestedLoopReentryResetsInnerState)
 {
     IRBuilder b("t");
@@ -223,62 +200,6 @@ TEST(Bytecode, NestedLoopReentryResetsInnerState)
     }
     EXPECT_EQ(inner_entries, 3u);
     EXPECT_EQ(inner_iters, 12u);
-}
-
-TEST(BytecodeDeath, DynamicLoopHitsIterationGuard)
-{
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg n = b.movi(0);
-    b.beginLoop(-1, "spin");
-    b.emitTo(n, Opcode::Add, R(n), K(1));
-    b.endLoop();
-    b.store(buf, R(n), K(0));
-    Function fn = b.finish();
-
-    MemoryImage mem(fn);
-    BytecodeEngine engine(fn);
-    engine.setMaxLoopIterations(100);
-    EXPECT_DEATH(engine.run(mem), "exceeded");
-    MemoryImage oracle_mem(fn);
-    Interpreter oracle(fn);
-    oracle.setMaxLoopIterations(100);
-    EXPECT_DEATH(oracle.run(oracle_mem), "exceeded");
-}
-
-TEST(BytecodeDeath, CountedLoopBeyondGuardPanicsToo)
-{
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg last = b.movi(0);
-    auto &loop = b.beginLoop(11, "i");
-    b.emitTo(last, Opcode::Mov, R(loop.inductionVar));
-    b.endLoop();
-    b.store(buf, R(last), K(0));
-    Function fn = b.finish();
-
-    MemoryImage mem(fn);
-    BytecodeEngine engine(fn);
-    engine.setMaxLoopIterations(10);
-    EXPECT_DEATH(engine.run(mem), "exceeded");
-}
-
-TEST(Bytecode, CountedLoopWithinGuardRunsClean)
-{
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg last = b.movi(0);
-    auto &loop = b.beginLoop(10, "i");
-    b.emitTo(last, Opcode::Mov, R(loop.inductionVar));
-    b.endLoop();
-    b.store(buf, R(last), K(0));
-    Function fn = b.finish();
-
-    MemoryImage mem(fn);
-    BytecodeEngine engine(fn);
-    engine.setMaxLoopIterations(10); // trip == guard: still fine.
-    engine.run(mem);
-    EXPECT_EQ(mem.read(buf, 0), 9);
 }
 
 TEST(BytecodeDeath, MemoryBoundsStillChecked)

@@ -11,16 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arch/models.hh"
 #include "core/experiment.hh"
 #include "ir/builder.hh"
+#include "ir/verifier.hh"
 #include "kernels/composer.hh"
 #include "obs/stats_registry.hh"
+#include "sim/bytecode.hh"
 #include "sim/cycle_sim.hh"
 #include "sim/interpreter.hh"
+#include "support/random.hh"
 
 namespace vvsp
 {
@@ -161,45 +166,291 @@ TEST(CycleSim, ReportsUtilizationCounters)
 }
 
 /**
- * A dynamic loop that leaves through a Break: its back edge runs on
- * every iteration but the one the Break exits, and the composer must
- * price it so in every schedule mode.
+ * Random structured programs, built with the raw builder: counted
+ * loops nested up to three deep (trips 0 to 4; all-block bodies that
+ * Swp mode pipelines), Ifs with and without an else arm, empty arms,
+ * predicated ops, and loads and stores inside their buffers.
  */
-class SimEquivalenceBreak : public ::testing::TestWithParam<ScheduleMode>
+class RandomProgram
+{
+  public:
+    static constexpr int kWords = 16;
+
+    explicit RandomProgram(uint64_t seed) : seed_(seed), rng_(seed) {}
+
+    Function
+    build()
+    {
+        IRBuilder b("random");
+        b_ = &b;
+        bufs_ = {b.buffer("a", kWords), b.buffer("b", kWords)};
+        for (int i = 0; i < 4; ++i)
+            pool_.push_back(b.movi(rng_.uniform(-8, 8)));
+        genList(0);
+        return b.finish();
+    }
+
+    /** The initial memory every engine runs on. */
+    MemoryImage
+    image(const Function &fn) const
+    {
+        MemoryImage mem(fn);
+        Rng data(seed_ ^ 0x5eedull);
+        for (int buf : bufs_) {
+            for (int w = 0; w < kWords; ++w)
+                mem.write(buf, w, static_cast<uint16_t>(data.next()));
+        }
+        return mem;
+    }
+
+  private:
+    template <typename T>
+    const T &
+    pick(const std::vector<T> &v)
+    {
+        return v[static_cast<size_t>(
+            rng_.uniform(0, static_cast<int>(v.size()) - 1))];
+    }
+
+    /** A long-lived register, an induction variable, or an immediate. */
+    Operand
+    value()
+    {
+        int k = rng_.uniform(0, 9);
+        if (k < 2)
+            return Operand::ofImm(rng_.uniform(-4, 9));
+        if (k < 4 && !ivs_.empty())
+            return Operand::ofReg(pick(ivs_));
+        return Operand::ofReg(pick(pool_));
+    }
+
+    void
+    genOp()
+    {
+        static const std::vector<Opcode> alu = {
+            Opcode::Add,   Opcode::Sub,   Opcode::And,   Opcode::Or,
+            Opcode::Xor,   Opcode::Min,   Opcode::Max,   Opcode::Abs,
+            Opcode::Neg,   Opcode::Mov,   Opcode::CmpEq, Opcode::CmpLt,
+            Opcode::CmpGe, Opcode::Select, Opcode::Shl,  Opcode::Sra,
+            Opcode::Mul8,  Opcode::MulU8};
+        Operation op;
+        int k = rng_.uniform(0, 9);
+        if (k < 4) {
+            // A masked register or an immediate: always in range.
+            Operand addr = rng_.uniform(0, 1)
+                               ? Operand::ofReg(b_->band(
+                                     value(), Operand::ofImm(kWords - 1)))
+                               : Operand::ofImm(rng_.uniform(0, kWords - 1));
+            op.buffer = pick(bufs_);
+            if (k < 2) {
+                op.op = Opcode::Load;
+                op.dst = pick(pool_);
+                op.src[0] = addr;
+            } else {
+                op.op = Opcode::Store;
+                op.src[0] = value();
+                op.src[1] = addr;
+            }
+        } else {
+            op.op = pick(alu);
+            op.dst = pick(pool_);
+            for (int i = 0; i < opcodeInfo(op.op).numSrcs; ++i)
+                op.src[static_cast<size_t>(i)] = value();
+        }
+        if (rng_.uniform(0, 3) == 0) {
+            op.pred = Operand::ofReg(pick(pool_));
+            op.predSense = rng_.uniform(0, 1) == 1;
+        }
+        b_->emitOp(op);
+    }
+
+    void
+    genOps(int n)
+    {
+        for (int i = 0; i < n; ++i)
+            genOp();
+    }
+
+    void
+    genLoop(int nest)
+    {
+        LoopNode &loop =
+            b_->beginLoop(rng_.uniform(0, 4), "", rng_.uniform(1, 2));
+        ivs_.push_back(loop.inductionVar);
+        ++loops_;
+        if (rng_.uniform(0, 2) == 0)
+            genOps(rng_.uniform(1, 6)); // all-block: Swp pipelines it.
+        else
+            genList(nest);
+        --loops_;
+        ivs_.pop_back();
+        b_->endLoop();
+    }
+
+    void
+    genIf(int nest)
+    {
+        // A condition computed just before the If closes a group with
+        // it; a plain register lets the If's branch open one.
+        Operand cond =
+            rng_.uniform(0, 1)
+                ? Operand::ofReg(b_->band(value(), Operand::ofImm(1)))
+                : Operand::ofReg(ivs_.empty() || rng_.uniform(0, 1)
+                                     ? pick(pool_)
+                                     : pick(ivs_));
+        b_->beginIf(cond, rng_.uniform(0, 3) != 0);
+        genList(nest);
+        if (rng_.uniform(0, 1)) {
+            b_->beginElse();
+            genList(nest);
+        }
+        b_->endIf();
+    }
+
+    /** 3 to 6 items at the top, 0 to 3 inside; from nest depth 4 on
+     *  only straight code. */
+    void
+    genList(int nest)
+    {
+        int items = nest == 0              ? rng_.uniform(3, 6)
+                    : rng_.uniform(0, 7) == 0 ? 0
+                                              : rng_.uniform(1, 3);
+        for (int i = 0; i < items; ++i) {
+            int k = nest < 4 ? rng_.uniform(0, 9) : 0;
+            if (k >= 7)
+                genIf(nest + 1);
+            else if (k >= 4 && loops_ < 3)
+                genLoop(nest + 1);
+            else
+                genOps(rng_.uniform(1, 4));
+        }
+    }
+
+    uint64_t seed_;
+    Rng rng_;
+    IRBuilder *b_ = nullptr;
+    std::vector<int> bufs_;
+    std::vector<Vreg> pool_;
+    std::vector<Vreg> ivs_;
+    int loops_ = 0;
+};
+
+/** Which of the shapes the generator promises a program holds. */
+struct Shapes
+{
+    int maxLoopDepth = 0;
+    int trip0 = 0, trip1 = 0, swpEligible = 0;
+    int ifElse = 0, ifThenOnly = 0;
+    int ifFirst = 0, ifLast = 0, ifAfterLoop = 0;
+    int predicated = 0, loads = 0, stores = 0;
+
+    void
+    scan(const NodeList &list, int depth)
+    {
+        for (size_t i = 0; i < list.size(); ++i) {
+            const Node &n = *list[i];
+            switch (n.kind()) {
+              case NodeKind::Block:
+                for (const Operation &op :
+                     static_cast<const BlockNode &>(n).ops) {
+                    predicated += op.isPredicated();
+                    loads += op.op == Opcode::Load;
+                    stores += op.op == Opcode::Store;
+                }
+                break;
+              case NodeKind::Loop: {
+                const auto &loop = static_cast<const LoopNode &>(n);
+                maxLoopDepth = std::max(maxLoopDepth, depth + 1);
+                trip0 += loop.tripCount == 0;
+                trip1 += loop.tripCount == 1;
+                swpEligible += swpEligibleLoop(loop, ScheduleMode::Swp);
+                scan(loop.body, depth + 1);
+                break;
+              }
+              case NodeKind::If: {
+                const auto &iff = static_cast<const IfNode &>(n);
+                ifElse += !iff.elseBody.empty();
+                ifThenOnly += iff.elseBody.empty();
+                ifFirst += i == 0;
+                ifLast += i + 1 == list.size();
+                ifAfterLoop +=
+                    i > 0 && list[i - 1]->kind() == NodeKind::Loop;
+                scan(iff.thenBody, depth);
+                scan(iff.elseBody, depth);
+                break;
+              }
+            }
+        }
+    }
+};
+
+class RandomPrograms : public ::testing::TestWithParam<ScheduleMode>
 {
 };
 
-TEST_P(SimEquivalenceBreak, DynamicLoopMatchesComposer)
+/**
+ * On every program the bytecode engine matches the tree walker, and
+ * CycleSim executes the composer's schedule in exactly the cycles
+ * Composer::price charges for the tree walker's profile, ending with
+ * the tree walker's memory.
+ */
+TEST_P(RandomPrograms, EnginesAndComposerAgree)
 {
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg n = b.movi(0);
-    b.beginLoop(-1, "w");
-    b.emitTo(n, Opcode::Add, Operand::ofReg(n), Operand::ofImm(1));
-    Vreg done = b.cmpGe(Operand::ofReg(n), Operand::ofImm(7));
-    b.breakIf(Operand::ofReg(done));
-    b.endLoop();
-    b.store(buf, Operand::ofReg(n), Operand::ofImm(0));
-    Function fn = b.finish();
+    constexpr int kPrograms = 128;
+    const ScheduleMode mode = GetParam();
     MachineModel machine(models::i4c8s4());
+    Shapes shapes;
+    int swp_groups = 0;
+    for (int i = 0; i < kPrograms; ++i) {
+        RandomProgram gen(1000 + static_cast<uint64_t>(i));
+        Function fn = gen.build();
+        verifyOrDie(fn);
+        shapes.scan(fn.body, 0);
+        const std::string text = fn.str();
 
-    MemoryImage ref(fn);
-    AvgProfile avg(fn.numNodeIds());
-    avg.accumulate(Interpreter(fn).run(ref));
-    Composer composer(machine, GetParam());
-    KernelSchedule schedule = composer.schedule(fn);
-    CompositionResult comp = composer.price(schedule, avg);
-    MemoryImage mem(fn);
-    CycleSimReport rep = CycleSim(machine, GetParam()).run(fn, schedule, mem);
+        MemoryImage ref = gen.image(fn);
+        Profile prof = Interpreter(fn).run(ref);
+        MemoryImage bc_mem = gen.image(fn);
+        Profile bc = BytecodeEngine(fn).run(bc_mem);
+        EXPECT_EQ(prof.blockExec, bc.blockExec);
+        EXPECT_EQ(prof.loopEntries, bc.loopEntries);
+        EXPECT_EQ(prof.loopIters, bc.loopIters);
+        EXPECT_EQ(prof.ifThen, bc.ifThen);
+        EXPECT_EQ(prof.ifElse, bc.ifElse);
+        EXPECT_EQ(prof.dynamicOps, bc.dynamicOps);
+        EXPECT_EQ(prof.nullifiedOps, bc.nullifiedOps);
 
-    EXPECT_EQ(mem.read(buf, 0), 7);
-    EXPECT_EQ(mem.read(buf, 0), ref.read(buf, 0));
-    EXPECT_EQ(rep.cycles, 42u);
-    EXPECT_DOUBLE_EQ(comp.cyclesPerUnit, static_cast<double>(rep.cycles));
+        AvgProfile avg(fn.numNodeIds());
+        avg.accumulate(prof);
+        Composer composer(machine, mode);
+        KernelSchedule schedule = composer.schedule(fn);
+        CompositionResult comp = composer.price(schedule, avg);
+        MemoryImage mem = gen.image(fn);
+        CycleSimReport rep = CycleSim(machine, mode).run(fn, schedule, mem);
+        EXPECT_EQ(comp.cyclesPerUnit, static_cast<double>(rep.cycles));
+        for (size_t b = 0; b < fn.buffers.size(); ++b) {
+            int id = fn.buffers[b].id;
+            EXPECT_EQ(bc_mem.bufferWords(id), ref.bufferWords(id));
+            EXPECT_EQ(mem.bufferWords(id), ref.bufferWords(id));
+        }
+        for (const ScheduledGroup &g : schedule.groups)
+            swp_groups += g.site == GroupSite::SwpLoop;
+        if (HasFailure()) {
+            ADD_FAILURE() << "program " << i << ":\n" << text;
+            return;
+        }
+    }
+    EXPECT_EQ(shapes.maxLoopDepth, 3);
+    for (int n : {shapes.trip0, shapes.trip1, shapes.swpEligible,
+                  shapes.ifElse, shapes.ifThenOnly, shapes.ifFirst,
+                  shapes.ifLast, shapes.ifAfterLoop, shapes.predicated,
+                  shapes.loads, shapes.stores})
+        EXPECT_GT(n, 0);
+    EXPECT_EQ(swp_groups > 0, mode == ScheduleMode::Swp);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Modes, SimEquivalenceBreak,
+    Modes, RandomPrograms,
     ::testing::Values(ScheduleMode::Sequential, ScheduleMode::Wide,
                       ScheduleMode::Swp),
     [](const ::testing::TestParamInfo<ScheduleMode> &info) {

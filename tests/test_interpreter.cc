@@ -173,26 +173,6 @@ TEST(Interpreter, LoopStepScalesInduction)
     EXPECT_EQ(mem.read(buf, 0), 16); // 4 * (5-1).
 }
 
-TEST(Interpreter, DynamicLoopWithBreak)
-{
-    IRBuilder b("t");
-    int buf = b.buffer("o", 1);
-    Vreg n = b.movi(0);
-    auto &loop = b.beginLoop(-1, "w");
-    (void)loop;
-    b.emitTo(n, Opcode::Add, R(n), K(1));
-    Vreg done = b.cmpGe(R(n), K(7));
-    b.breakIf(R(done));
-    b.endLoop();
-    b.store(buf, R(n), K(0));
-    Function fn = b.finish();
-    MemoryImage mem(fn);
-    Interpreter interp(fn);
-    Profile p = interp.run(mem);
-    EXPECT_EQ(mem.read(buf, 0), 7);
-    EXPECT_EQ(p.loopIters[static_cast<size_t>(fn.body[1]->id)], 7u);
-}
-
 TEST(Interpreter, IfProfilesArms)
 {
     IRBuilder b("t");

@@ -166,17 +166,26 @@ TEST(Verifier, CatchesBadBuffer)
     EXPECT_FALSE(verify(fn).empty());
 }
 
-TEST(Verifier, CatchesDynamicLoopWithoutBreak)
+TEST(BuilderDeath, BeginLoopRejectsNegativeTripCount)
 {
     IRBuilder b("t");
-    auto &loop = b.beginLoop(-1, "w");
-    (void)loop;
+    EXPECT_DEATH(b.beginLoop(-1, "w"), "negative trip count");
+}
+
+TEST(Verifier, CatchesNegativeTripCount)
+{
+    IRBuilder b("t");
     b.movi(1);
-    b.endLoop();
     Function fn = b.finish();
+    auto loop = std::make_unique<LoopNode>();
+    loop->id = fn.newNodeId();
+    loop->label = "w";
+    loop->tripCount = -1;
+    fn.body.push_back(std::move(loop));
     auto problems = verify(fn);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("no break"), std::string::npos);
+    ASSERT_EQ(problems.size(), 1u);
+    EXPECT_NE(problems[0].find("negative trip count -1"),
+              std::string::npos);
 }
 
 TEST(Verifier, CatchesPointerLoopWithoutBound)

@@ -2,8 +2,9 @@
  * @file
  * Run-ledger tests: manifest JSONL round-trip through the strict
  * parser, the stats snapshot capturing phase timers with quantiles,
- * append atomicity under concurrent multi-process writers (the flock
- * + single-write discipline must never tear a line), malformed-line
+ * append atomicity under concurrent multi-process and multi-thread
+ * writers (the flock + single-write discipline must never tear a
+ * line), malformed-line
  * tolerance, the diffManifests regression rules, and - when built
  * with VVSP_CLI_PATH - the `vvsp sweep --ledger` / `vvsp diff`
  * acceptance loop end to end, including a synthetic 2x
@@ -15,12 +16,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/models.hh"
@@ -193,6 +196,41 @@ TEST(RunLedger, ConcurrentMultiProcessAppendsNeverTear)
     // Every entry deserializes with its machine list intact.
     for (const obs::RunManifest &e : entries)
         EXPECT_EQ(e.machines.size(), 2u);
+    std::remove(path.c_str());
+}
+
+TEST(RunLedger, ConcurrentThreadAppendsNeverTear)
+{
+    // The threaded twin of the fork test above, so ThreadSanitizer
+    // sees the appends (it cannot follow forked children).
+    std::string path = tempPath("vvsp-ledger-threads");
+    std::remove(path.c_str());
+
+    constexpr int kWriters = 8;
+    constexpr int kAppends = 25;
+    std::atomic<int> failed{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&path, &failed, w] {
+            obs::RunManifest m = sampleManifest();
+            m.threads = w;
+            for (int i = 0; i < kAppends; ++i) {
+                m.wallUs = static_cast<uint64_t>(w * 1000 + i);
+                if (!obs::appendToLedger(path, m))
+                    failed++;
+            }
+        });
+    }
+    for (std::thread &t : writers)
+        t.join();
+    EXPECT_EQ(failed.load(), 0);
+
+    std::vector<obs::RunManifest> entries;
+    size_t malformed = 0;
+    ASSERT_TRUE(obs::readLedger(path, entries, &malformed));
+    EXPECT_EQ(malformed, 0u) << "torn or malformed ledger lines";
+    EXPECT_EQ(entries.size(),
+              static_cast<size_t>(kWriters * kAppends));
     std::remove(path.c_str());
 }
 
