@@ -202,6 +202,39 @@ TEST(Bytecode, NestedLoopReentryResetsInnerState)
     EXPECT_EQ(inner_iters, 12u);
 }
 
+TEST(Bytecode, ZeroTripLoopInsideOneTripLoopMatchesOracle)
+{
+    // The inner loop is entered once and runs no iteration, so its
+    // body leaves `last` and the second word alone.
+    IRBuilder b("t");
+    int buf = b.buffer("o", 2);
+    Vreg last = b.movi(7);
+    auto &outer = b.beginLoop(1, "outer");
+    b.emitTo(last, Opcode::Add, R(last), R(outer.inductionVar));
+    auto &inner = b.beginLoop(0, "inner");
+    b.emitTo(last, Opcode::Mov, R(inner.inductionVar));
+    b.store(buf, K(1), K(1));
+    b.endLoop();
+    b.endLoop();
+    b.store(buf, R(last), K(0));
+    Function fn = b.finish();
+
+    expectEnginesAgree(fn);
+    MemoryImage mem(fn);
+    Profile p = BytecodeEngine(fn).run(mem);
+    EXPECT_EQ(mem.read(buf, 0), 7);
+    EXPECT_EQ(mem.read(buf, 1), 0);
+    forEachNode(fn.body, [&](const Node &n) {
+        if (n.kind() != NodeKind::Loop)
+            return;
+        const auto &loop = static_cast<const LoopNode &>(n);
+        const size_t id = static_cast<size_t>(loop.id);
+        EXPECT_EQ(p.loopEntries[id], 1u) << loop.label;
+        EXPECT_EQ(p.loopIters[id], loop.label == "outer" ? 1u : 0u)
+            << loop.label;
+    });
+}
+
 TEST(BytecodeDeath, MemoryBoundsStillChecked)
 {
     {

@@ -449,6 +449,56 @@ TEST_P(RandomPrograms, EnginesAndComposerAgree)
     EXPECT_EQ(swp_groups > 0, mode == ScheduleMode::Swp);
 }
 
+/**
+ * The two smallest trip counts, in every mode: a zero-trip loop is
+ * entered and runs no iteration, and a one-trip all-block loop is
+ * the shortest loop Swp mode pipelines. An If right after them
+ * reads the value the loops left.
+ */
+TEST(CycleSim, ZeroAndOneTripLoopsMatchComposer)
+{
+    IRBuilder b("t");
+    int buf = b.buffer("o", 4);
+    Vreg acc = b.movi(3);
+    auto &empty = b.beginLoop(0, "empty");
+    b.emitTo(acc, Opcode::Add, Operand::ofReg(acc),
+             Operand::ofReg(empty.inductionVar));
+    b.store(buf, Operand::ofReg(acc), Operand::ofImm(1));
+    b.endLoop();
+    auto &once = b.beginLoop(1, "once");
+    b.emitTo(acc, Opcode::Add, Operand::ofReg(acc), Operand::ofImm(4));
+    b.store(buf, Operand::ofReg(acc), Operand::ofReg(once.inductionVar));
+    b.endLoop();
+    b.beginIf(Operand::ofReg(acc));
+    b.store(buf, Operand::ofImm(9), Operand::ofImm(2));
+    b.endIf();
+    Function fn = b.finish();
+    verifyOrDie(fn);
+
+    MachineModel machine(models::i4c8s4());
+    for (ScheduleMode mode : {ScheduleMode::Sequential, ScheduleMode::Wide,
+                              ScheduleMode::Swp}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        MemoryImage ref(fn);
+        Profile prof = Interpreter(fn).run(ref);
+        EXPECT_EQ(ref.bufferWords(buf),
+                  (std::vector<uint16_t>{7, 0, 9, 0}));
+        AvgProfile avg(fn.numNodeIds());
+        avg.accumulate(prof);
+        Composer composer(machine, mode);
+        KernelSchedule schedule = composer.schedule(fn);
+        CompositionResult comp = composer.price(schedule, avg);
+        MemoryImage mem(fn);
+        CycleSimReport rep = CycleSim(machine, mode).run(fn, schedule, mem);
+        EXPECT_EQ(comp.cyclesPerUnit, static_cast<double>(rep.cycles));
+        EXPECT_EQ(mem.bufferWords(buf), ref.bufferWords(buf));
+        int swp_groups = 0;
+        for (const ScheduledGroup &g : schedule.groups)
+            swp_groups += g.site == GroupSite::SwpLoop;
+        EXPECT_EQ(swp_groups, mode == ScheduleMode::Swp ? 1 : 0);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Modes, RandomPrograms,
     ::testing::Values(ScheduleMode::Sequential, ScheduleMode::Wide,

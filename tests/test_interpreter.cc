@@ -137,6 +137,28 @@ TEST(Interpreter, CountedLoopAccumulates)
     EXPECT_EQ(p.loopIters[static_cast<size_t>(fn.body[1]->id)], 10u);
 }
 
+TEST(Interpreter, ZeroTripLoopSkipsBody)
+{
+    IRBuilder b("t");
+    int buf = b.buffer("o", 2);
+    Vreg last = b.movi(7);
+    auto &loop = b.beginLoop(0, "i");
+    b.emitTo(last, Opcode::Mov, R(loop.inductionVar));
+    b.store(buf, K(1), K(1));
+    b.endLoop();
+    b.store(buf, R(last), K(0));
+    Function fn = b.finish();
+
+    MemoryImage mem(fn);
+    Profile p = Interpreter(fn).run(mem);
+    EXPECT_EQ(mem.read(buf, 0), 7); // the body never wrote `last`.
+    EXPECT_EQ(mem.read(buf, 1), 0);
+    const auto &l = static_cast<const LoopNode &>(*fn.body[1]);
+    EXPECT_EQ(p.loopEntries[static_cast<size_t>(l.id)], 1u);
+    EXPECT_EQ(p.loopIters[static_cast<size_t>(l.id)], 0u);
+    EXPECT_EQ(p.blockExec[static_cast<size_t>(l.body[0]->id)], 0u);
+}
+
 TEST(Interpreter, PointerLoopUsesInitialValue)
 {
     IRBuilder b("t");

@@ -188,6 +188,18 @@ TEST(Verifier, CatchesNegativeTripCount)
               std::string::npos);
 }
 
+TEST(Verifier, AcceptsZeroTripLoop)
+{
+    // Zero is the smallest trip count a counted loop may have.
+    IRBuilder b("t");
+    int buf = b.buffer("o", 1);
+    auto &loop = b.beginLoop(0, "i");
+    b.store(buf, R(loop.inductionVar), K(0));
+    b.endLoop();
+    Function fn = b.finish();
+    EXPECT_TRUE(verify(fn).empty());
+}
+
 TEST(Verifier, CatchesPointerLoopWithoutBound)
 {
     IRBuilder b("t");

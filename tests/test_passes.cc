@@ -129,6 +129,27 @@ TEST(ConstFold, ResolvesConstantIfs)
     EXPECT_EQ(runAndDump(fn)[0], 2);
 }
 
+TEST(ConstFold, DeletesZeroTripLoops)
+{
+    IRBuilder b("t");
+    int buf = b.buffer("o", 2);
+    auto &loop = b.beginLoop(0, "i");
+    b.store(buf, K(9), R(loop.inductionVar));
+    b.endLoop();
+    b.store(buf, K(3), K(1));
+    Function fn = b.finish();
+    passes::constFold(fn);
+    bool has_loop = false;
+    forEachNode(fn.body, [&](const Node &n) {
+        has_loop |= n.kind() == NodeKind::Loop;
+    });
+    EXPECT_FALSE(has_loop);
+    EXPECT_EQ(countOps(fn, Opcode::Store), 1u);
+    auto out = runAndDump(fn);
+    EXPECT_EQ(out[0], 0);
+    EXPECT_EQ(out[1], 3);
+}
+
 TEST(ConstFold, StaticallyFalsePredicateBecomesNop)
 {
     IRBuilder b("t");
