@@ -30,37 +30,55 @@ namespace cli
 namespace
 {
 
+/**
+ * A megacell figure's two tables, delay (ns, 2 decimals) then area
+ * (mm^2, `area_precision` decimals): one row per `rows` value, the
+ * first column headed `row_head`, and one column per `cols` value,
+ * headed `col_head(c)` plus " delay(ns)" or " area(mm^2)".
+ */
+template <typename Col, typename Head, typename Delay, typename Area>
+void
+printMegacellTables(const char *row_head, const std::vector<int> &rows,
+                    const std::vector<Col> &cols, Head col_head,
+                    Delay delay, Area area, int area_precision)
+{
+    auto table = [&](const char *unit, const auto &value,
+                     int precision) {
+        TextTable t;
+        std::vector<std::string> head{row_head};
+        for (Col c : cols)
+            head.push_back(col_head(c) + unit);
+        t.header(head);
+        for (int r : rows) {
+            std::vector<std::string> row{std::to_string(r)};
+            for (Col c : cols)
+                row.push_back(TextTable::num(value(r, c), precision));
+            t.row(row);
+        }
+        std::printf("%s\n", t.str().c_str());
+    };
+    table(" delay(ns)", delay, 2);
+    table(" area(mm^2)", area, area_precision);
+}
+
+/** Column heading of a port count: "6p". */
+std::string
+portsHead(int ports)
+{
+    return std::to_string(ports) + "p";
+}
+
 void
 fig2Crossbar()
 {
     CrossbarModel model;
     std::printf("Fig 2: Delay and Area for 16-bit Crossbar Switches\n\n");
-
-    TextTable delay;
-    std::vector<std::string> head{"ports"};
-    for (double w : CrossbarModel::standardDriversUm())
-        head.push_back(TextTable::num(w, 1) + "um delay(ns)");
-    delay.header(head);
-    for (int ports : CrossbarModel::standardPorts()) {
-        std::vector<std::string> row{std::to_string(ports)};
-        for (double w : CrossbarModel::standardDriversUm())
-            row.push_back(TextTable::num(model.delayNs(ports, w), 2));
-        delay.row(row);
-    }
-    std::printf("%s\n", delay.str().c_str());
-
-    TextTable area;
-    std::vector<std::string> head2{"ports"};
-    for (double w : CrossbarModel::standardDriversUm())
-        head2.push_back(TextTable::num(w, 1) + "um area(mm^2)");
-    area.header(head2);
-    for (int ports : CrossbarModel::standardPorts()) {
-        std::vector<std::string> row{std::to_string(ports)};
-        for (double w : CrossbarModel::standardDriversUm())
-            row.push_back(TextTable::num(model.areaMm2(ports, w), 2));
-        area.row(row);
-    }
-    std::printf("%s\n", area.str().c_str());
+    printMegacellTables(
+        "ports", CrossbarModel::standardPorts(),
+        CrossbarModel::standardDriversUm(),
+        [](double w) { return TextTable::num(w, 1) + "um"; },
+        [&](int ports, double w) { return model.delayNs(ports, w); },
+        [&](int ports, double w) { return model.areaMm2(ports, w); }, 2);
     std::printf("Paper shape: <1ns to 16 ports, ~1.5ns at 32, ~3ns at\n"
                 "64 (largest driver); area insensitive to driver size,\n"
                 "a few mm^2 at 32 ports.\n");
@@ -72,34 +90,11 @@ fig3Regfile()
     RegisterFileModel model;
     std::printf("Fig 3: Delay and Area for 16-bit multiported local "
                 "register files\n\n");
-
-    const int sizes[] = {16, 32, 64, 128, 256};
-
-    TextTable delay;
-    std::vector<std::string> head{"registers"};
-    for (int p : RegisterFileModel::standardPorts())
-        head.push_back(std::to_string(p) + "p delay(ns)");
-    delay.header(head);
-    for (int r : sizes) {
-        std::vector<std::string> row{std::to_string(r)};
-        for (int p : RegisterFileModel::standardPorts())
-            row.push_back(TextTable::num(model.delayNs(r, p), 2));
-        delay.row(row);
-    }
-    std::printf("%s\n", delay.str().c_str());
-
-    TextTable area;
-    std::vector<std::string> head2{"registers"};
-    for (int p : RegisterFileModel::standardPorts())
-        head2.push_back(std::to_string(p) + "p area(mm^2)");
-    area.header(head2);
-    for (int r : sizes) {
-        std::vector<std::string> row{std::to_string(r)};
-        for (int p : RegisterFileModel::standardPorts())
-            row.push_back(TextTable::num(model.areaMm2(r, p), 2));
-        area.row(row);
-    }
-    std::printf("%s\n", area.str().c_str());
+    printMegacellTables(
+        "registers", RegisterFileModel::standardSizes(),
+        RegisterFileModel::standardPorts(), portsHead,
+        [&](int r, int p) { return model.delayNs(r, p); },
+        [&](int r, int p) { return model.areaMm2(r, p); }, 2);
     std::printf("Paper shape: delay only slightly port-dependent;\n"
                 "area grows strongly with ports and registers\n"
                 "(12-port 128-entry = 3.0 mm^2, Fig 5); 256 registers\n"
@@ -112,32 +107,11 @@ fig4Sram()
     SramModel model;
     std::printf("Fig 4: Delay and Area for multiported high-speed "
                 "SRAM\n\n");
-
-    TextTable delay;
-    std::vector<std::string> head{"bytes"};
-    for (int p : SramModel::standardPorts())
-        head.push_back(std::to_string(p) + "p delay(ns)");
-    delay.header(head);
-    for (int bytes : SramModel::standardSizes()) {
-        std::vector<std::string> row{std::to_string(bytes)};
-        for (int p : SramModel::standardPorts())
-            row.push_back(TextTable::num(model.delayNs(bytes, p), 2));
-        delay.row(row);
-    }
-    std::printf("%s\n", delay.str().c_str());
-
-    TextTable area;
-    std::vector<std::string> head2{"bytes"};
-    for (int p : SramModel::standardPorts())
-        head2.push_back(std::to_string(p) + "p area(mm^2)");
-    area.header(head2);
-    for (int bytes : SramModel::standardSizes()) {
-        std::vector<std::string> row{std::to_string(bytes)};
-        for (int p : SramModel::standardPorts())
-            row.push_back(TextTable::num(model.areaMm2(bytes, p), 3));
-        area.row(row);
-    }
-    std::printf("%s\n", area.str().c_str());
+    printMegacellTables(
+        "bytes", SramModel::standardSizes(), SramModel::standardPorts(),
+        portsHead,
+        [&](int bytes, int p) { return model.delayNs(bytes, p); },
+        [&](int bytes, int p) { return model.areaMm2(bytes, p); }, 3);
 
     std::printf("High-density designs (Sec. 3.1.3):\n");
     std::printf("  1-ported: %.0f bytes/mm^2 marginal density\n",

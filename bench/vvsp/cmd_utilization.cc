@@ -23,7 +23,6 @@
 #include "arch/models.hh"
 #include "kernels/kernel.hh"
 #include "obs/sim_telemetry.hh"
-#include "sched/modulo_scheduler.hh"
 #include "sim/cycle_sim.hh"
 #include "support/table.hh"
 #include "support/thread_pool.hh"
@@ -119,10 +118,10 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     // The (model, kernel) units lower through the sweep's stages: one
     // prefix per variant, one lowering per LoweringTarget. Each unit
     // is then one task on one pool, and the units' modulo schedulers
-    // borrow the same pool for speculative II waves: TaskGroup's
-    // caller-runs wait keeps that nesting deadlock-free, and the
-    // waves are bit-identical at any width (see
-    // ModuloScheduler::setIiSearch). Joined before the full-search
+    // run their speculative II waves on the pool they run on:
+    // TaskGroup's caller-runs wait keeps that nesting deadlock-free,
+    // and the waves are bit-identical at any width (see
+    // sched/modulo_scheduler.hh). Joined before the full-search
     // sweep below opens its own pool.
     std::vector<Unit> units(model_set.size() * kernels.size());
     LoweringStages stages;
@@ -134,12 +133,10 @@ cmdUtilization(const ExperimentSpec &spec, const DriverOptions &opts)
     }
     {
         ThreadPool pool(opts.threads);
-        ModuloScheduler::setIiSearch(&pool);
         stages.run(&pool, [&units, &geom, traced](size_t u, Function fn,
                                                    uint64_t) {
             simulate(units[u], std::move(fn), geom, traced);
         });
-        ModuloScheduler::setIiSearch(nullptr);
     }
     if (traced) {
         // Unit order, renumbered from pid 100 (the sweep timeline

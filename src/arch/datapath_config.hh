@@ -115,9 +115,6 @@ struct DatapathConfig
      */
     int branchDelaySlots() const { return 1; }
 
-    /** Multiplier latency in cycles. */
-    int multiplyLatency() const { return multiplyStages; }
-
     /**
      * Check internal consistency; returns the first problem as a
      * human-readable message, or "" when the config is valid. Lets

@@ -8,52 +8,40 @@ namespace vvsp
 {
 
 ModelRegistry::ModelRegistry()
+    : entries_{
+          {"I4C8S4",
+           "8 clusters x 4 slots, 4-stage, simple addressing (initial "
+           "model)",
+           models::i4c8s4},
+          {"I4C8S4C",
+           "I4C8S4 with complex addressing folded into the memory "
+           "stage",
+           models::i4c8s4c},
+          {"I4C8S5",
+           "I4C8S4 with a 5th (MEM) stage: complex addressing, 1-cycle "
+           "load-use delay",
+           models::i4c8s5},
+          {"I2C16S4",
+           "16 clusters x 2 slots, 4-stage, two 8 KB banks, ~30% faster "
+           "clock",
+           models::i2c16s4},
+          {"I2C16S5",
+           "16-cluster model, 5-stage pipeline, single 16 KB fast-cell "
+           "memory",
+           models::i2c16s5},
+          {"I4C8S5M16", "I4C8S5 with 16-bit 2-stage multipliers",
+           models::i4c8s5m16},
+          {"I2C16S5M16", "I2C16S5 with 16-bit 2-stage multipliers",
+           models::i2c16s5m16},
+      }
 {
-    add("I4C8S4",
-        "8 clusters x 4 slots, 4-stage, simple addressing (initial "
-        "model)",
-        models::i4c8s4);
-    add("I4C8S4C",
-        "I4C8S4 with complex addressing folded into the memory stage",
-        models::i4c8s4c);
-    add("I4C8S5",
-        "I4C8S4 with a 5th (MEM) stage: complex addressing, 1-cycle "
-        "load-use delay",
-        models::i4c8s5);
-    add("I2C16S4",
-        "16 clusters x 2 slots, 4-stage, two 8 KB banks, ~30% faster "
-        "clock",
-        models::i2c16s4);
-    add("I2C16S5",
-        "16-cluster model, 5-stage pipeline, single 16 KB fast-cell "
-        "memory",
-        models::i2c16s5);
-    add("I4C8S5M16", "I4C8S5 with 16-bit 2-stage multipliers",
-        models::i4c8s5m16);
-    add("I2C16S5M16", "I2C16S5 with 16-bit 2-stage multipliers",
-        models::i2c16s5m16);
 }
 
-ModelRegistry &
+const ModelRegistry &
 ModelRegistry::instance()
 {
-    static ModelRegistry registry;
+    static const ModelRegistry registry;
     return registry;
-}
-
-void
-ModelRegistry::add(const std::string &name,
-                   const std::string &summary,
-                   std::function<DatapathConfig()> make)
-{
-    for (Entry &e : entries_) {
-        if (e.name == name) {
-            e.summary = summary;
-            e.make = std::move(make);
-            return;
-        }
-    }
-    entries_.push_back({name, summary, std::move(make)});
 }
 
 std::vector<std::string>

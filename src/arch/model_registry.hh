@@ -41,16 +41,12 @@ class ModelRegistry
         std::function<DatapathConfig()> make;
     };
 
-    /** The process-wide registry, pre-seeded with the paper models. */
-    static ModelRegistry &instance();
-
     /**
-     * Register a base model. The registry stamps `name` onto every
-     * config the factory hands out, so factories need not repeat it.
-     * Re-registering a name replaces the entry.
+     * The process-wide registry of the seven paper models. It stamps
+     * an entry's name onto every config the entry's factory hands
+     * out, so factories need not repeat it.
      */
-    void add(const std::string &name, const std::string &summary,
-             std::function<DatapathConfig()> make);
+    static const ModelRegistry &instance();
 
     /** Registered entries in registration order. */
     const std::vector<Entry> &entries() const { return entries_; }

@@ -25,8 +25,12 @@ namespace
 
 /** Bumped whenever the entry layout changes; mismatches are misses.
  *  v2: measured code-size fields (CompositionResult codeWords/
- *  codeBytes/nopSlots, RegionCost codeBytes/nopSlots). */
-constexpr int kSchemaVersion = 2;
+ *  codeBytes/nopSlots, RegionCost codeBytes/nopSlots).
+ *  v3: the key drops the request's seed and check flag, and the body
+ *  drops the whole-kernel instruction count (always equal to
+ *  codeWords). Without the bump the v2 entries would be orphans
+ *  that fsck calls healthy. */
+constexpr int kSchemaVersion = 3;
 constexpr const char *kMagic = "vvsp-experiment-cache";
 
 uint64_t
@@ -175,7 +179,6 @@ serialize(std::ostream &os, const std::string &key,
     putI64(os, res.passed ? 1 : 0);
     const CompositionResult &c = res.comp;
     putF64(os, c.cyclesPerUnit);
-    putI64(os, c.totalInstructions);
     putI64(os, c.hotLoopInstructions);
     putI64(os, c.maxLive);
     putI64(os, c.icacheOk ? 1 : 0);
@@ -230,7 +233,6 @@ readEntryBody(Reader &rd, ExperimentResult &out)
     res.passed = rd.b();
     CompositionResult &c = res.comp;
     c.cyclesPerUnit = rd.f64();
-    c.totalInstructions = static_cast<int>(rd.i64());
     c.hotLoopInstructions = static_cast<int>(rd.i64());
     c.maxLive = static_cast<int>(rd.i64());
     c.icacheOk = rd.b();

@@ -183,36 +183,27 @@ interpretCell(const ExperimentRequest &req, const Function &fn)
 
     UnitProfileEntry out;
     out.avg = AvgProfile(fn.numNodeIds());
-    if (req.check) {
-        const GoldenFn &golden = variant.goldenOverride
-                                     ? variant.goldenOverride
-                                     : kernel.golden;
-        out.checked = true;
-        out.passed = true;
-        for (int u = 0; u < req.profileUnits; ++u) {
-            MemoryImage mem(fn);
-            kernel.prepare(fn, mem, req.geometry, u);
-            MemoryImage expected = mem;
+    const GoldenFn &golden = variant.goldenOverride
+                                 ? variant.goldenOverride
+                                 : kernel.golden;
+    out.checked = true;
+    out.passed = true;
+    for (int u = 0; u < req.profileUnits; ++u) {
+        MemoryImage mem(fn);
+        kernel.prepare(fn, mem, req.geometry, u);
+        MemoryImage expected = mem;
 
-            out.avg.accumulate(engine.run(mem));
+        out.avg.accumulate(engine.run(mem));
 
-            golden(fn, expected);
-            for (const auto &bname : kernel.outputBuffers) {
-                int id = bufferIdByName(fn, bname);
-                if (mem.bufferWords(id) != expected.bufferWords(id)) {
-                    out.passed = false;
-                    out.note = "output buffer '" + bname +
-                               "' mismatches golden on unit " +
-                               std::to_string(u);
-                }
+        golden(fn, expected);
+        for (const auto &bname : kernel.outputBuffers) {
+            int id = bufferIdByName(fn, bname);
+            if (mem.bufferWords(id) != expected.bufferWords(id)) {
+                out.passed = false;
+                out.note = "output buffer '" + bname +
+                           "' mismatches golden on unit " +
+                           std::to_string(u);
             }
-        }
-    } else {
-        // Still need a profile: interpret without checking.
-        for (int u = 0; u < req.profileUnits; ++u) {
-            MemoryImage mem(fn);
-            kernel.prepare(fn, mem, req.geometry, u);
-            out.avg.accumulate(engine.run(mem));
         }
     }
     out.avg.scale(1.0 / req.profileUnits);

@@ -45,11 +45,9 @@ struct ExperimentRequest
     const VariantSpec *variant = nullptr;
     DatapathConfig model;
     FrameGeometry geometry = FrameGeometry::ccir601();
-    /** Units to interpret for validation and profiling. */
+    /** Units to interpret, each checked against the golden
+     *  reference; their profiles are averaged. */
     int profileUnits = 4;
-    uint64_t seed = 1;
-    /** Validate against the golden reference (also profiles). */
-    bool check = true;
 };
 
 /** One evaluated cell. */
@@ -139,8 +137,8 @@ Function lowerVariant(const KernelSpec &kernel,
 
 /**
  * Stage 4: interpret `fn` on the request's units with the bytecode
- * engine, checking each against the golden reference when
- * req.check is set. Depends on the machine only through `fn`.
+ * engine, checking each against the golden reference. Depends on the
+ * machine only through `fn`.
  */
 UnitProfileEntry interpretCell(const ExperimentRequest &req,
                                const Function &fn);

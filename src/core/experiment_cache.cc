@@ -21,8 +21,7 @@ ExperimentCache::resultKey(const ExperimentRequest &req,
     std::ostringstream os;
     os << req.kernel->name << '|' << req.variant->name << '|'
        << canonicalMachineKey(cfg) << '|' << req.geometry.width << 'x'
-       << req.geometry.height << '|' << req.profileUnits << '|'
-       << req.seed << '|' << req.check;
+       << req.geometry.height << '|' << req.profileUnits;
     return os.str();
 }
 
@@ -40,7 +39,7 @@ ExperimentCache::profileKey(const ExperimentRequest &req,
     os << req.kernel->name << '|' << req.variant->name << '|'
        << std::hex << fn_fingerprint << std::dec << '|'
        << req.geometry.width << 'x' << req.geometry.height << '|'
-       << req.profileUnits << '|' << req.seed << '|' << req.check;
+       << req.profileUnits;
     return os.str();
 }
 

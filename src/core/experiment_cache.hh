@@ -5,9 +5,11 @@
  * A rerun of any table revisits cells a previous process already
  * evaluated. The cache keys on *content* - kernel, variant, every
  * model-relevant architectural parameter (the model's display name
- * is deliberately excluded), frame geometry, profiled units, seed,
- * and the check flag - so identical work is recognized no matter
- * which named model or harness asked for it.
+ * is deliberately excluded), frame geometry and profiled units - so
+ * identical work is recognized no matter which named model or
+ * harness asked for it. A unit's input is a pure function of
+ * (kernel, geometry, unit index), and every profiled unit is checked
+ * against the golden reference, so nothing else can change a cell.
  *
  * The keys serve the pipeline: resultKey() names a cell's entry in
  * the sweep's disk cache (core/disk_cache.hh, SweepOptions::disk),
@@ -59,9 +61,9 @@ class ExperimentCache
 
     /**
      * Content key of a whole cell: kernel, variant, architectural
-     * parameters (not the model name), geometry, profiled units,
-     * seed and check flag. `cfg` must be the effective config the
-     * cell runs on (i.e. after any variant-forced upgrades).
+     * parameters (not the model name), geometry and profiled units.
+     * `cfg` must be the effective config the cell runs on (i.e.
+     * after any variant-forced upgrades).
      */
     static std::string resultKey(const ExperimentRequest &req,
                                  const DatapathConfig &cfg);
@@ -70,8 +72,8 @@ class ExperimentCache
      * Content key of a cell's interp_sim outcome: the lowered
      * function's fingerprint (sim/bytecode.hh) plus every input the
      * interpreter sees (kernel/variant for prepare+golden hooks,
-     * geometry, profiled units, seed, check flag). Deliberately
-     * machine-free: models whose lowerings coincide share one entry.
+     * geometry, profiled units). Deliberately machine-free: models
+     * whose lowerings coincide share one entry.
      */
     static std::string profileKey(const ExperimentRequest &req,
                                   uint64_t fn_fingerprint);

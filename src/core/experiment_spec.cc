@@ -37,7 +37,6 @@ buildSpecs()
     table1.name = "table1";
     table1.title = "Table 1: cycles per CCIR-601 frame, six kernels "
                    "x five models";
-    table1.kind = SpecKind::Table;
     table1.models = kTable1Models;
     table1.sections = {
         {"Full Motion Search",
@@ -143,7 +142,6 @@ buildSpecs()
     table2.name = "table2";
     table2.title = "Table 2: impact of 16-bit pipelined multipliers "
                    "on both DCTs";
-    table2.kind = SpecKind::Table;
     table2.models = kTable2Models;
     table2.sections = {
         {"DCT - traditional",
@@ -186,7 +184,6 @@ buildSpecs()
     ablation.name = "ablation";
     ablation.title = "Sec. 3.4.1 ablation: dual load/store units on "
                      "dual-ported memory";
-    ablation.kind = SpecKind::Ablation;
     ablation.models = {"I4C8S4", "I4C8S4+2LS", "I2C16S4"};
     ablation.sections = {
         {"Full Motion Search",
@@ -208,7 +205,6 @@ buildSpecs()
     conclusions.name = "conclusions";
     conclusions.title = "Sec. 4 conclusions: utilization, GOPS, "
                         "crossbar share, working sets, speedups";
-    conclusions.kind = SpecKind::Conclusions;
     conclusions.models = {"I4C8S4", "I2C16S4", "I2C16S5"};
     conclusions.sections = {
         {"Full Motion Search",
@@ -237,7 +233,6 @@ buildSpecs()
     utilization.name = "utilization";
     utilization.title = "Datapath utilization and stall attribution "
                         "across all seven models";
-    utilization.kind = SpecKind::Utilization;
     utilization.models = kAllModels;
     specs.push_back(std::move(utilization));
 
@@ -247,7 +242,6 @@ buildSpecs()
     figs.name = "figs";
     figs.title = "Figures 2-5: megacell delay/area sweeps and the "
                  "I4C8S4 area breakdown";
-    figs.kind = SpecKind::Figures;
     specs.push_back(std::move(figs));
 
     return specs;
@@ -293,7 +287,7 @@ lowerSection(const ExperimentSpec &spec, const SpecSection &section,
     // back to its spec column by name (absent -> no paper value).
     std::vector<size_t> paper_col;
     if (model_filter.empty()) {
-        ModelRegistry &registry = ModelRegistry::instance();
+        const ModelRegistry &registry = ModelRegistry::instance();
         for (size_t col = 0; col < spec.models.size(); ++col) {
             grid.models.push_back(registry.get(spec.models[col]));
             paper_col.push_back(col);

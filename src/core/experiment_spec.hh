@@ -54,23 +54,12 @@ struct SpecSection
     std::vector<SpecRow> rows;
 };
 
-/** How a spec's cells are consumed by the driver. */
-enum class SpecKind
-{
-    Table,       ///< paper-style grid: sections x models.
-    Ablation,    ///< grid without published values.
-    Conclusions, ///< best-schedule cells feeding derived analyses.
-    Utilization, ///< cycle-sim utilization across all models.
-    Figures,     ///< pure VLSI-model sweeps; no experiment cells.
-};
-
 /** One named, declarative experiment. */
 struct ExperimentSpec
 {
     /** CLI name, e.g. "table1". */
     std::string name;
     std::string title;
-    SpecKind kind = SpecKind::Table;
     /** Model registry names, in column order (may use +suffixes). */
     std::vector<std::string> models;
     std::vector<SpecSection> sections;

@@ -14,7 +14,6 @@
 #include "core/experiment_cache.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
-#include "sched/modulo_scheduler.hh"
 #include "sim/bytecode.hh"
 #include "support/logging.hh"
 
@@ -25,6 +24,9 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Trace process id of the sweep timeline's track group. */
+constexpr int kTracePid = 1;
 
 /** Run fn(i) for every i < n on the pool and wait; inline without. */
 template <typename Fn>
@@ -81,9 +83,9 @@ class Batch
   public:
     Batch(const std::vector<ExperimentRequest> &requests,
           DiskCache *disk, ThreadPool *pool,
-          obs::TraceWriter *trace = nullptr, int trace_pid = 1)
-        : requests_(requests), disk_(disk), pool_(pool),
-          trace_(trace), tracePid_(trace_pid), results_(requests.size())
+          obs::TraceWriter *trace = nullptr)
+        : requests_(requests), disk_(disk), pool_(pool), trace_(trace),
+          results_(requests.size())
     {
     }
 
@@ -104,7 +106,6 @@ class Batch
     DiskCache *disk_;
     ThreadPool *pool_;
     obs::TraceWriter *trace_;
-    int tracePid_;
     const Clock::time_point start_ = Clock::now();
     std::vector<ExperimentResult> results_;
     std::vector<std::string> keys_; ///< result keys (with a disk).
@@ -253,7 +254,7 @@ Batch::traceSlice(const ExperimentRequest &req, const char *category,
     args.emplace_back("variant", req.variant->name);
     trace_->slice(req.kernel->name + " / " + req.variant->name,
                   category, begin, std::max<uint64_t>(1, end - begin),
-                  tracePid_, tid < 0 ? 0 : tid, std::move(args));
+                  kTracePid, tid < 0 ? 0 : tid, std::move(args));
 }
 
 } // anonymous namespace
@@ -343,8 +344,7 @@ runExperiment(const ExperimentRequest &req, DiskCache *disk)
 }
 
 SweepRunner::SweepRunner(SweepOptions opts)
-    : pool_(opts.threads), disk_(opts.disk), trace_(opts.trace),
-      tracePid_(opts.tracePid)
+    : pool_(opts.threads), disk_(opts.disk), trace_(opts.trace)
 {
 }
 
@@ -352,21 +352,15 @@ std::vector<ExperimentResult>
 SweepRunner::run(const std::vector<ExperimentRequest> &requests)
 {
     if (trace_) {
-        trace_->processName(tracePid_, "sweep");
+        trace_->processName(kTracePid, "sweep");
         for (int w = 0; w < pool_.threadCount(); ++w) {
-            trace_->threadName(tracePid_, w,
+            trace_->threadName(kTracePid, w,
                                "worker" + std::to_string(w));
         }
     }
-    // Let modulo schedulers borrow idle workers for speculative II
-    // attempts. Bit-identical schedules at any thread count (see
-    // ModuloScheduler::setIiSearch); cleared before the pool can
-    // outlive the batch's use of it.
-    ModuloScheduler::setIiSearch(&pool_);
-    std::vector<ExperimentResult> results =
-        Batch(requests, disk_, &pool_, trace_, tracePid_).run();
-    ModuloScheduler::setIiSearch(nullptr);
-    return results;
+    // Every stage runs on a pool worker, so the cells' modulo
+    // schedulers run their speculative II waves on this pool.
+    return Batch(requests, disk_, &pool_, trace_).run();
 }
 
 } // namespace vvsp

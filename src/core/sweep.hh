@@ -111,13 +111,12 @@ struct SweepOptions
      */
     DiskCache *disk = nullptr;
     /**
-     * When set, each run() renders a batch timeline into it: one
-     * trace track per pool worker, one slice per machine-free prefix,
-     * one per lowering target and one per experiment cell.
+     * When set, each run() renders a batch timeline into it, as
+     * trace process 1: one track per pool worker, one slice per
+     * machine-free prefix, one per lowering target and one per
+     * experiment cell.
      */
     obs::TraceWriter *trace = nullptr;
-    /** Trace process id for this runner's timeline track group. */
-    int tracePid = 1;
 };
 
 /** Runs batches of experiment cells on a shared worker pool. */
@@ -139,7 +138,6 @@ class SweepRunner
     ThreadPool pool_;
     DiskCache *disk_ = nullptr;
     obs::TraceWriter *trace_ = nullptr;
-    int tracePid_ = 1;
 };
 
 } // namespace vvsp

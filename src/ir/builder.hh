@@ -59,7 +59,6 @@ class IRBuilder
      * ops (and declared buffers) are assigned to this cluster.
      */
     void setCluster(int cluster) { cluster_ = cluster; }
-    int currentCluster() const { return cluster_; }
 
     // ---- common operation shorthands -------------------------------
     Vreg movi(int32_t v) { return emit(Opcode::Mov, imm(v)); }
@@ -71,17 +70,13 @@ class IRBuilder
     Vreg max(Operand a, Operand b) { return emit(Opcode::Max, a, b); }
     Vreg band(Operand a, Operand b) { return emit(Opcode::And, a, b); }
     Vreg bor(Operand a, Operand b) { return emit(Opcode::Or, a, b); }
-    Vreg bxor(Operand a, Operand b) { return emit(Opcode::Xor, a, b); }
     Vreg shl(Operand a, Operand b) { return emit(Opcode::Shl, a, b); }
     Vreg shr(Operand a, Operand b) { return emit(Opcode::Shr, a, b); }
     Vreg sra(Operand a, Operand b) { return emit(Opcode::Sra, a, b); }
     Vreg mul8(Operand a, Operand b) { return emit(Opcode::Mul8, a, b); }
     Vreg mulu8(Operand a, Operand b) { return emit(Opcode::MulU8, a, b); }
     Vreg cmpEq(Operand a, Operand b) { return emit(Opcode::CmpEq, a, b); }
-    Vreg cmpNe(Operand a, Operand b) { return emit(Opcode::CmpNe, a, b); }
     Vreg cmpLt(Operand a, Operand b) { return emit(Opcode::CmpLt, a, b); }
-    Vreg cmpLe(Operand a, Operand b) { return emit(Opcode::CmpLe, a, b); }
-    Vreg cmpGt(Operand a, Operand b) { return emit(Opcode::CmpGt, a, b); }
     Vreg cmpGe(Operand a, Operand b) { return emit(Opcode::CmpGe, a, b); }
     Vreg select(Operand c, Operand t, Operand f)
     {

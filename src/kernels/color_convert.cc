@@ -20,6 +20,7 @@
 #include "kernels/kernel.hh"
 
 #include "ir/builder.hh"
+#include "kernels/kernel_ir.hh"
 #include "support/logging.hh"
 #include "video/synthetic.hh"
 #include "xform/passes.hh"
@@ -29,24 +30,6 @@ namespace vvsp
 
 namespace
 {
-
-Operand
-R(Vreg v)
-{
-    return Operand::ofReg(v);
-}
-
-Operand
-K(int32_t v)
-{
-    return Operand::ofImm(v);
-}
-
-int
-w16(int v)
-{
-    return static_cast<int16_t>(static_cast<uint16_t>(v));
-}
 
 struct CscCoefs
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "obs/stats_registry.hh"
@@ -50,18 +49,6 @@ AvgProfile::scale(double f)
         for (auto &x : *v)
             x *= f;
     }
-}
-
-std::string
-CompositionResult::str() const
-{
-    std::ostringstream os;
-    os << "cycles/unit=" << cyclesPerUnit
-       << " instrs=" << totalInstructions
-       << " hotLoopInstrs=" << hotLoopInstructions
-       << " maxLive=" << maxLive << (icacheOk ? "" : " ICACHE-OVERFLOW")
-       << (registersOk ? "" : " REGISTER-OVERFLOW");
-    return os.str();
 }
 
 namespace
@@ -478,7 +465,6 @@ Composer::price(const KernelSchedule &schedule,
         if (rc.degraded)
             result.degradedRegions++;
         result.cyclesPerUnit += rc.cycles;
-        result.totalInstructions += rc.instructions;
         result.maxLive = std::max(result.maxLive, rc.maxLive);
         result.opsPerUnit +=
             static_cast<double>(g.numOps) * rc.execCount;

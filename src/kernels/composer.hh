@@ -75,7 +75,6 @@ struct RegionCost
 struct CompositionResult
 {
     double cyclesPerUnit = 0;
-    int totalInstructions = 0;   ///< whole-kernel static code size.
     int hotLoopInstructions = 0; ///< largest loop body code size.
     int maxLive = 0;             ///< worst per-cluster MaxLive.
     bool icacheOk = true;
@@ -90,8 +89,6 @@ struct CompositionResult
      *  manifests carry the flag, and the cell is never cached). */
     int degradedRegions = 0;
     std::vector<RegionCost> regions;
-
-    std::string str() const;
 };
 
 /**

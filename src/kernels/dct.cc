@@ -27,6 +27,7 @@
 #include "kernels/kernel.hh"
 
 #include "ir/builder.hh"
+#include "kernels/kernel_ir.hh"
 
 #include <array>
 #include <cmath>
@@ -40,25 +41,6 @@ namespace vvsp
 
 namespace
 {
-
-Operand
-R(Vreg v)
-{
-    return Operand::ofReg(v);
-}
-
-Operand
-K(int32_t v)
-{
-    return Operand::ofImm(v);
-}
-
-/** 16-bit wrap helper matching alu16 semantics. */
-int
-w16(int v)
-{
-    return static_cast<int16_t>(static_cast<uint16_t>(v));
-}
 
 /** Cosine coefficient tables: s.9 (9-bit) and s.6 (8-bit). */
 const std::array<int, 64> &

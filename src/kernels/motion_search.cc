@@ -23,6 +23,7 @@
 #include "kernels/kernel.hh"
 
 #include "ir/builder.hh"
+#include "kernels/kernel_ir.hh"
 
 #include <algorithm>
 #include <array>
@@ -40,18 +41,6 @@ namespace
 constexpr int kWinStride = 32;
 
 using OpRef = Operand;
-
-OpRef
-R(Vreg v)
-{
-    return Operand::ofReg(v);
-}
-
-OpRef
-K(int32_t v)
-{
-    return Operand::ofImm(v);
-}
 
 /** Emit |a-b| with or without the special ALU op; returns result. */
 Vreg

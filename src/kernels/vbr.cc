@@ -22,6 +22,7 @@
 #include "kernels/kernel.hh"
 
 #include "ir/builder.hh"
+#include "kernels/kernel_ir.hh"
 
 #include <array>
 #include <cmath>
@@ -36,18 +37,6 @@ namespace vvsp
 
 namespace
 {
-
-Operand
-R(Vreg v)
-{
-    return Operand::ofReg(v);
-}
-
-Operand
-K(int32_t v)
-{
-    return Operand::ofImm(v);
-}
 
 /** Mutable coder state registers. */
 struct BitState

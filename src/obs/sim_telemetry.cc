@@ -100,12 +100,6 @@ GroupTelemetry::rfReadPortUtilization() const
     return ratio(rfReads, rfReadPortCycles);
 }
 
-double
-GroupTelemetry::rfWritePortUtilization() const
-{
-    return ratio(rfWrites, rfWritePortCycles);
-}
-
 void
 GroupTelemetry::recordTo(const StatsScope &scope) const
 {

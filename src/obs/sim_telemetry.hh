@@ -102,7 +102,6 @@ struct GroupTelemetry
     double xbarUtilization() const;
     double memPortUtilization() const;
     double rfReadPortUtilization() const;
-    double rfWritePortUtilization() const;
 
     /** Write every field as counters under `scope`. */
     void recordTo(const StatsScope &scope) const;

@@ -1,7 +1,6 @@
 #include "sched/modulo_scheduler.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
 #include <map>
@@ -14,20 +13,6 @@
 
 namespace vvsp
 {
-
-namespace
-{
-
-/** Process-wide II-search pool (setIiSearch); null means width 1. */
-std::atomic<ThreadPool *> g_iiPool{nullptr};
-
-} // anonymous namespace
-
-void
-ModuloScheduler::setIiSearch(ThreadPool *pool)
-{
-    g_iiPool.store(pool, std::memory_order_release);
-}
 
 ModuloScheduler::ModuloScheduler(const MachineModel &machine,
                                  BankOfFn bank_of)
@@ -403,14 +388,14 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         return s;
     };
 
-    // Attempt a wave of candidate IIs, as wide as the installed pool
-    // and never past the remaining budget, then replay the decision
-    // over the wave's results in ascending II order. attempt() is a
-    // pure function of (ops, ddg, ii) with its own table and scratch,
-    // so results past the deciding one are simply discarded. A wave
-    // of one runs inline on the calling thread.
+    // Attempt a wave of candidate IIs, as wide as the pool this call
+    // runs on and never past the remaining budget, then replay the
+    // decision over the wave's results in ascending II order.
+    // attempt() is a pure function of (ops, ddg, ii) with its own
+    // table and scratch, so results past the deciding one are simply
+    // discarded. A wave of one runs inline on the calling thread.
     const int max_ii = mii + 2 * n + 16;
-    ThreadPool *pool = g_iiPool.load(std::memory_order_acquire);
+    ThreadPool *pool = ThreadPool::current();
     const int width = pool != nullptr ? pool->threadCount() : 1;
     for (int base = mii; base <= max_ii;) {
         if (budget <= 0) {

@@ -16,7 +16,12 @@
  *
  * Each schedule() call builds its own dependence graph, and each
  * candidate II its own reservation table, so the candidates of one
- * call can run concurrently (setIiSearch).
+ * call run concurrently when the call runs on a pool worker: the
+ * search attempts candidate IIs in waves as wide as that worker's
+ * pool (ThreadPool::current()) and consumes the results in
+ * ascending II order. Each attempt is a pure function of
+ * (ops, ddg, ii), so the outcome is bit-identical at any width. Off
+ * a pool a wave is one candidate, run inline.
  */
 
 #ifndef VVSP_SCHED_MODULO_SCHEDULER_HH
@@ -34,25 +39,11 @@
 namespace vvsp
 {
 
-class ThreadPool;
-
 /** Modulo scheduler for an innermost-loop body. */
 class ModuloScheduler
 {
   public:
     ModuloScheduler(const MachineModel &machine, BankOfFn bank_of);
-
-    /**
-     * Install the process-wide II-search pool: candidate IIs of one
-     * schedule() call are attempted in waves as wide as the pool's
-     * thread count, and the results are consumed in ascending II
-     * order. Each attempt is a pure function of (ops, ddg, ii), so the
-     * outcome is bit-identical at any width. A null pool (the default)
-     * means waves of one, run inline on the calling thread. The pool
-     * must outlive scheduling; callers clear it (nullptr) when their
-     * pool goes away.
-     */
-    static void setIiSearch(ThreadPool *pool);
 
     /**
      * Software-pipeline the loop-body ops (cluster fields assigned;

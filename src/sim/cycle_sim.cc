@@ -45,7 +45,8 @@ struct CycleSim::Engine
     obs::GroupTelemetry *telem = nullptr;
     /** Schedule-diagram sink; null when tracing is off. */
     obs::TraceWriter *trace = nullptr;
-    int *tracePid = nullptr;
+    /** The simulator's counter of diagram trace process ids. */
+    int *nextPid = nullptr;
     const std::string *traceLabel = nullptr;
 
     Engine(const Function &fn, const MachineModel &m,
@@ -122,7 +123,7 @@ struct CycleSim::Engine
             std::string name = *traceLabel + "/" +
                                (sec.label.empty() ? "section" : sec.label) +
                                "#" + std::to_string(g);
-            obs::scheduleToTrace(*trace, (*tracePid)++, name, sec.ops,
+            obs::scheduleToTrace(*trace, (*nextPid)++, name, sec.ops,
                                  drawn, machine);
         }
         if (group.site != GroupSite::SwpLoop) {
@@ -308,7 +309,7 @@ CycleSim::run(const Function &fn, const KernelSchedule &schedule,
         engine.telem = telemetry;
         if (trace_) {
             engine.trace = trace_;
-            engine.tracePid = &nextTracePid_;
+            engine.nextPid = &nextTracePid_;
             engine.traceLabel = &traceLabel_;
         }
         engine.runList(fn.body);

@@ -48,15 +48,6 @@ Value::makeNumber(double n)
     return v;
 }
 
-Value
-Value::makeString(std::string s)
-{
-    Value v;
-    v.kind_ = Kind::String;
-    v.string_ = std::move(s);
-    return v;
-}
-
 /** Recursive-descent parser over the raw document text. */
 class Parser
 {

@@ -65,7 +65,6 @@ class Value
     static Value makeNull() { return Value(); }
     static Value makeBool(bool b);
     static Value makeNumber(double n);
-    static Value makeString(std::string s);
 
   private:
     friend class Parser;

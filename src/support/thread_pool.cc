@@ -9,6 +9,7 @@ namespace
 {
 
 thread_local int tls_worker_index = -1;
+thread_local ThreadPool *tls_pool = nullptr;
 
 } // anonymous namespace
 
@@ -23,6 +24,12 @@ int
 ThreadPool::currentWorkerIndex()
 {
     return tls_worker_index;
+}
+
+ThreadPool *
+ThreadPool::current()
+{
+    return tls_pool;
 }
 
 ThreadPool::ThreadPool(int threads)
@@ -68,6 +75,7 @@ void
 ThreadPool::workerLoop(int index)
 {
     tls_worker_index = index;
+    tls_pool = this;
     for (;;) {
         std::function<void()> task;
         {

@@ -58,6 +58,13 @@ class ThreadPool
      */
     static int currentWorkerIndex();
 
+    /**
+     * The pool whose worker runs the calling thread, or null off a
+     * pool. Lets nested work (the modulo scheduler's II search)
+     * spread over the pool it already runs on.
+     */
+    static ThreadPool *current();
+
   private:
     void workerLoop(int index);
 

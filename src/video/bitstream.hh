@@ -35,9 +35,6 @@ class BitReader
     /** False once any read has run past the end of the buffer. */
     bool ok() const { return !overflow_; }
 
-    /** Bits consumed so far. */
-    uint64_t bitPos() const { return bit_pos_; }
-
     /** Bits remaining before overflow. */
     uint64_t bitsLeft() const
     {
@@ -70,7 +67,6 @@ class BitWriter
 
     /** Bits pending in the partial word. */
     int pendingBits() const { return pending_bits_; }
-    uint16_t pendingWord() const { return pending_; }
 
   private:
     std::vector<uint16_t> words_;

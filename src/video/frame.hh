@@ -55,22 +55,6 @@ struct RgbFrame
     int height() const { return r.height(); }
 };
 
-/** A YCrCb 4:2:0 frame (chroma at quarter resolution). */
-struct YuvFrame
-{
-    Plane y, cb, cr;
-
-    YuvFrame() = default;
-    YuvFrame(int width, int height)
-        : y(width, height), cb(width / 2, height / 2),
-          cr(width / 2, height / 2)
-    {
-    }
-
-    int width() const { return y.width(); }
-    int height() const { return y.height(); }
-};
-
 /** Frame geometry used by the frame-level composers. */
 struct FrameGeometry
 {

@@ -4,18 +4,15 @@
 
 #include "support/logging.hh"
 #include "support/table.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
 
-AreaEstimator::AreaEstimator(const Technology &tech)
-    : tech_(tech), xbar_(tech), rf_(tech), sram_(tech), fu_(tech)
-{
-}
-
 AreaBreakdown
 AreaEstimator::estimate(const DatapathConfig &cfg) const
 {
+    const Technology &tech = Technology::um025();
     cfg.validate();
     const ClusterConfig &cl = cfg.cluster;
     AreaBreakdown b;
@@ -24,7 +21,7 @@ AreaEstimator::estimate(const DatapathConfig &cfg) const
 
     b.alus = cl.numAlus * fu_.aluAreaMm2(false);
     if (cl.hasAbsDiff)
-        b.alus += tech_.absDiffExtraArea; // one ALU doubles in area.
+        b.alus += tech.absDiffExtraArea; // one ALU doubles in area.
 
     double mult = cfg.multiplier == MultiplierKind::Mul16x16Pipelined
                       ? fu_.mult16AreaMm2()
@@ -39,15 +36,15 @@ AreaEstimator::estimate(const DatapathConfig &cfg) const
                  sram_.composedAreaMm2(bank_bytes, cl.memModuleBytes,
                                        cl.memPortsPerBank, design);
 
-    b.bypass = tech_.bypassAreaPerSlot * cl.issueSlots;
+    b.bypass = tech.bypassAreaPerSlot * cl.issueSlots;
     if (cfg.pipelineStages >= 5) {
         // One extra bypass path per issue slot for the MEM stage.
-        b.bypass += tech_.bypassAreaPerExtraPath * cl.issueSlots;
+        b.bypass += tech.bypassAreaPerExtraPath * cl.issueSlots;
     }
 
     double raw = b.registerFile + b.alus + b.multipliers + b.shifters +
                  b.localRam + b.bypass;
-    b.localRouting = raw * (tech_.localRoutingFactor - 1.0);
+    b.localRouting = raw * (tech.localRoutingFactor - 1.0);
     b.clusterTotal = raw + b.localRouting;
 
     b.crossbar = xbar_.routedAreaMm2(cfg.crossbarPorts(),
@@ -65,11 +62,12 @@ AreaEstimator::datapathMm2(const DatapathConfig &cfg) const
 double
 AreaEstimator::powerWatts(const DatapathConfig &cfg, double clockGhz) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(clockGhz > 0.0, "bad clock");
     double area = datapathMm2(cfg);
-    double v = tech_.supplyVolts;
+    double v = tech.supplyVolts;
     // P = alpha * C * V^2 * f; C in nF, f in GHz -> watts.
-    return tech_.activityFactor * tech_.switchedCapPerMm2 * area * v * v *
+    return tech.activityFactor * tech.switchedCapPerMm2 * area * v * v *
            clockGhz;
 }
 
@@ -77,7 +75,7 @@ double
 AreaEstimator::chipPowerWatts(const DatapathConfig &cfg,
                               double clockGhz) const
 {
-    return powerWatts(cfg, clockGhz) * tech_.chipPowerFactor;
+    return powerWatts(cfg, clockGhz) * Technology::um025().chipPowerFactor;
 }
 
 std::string

@@ -20,7 +20,6 @@
 #include "vlsi/fu_model.hh"
 #include "vlsi/regfile_model.hh"
 #include "vlsi/sram_model.hh"
-#include "vlsi/technology.hh"
 
 namespace vvsp
 {
@@ -47,8 +46,6 @@ struct AreaBreakdown
 class AreaEstimator
 {
   public:
-    explicit AreaEstimator(const Technology &tech = Technology::um025());
-
     /** Full breakdown for a datapath configuration. */
     AreaBreakdown estimate(const DatapathConfig &cfg) const;
 
@@ -69,7 +66,6 @@ class AreaEstimator
                           double clockGhz) const;
 
   private:
-    const Technology &tech_;
     CrossbarModel xbar_;
     RegisterFileModel rf_;
     SramModel sram_;

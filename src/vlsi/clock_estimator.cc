@@ -4,14 +4,10 @@
 #include <sstream>
 
 #include "support/logging.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
-
-ClockEstimator::ClockEstimator(const Technology &tech)
-    : tech_(tech), xbar_(tech), rf_(tech), sram_(tech), fu_(tech)
-{
-}
 
 int
 ClockEstimator::bypassInputs(const DatapathConfig &cfg)
@@ -34,6 +30,7 @@ ClockEstimator::bypassInputs(const DatapathConfig &cfg)
 ClockBreakdown
 ClockEstimator::estimate(const DatapathConfig &cfg) const
 {
+    const Technology &tech = Technology::um025();
     cfg.validate();
     const ClusterConfig &cl = cfg.cluster;
     ClockBreakdown b;
@@ -52,7 +49,7 @@ ClockEstimator::estimate(const DatapathConfig &cfg) const
     if (cfg.addressing == AddressingModes::Complex &&
         cfg.pipelineStages == 4) {
         // I4C8S4C: address addition and memory access share a stage.
-        b.memoryNs += fu_.aluDelayNs(false) + tech_.agenFoldOverhead;
+        b.memoryNs += fu_.aluDelayNs(false) + tech.agenFoldOverhead;
     }
 
     b.multiplyNs = cfg.multiplier == MultiplierKind::Mul16x16Pipelined
@@ -64,9 +61,9 @@ ClockEstimator::estimate(const DatapathConfig &cfg) const
 
     double stage = std::max({b.regFileNs, b.executeNs, b.memoryNs,
                              b.multiplyNs});
-    b.cycleNs = std::max(stage + tech_.clockOverhead, b.crossbarNs);
+    b.cycleNs = std::max(stage + tech.clockOverhead, b.crossbarNs);
     if (cfg.pipelineStages >= 5 && cl.issueSlots >= 4)
-        b.cycleNs *= tech_.fiveStageBypassPenalty;
+        b.cycleNs *= tech.fiveStageBypassPenalty;
     b.clockMhz = 1000.0 / b.cycleNs;
     return b;
 }

@@ -31,7 +31,6 @@
 #include "vlsi/fu_model.hh"
 #include "vlsi/regfile_model.hh"
 #include "vlsi/sram_model.hh"
-#include "vlsi/technology.hh"
 
 namespace vvsp
 {
@@ -54,8 +53,6 @@ struct ClockBreakdown
 class ClockEstimator
 {
   public:
-    explicit ClockEstimator(const Technology &tech = Technology::um025());
-
     /** Full stage breakdown for a configuration. */
     ClockBreakdown estimate(const DatapathConfig &cfg) const;
 
@@ -70,7 +67,6 @@ class ClockEstimator
     static int bypassInputs(const DatapathConfig &cfg);
 
   private:
-    const Technology &tech_;
     CrossbarModel xbar_;
     RegisterFileModel rf_;
     SramModel sram_;

@@ -1,14 +1,10 @@
 #include "vlsi/crossbar_model.hh"
 
 #include "support/logging.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
-
-CrossbarModel::CrossbarModel(const Technology &tech)
-    : tech_(tech)
-{
-}
 
 const std::vector<double> &
 CrossbarModel::standardDriversUm()
@@ -27,25 +23,27 @@ CrossbarModel::standardPorts()
 double
 CrossbarModel::delayNs(int ports, double driverUm) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(ports >= 2, "crossbar needs >= 2 ports, got %d", ports);
     vvsp_assert(driverUm > 0.0, "bad driver width");
-    return tech_.xbarBaseDelay +
-           tech_.xbarDriveCoeff * ports / driverUm +
-           tech_.xbarWireCoeff * ports * ports;
+    return tech.xbarBaseDelay +
+           tech.xbarDriveCoeff * ports / driverUm +
+           tech.xbarWireCoeff * ports * ports;
 }
 
 double
 CrossbarModel::areaMm2(int ports, double driverUm) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(ports >= 2, "crossbar needs >= 2 ports, got %d", ports);
-    return tech_.xbarCellArea * ports * ports +
-           tech_.xbarDriverArea * ports * driverUm;
+    return tech.xbarCellArea * ports * ports +
+           tech.xbarDriverArea * ports * driverUm;
 }
 
 double
 CrossbarModel::routedAreaMm2(int ports, double driverUm) const
 {
-    return areaMm2(ports, driverUm) * tech_.xbarRoutingFactor;
+    return areaMm2(ports, driverUm) * Technology::um025().xbarRoutingFactor;
 }
 
 double

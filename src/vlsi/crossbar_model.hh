@@ -16,8 +16,6 @@
 
 #include <vector>
 
-#include "vlsi/technology.hh"
-
 namespace vvsp
 {
 
@@ -25,8 +23,6 @@ namespace vvsp
 class CrossbarModel
 {
   public:
-    explicit CrossbarModel(const Technology &tech = Technology::um025());
-
     /** Driver widths (um) swept in Fig 2. */
     static const std::vector<double> &standardDriversUm();
 
@@ -51,9 +47,6 @@ class CrossbarModel
      * negative value if none does.
      */
     double minDriverForCycle(int ports, double cycleNs) const;
-
-  private:
-    const Technology &tech_;
 };
 
 } // namespace vvsp

@@ -1,68 +1,66 @@
 #include "vlsi/fu_model.hh"
 
 #include "support/logging.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
 
-FunctionalUnitModel::FunctionalUnitModel(const Technology &tech)
-    : tech_(tech)
-{
-}
-
 double
 FunctionalUnitModel::aluDelayNs(bool absDiff) const
 {
-    return tech_.aluDelay + (absDiff ? tech_.absDiffExtraDelay : 0.0);
+    const Technology &tech = Technology::um025();
+    return tech.aluDelay + (absDiff ? tech.absDiffExtraDelay : 0.0);
 }
 
 double
 FunctionalUnitModel::aluAreaMm2(bool absDiff) const
 {
-    return tech_.aluArea + (absDiff ? tech_.absDiffExtraArea : 0.0);
+    const Technology &tech = Technology::um025();
+    return tech.aluArea + (absDiff ? tech.absDiffExtraArea : 0.0);
 }
 
 double
 FunctionalUnitModel::mult8DelayNs() const
 {
-    return tech_.mult8Delay;
+    return Technology::um025().mult8Delay;
 }
 
 double
 FunctionalUnitModel::mult8AreaMm2() const
 {
-    return tech_.mult8Area;
+    return Technology::um025().mult8Area;
 }
 
 double
 FunctionalUnitModel::mult16StageDelayNs() const
 {
-    return tech_.mult16StageDelay;
+    return Technology::um025().mult16StageDelay;
 }
 
 double
 FunctionalUnitModel::mult16AreaMm2() const
 {
-    return tech_.mult16Area;
+    return Technology::um025().mult16Area;
 }
 
 double
 FunctionalUnitModel::shifterDelayNs() const
 {
-    return tech_.shifterDelay;
+    return Technology::um025().shifterDelay;
 }
 
 double
 FunctionalUnitModel::shifterAreaMm2() const
 {
-    return tech_.shifterArea;
+    return Technology::um025().shifterArea;
 }
 
 double
 FunctionalUnitModel::bypassMuxDelayNs(int inputs) const
 {
     vvsp_assert(inputs >= 1, "bypass mux needs inputs");
-    return tech_.bypassMuxDelayPerInput * inputs;
+    return Technology::um025().bypassMuxDelayPerInput * inputs;
 }
 
 } // namespace vvsp

@@ -12,8 +12,6 @@
 #ifndef VVSP_VLSI_FU_MODEL_HH
 #define VVSP_VLSI_FU_MODEL_HH
 
-#include "vlsi/technology.hh"
-
 namespace vvsp
 {
 
@@ -21,9 +19,6 @@ namespace vvsp
 class FunctionalUnitModel
 {
   public:
-    explicit FunctionalUnitModel(const Technology &tech =
-                                     Technology::um025());
-
     /** 16-bit ALU delay (ns); absDiff adds ~2 gate delays. */
     double aluDelayNs(bool absDiff = false) const;
 
@@ -44,9 +39,6 @@ class FunctionalUnitModel
 
     /** Bypass-network multiplexer delay for the given input count. */
     double bypassMuxDelayNs(int inputs) const;
-
-  private:
-    const Technology &tech_;
 };
 
 } // namespace vvsp

@@ -3,14 +3,10 @@
 #include <cmath>
 
 #include "support/logging.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
-
-RegisterFileModel::RegisterFileModel(const Technology &tech)
-    : tech_(tech)
-{
-}
 
 const std::vector<int> &
 RegisterFileModel::standardPorts()
@@ -22,29 +18,31 @@ RegisterFileModel::standardPorts()
 const std::vector<int> &
 RegisterFileModel::standardSizes()
 {
-    static const std::vector<int> sizes{16, 64, 256};
+    static const std::vector<int> sizes{16, 32, 64, 128, 256};
     return sizes;
 }
 
 double
 RegisterFileModel::delayNs(int registers, int ports) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(registers >= 2, "register file too small: %d", registers);
     vvsp_assert(ports >= 1, "register file needs ports");
     double depth = std::log2(static_cast<double>(registers));
-    return tech_.rfBaseDelay +
-           tech_.rfDepthDelay * depth *
-               (1.0 + tech_.rfPortDelayFactor * ports);
+    return tech.rfBaseDelay +
+           tech.rfDepthDelay * depth *
+               (1.0 + tech.rfPortDelayFactor * ports);
 }
 
 double
 RegisterFileModel::areaMm2(int registers, int ports) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(registers >= 2 && ports >= 1, "bad register file shape");
     double pitch = ports + 1.5;
-    double cell = tech_.rfCellArea * pitch * pitch;
+    double cell = tech.rfCellArea * pitch * pitch;
     double bits = 16.0 * registers;
-    return bits * cell + tech_.rfPeriBase + tech_.rfPeriPerPort * ports;
+    return bits * cell + tech.rfPeriBase + tech.rfPeriPerPort * ports;
 }
 
 int

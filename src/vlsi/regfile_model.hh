@@ -15,8 +15,6 @@
 
 #include <vector>
 
-#include "vlsi/technology.hh"
-
 namespace vvsp
 {
 
@@ -24,9 +22,6 @@ namespace vvsp
 class RegisterFileModel
 {
   public:
-    explicit RegisterFileModel(const Technology &tech =
-                                   Technology::um025());
-
     /** Port counts swept in Fig 3 (3 ports per issue slot). */
     static const std::vector<int> &standardPorts();
 
@@ -44,9 +39,6 @@ class RegisterFileModel
      * given stage delay budget (ns), or 0 if even 16 does not fit.
      */
     int maxRegistersForDelay(int ports, double budgetNs) const;
-
-  private:
-    const Technology &tech_;
 };
 
 } // namespace vvsp

@@ -3,14 +3,10 @@
 #include <cmath>
 
 #include "support/logging.hh"
+#include "vlsi/technology.hh"
 
 namespace vvsp
 {
-
-SramModel::SramModel(const Technology &tech)
-    : tech_(tech)
-{
-}
 
 const std::vector<int> &
 SramModel::standardPorts()
@@ -30,6 +26,7 @@ SramModel::standardSizes()
 double
 SramModel::delayNs(int bytes, int ports, SramDesign design) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(bytes >= 2, "SRAM too small: %d bytes", bytes);
     vvsp_assert(ports >= 1, "SRAM needs ports");
     if (design != SramDesign::HighPerformance) {
@@ -37,33 +34,34 @@ SramModel::delayNs(int bytes, int ports, SramDesign design) const
                     "high-density cells support at most 2 ports, got %d",
                     ports);
     }
-    double bitline = tech_.sramBitlineCoeff *
+    double bitline = tech.sramBitlineCoeff *
                      std::sqrt(static_cast<double>(bytes)) *
-                     (1.0 + tech_.sramPortLoadFactor * (ports - 1));
-    double d = tech_.sramBaseDelay + tech_.sramPortDelay * ports + bitline;
+                     (1.0 + tech.sramPortLoadFactor * (ports - 1));
+    double d = tech.sramBaseDelay + tech.sramPortDelay * ports + bitline;
     if (design != SramDesign::HighPerformance)
-        d *= tech_.sramHdDelayFactor;
+        d *= tech.sramHdDelayFactor;
     // The speed-binned dense cell recovers the high-perf speed.
     if (design == SramDesign::HighDensityFast)
-        d /= tech_.sramHdDelayFactor;
+        d /= tech.sramHdDelayFactor;
     return d;
 }
 
 double
 SramModel::cellArea(int ports, SramDesign design) const
 {
+    const Technology &tech = Technology::um025();
     switch (design) {
       case SramDesign::HighPerformance: {
         double p = ports + 1.2;
-        return tech_.sramHpCellArea * p * p;
+        return tech.sramHpCellArea * p * p;
       }
       case SramDesign::HighDensity:
-        return ports <= 1 ? tech_.sramHd1pCellArea
-                          : tech_.sramHd2pCellArea;
+        return ports <= 1 ? tech.sramHd1pCellArea
+                          : tech.sramHd2pCellArea;
       case SramDesign::HighDensityFast:
-        return (ports <= 1 ? tech_.sramHd1pCellArea
-                           : tech_.sramHd2pCellArea) *
-               tech_.sramFastCellFactor;
+        return (ports <= 1 ? tech.sramHd1pCellArea
+                           : tech.sramHd2pCellArea) *
+               tech.sramFastCellFactor;
     }
     vvsp_panic("unknown SRAM design");
 }
@@ -71,6 +69,7 @@ SramModel::cellArea(int ports, SramDesign design) const
 double
 SramModel::areaMm2(int bytes, int ports, SramDesign design) const
 {
+    const Technology &tech = Technology::um025();
     vvsp_assert(bytes >= 2 && ports >= 1, "bad SRAM shape");
     if (design != SramDesign::HighPerformance) {
         vvsp_assert(ports <= 2,
@@ -78,9 +77,9 @@ SramModel::areaMm2(int bytes, int ports, SramDesign design) const
                     ports);
     }
     double peri = design == SramDesign::HighPerformance
-                      ? tech_.sramHpPeriBase + tech_.sramHpPeriPerPort *
+                      ? tech.sramHpPeriBase + tech.sramHpPeriPerPort *
                                                    ports
-                      : tech_.sramHdPeri;
+                      : tech.sramHdPeri;
     return peri + bytes * cellArea(ports, design);
 }
 
@@ -91,7 +90,8 @@ SramModel::composedDelayNs(int totalBytes, int moduleBytes, int ports,
     vvsp_assert(totalBytes >= moduleBytes,
                 "memory (%d B) smaller than its module (%d B)",
                 totalBytes, moduleBytes);
-    return delayNs(moduleBytes, ports, design) + tech_.sramBankMuxDelay;
+    return delayNs(moduleBytes, ports, design) +
+           Technology::um025().sramBankMuxDelay;
 }
 
 double

@@ -25,8 +25,6 @@
 
 #include <vector>
 
-#include "vlsi/technology.hh"
-
 namespace vvsp
 {
 
@@ -42,8 +40,6 @@ enum class SramDesign
 class SramModel
 {
   public:
-    explicit SramModel(const Technology &tech = Technology::um025());
-
     /** Port counts swept in Fig 4. */
     static const std::vector<int> &standardPorts();
 
@@ -74,8 +70,6 @@ class SramModel
 
   private:
     double cellArea(int ports, SramDesign design) const;
-
-    const Technology &tech_;
 };
 
 } // namespace vvsp

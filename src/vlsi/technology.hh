@@ -28,8 +28,8 @@ namespace vvsp
 {
 
 /**
- * Calibration constants for the 0.25 um process models. A different
- * instance retargets the whole library to another process node.
+ * Calibration constants for the 0.25 um process models. Every model
+ * reads the one instance, um025().
  */
 struct Technology
 {

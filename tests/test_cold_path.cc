@@ -302,12 +302,15 @@ TEST(IiSearchParallel, BitIdenticalToSequential)
     for (const auto &ops : loops)
         seq.push_back(sched.schedule(ops));
 
+    // On a pool worker the search runs waves as wide as the pool.
     ThreadPool pool(4);
-    ModuloScheduler::setIiSearch(&pool);
     std::vector<BlockSchedule> par;
-    for (const auto &ops : loops)
-        par.push_back(sched.schedule(ops));
-    ModuloScheduler::setIiSearch(nullptr);
+    pool.submit([&] {
+        EXPECT_EQ(ThreadPool::current(), &pool);
+        for (const auto &ops : loops)
+            par.push_back(sched.schedule(ops));
+    });
+    pool.wait();
 
     for (size_t l = 0; l < loops.size(); ++l) {
         const BlockSchedule &a = seq[l];

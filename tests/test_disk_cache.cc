@@ -62,7 +62,6 @@ sampleResult(double salt = 0.0)
     res.checked = true;
     res.passed = true;
     res.comp.cyclesPerUnit = 123.456 + salt;
-    res.comp.totalInstructions = 321;
     res.comp.hotLoopInstructions = 64;
     res.comp.maxLive = 19;
     res.comp.icacheOk = true;
@@ -99,7 +98,6 @@ expectEqual(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_EQ(a.checked, b.checked);
     EXPECT_EQ(a.passed, b.passed);
     EXPECT_EQ(a.comp.cyclesPerUnit, b.comp.cyclesPerUnit);
-    EXPECT_EQ(a.comp.totalInstructions, b.comp.totalInstructions);
     EXPECT_EQ(a.comp.hotLoopInstructions,
               b.comp.hotLoopInstructions);
     EXPECT_EQ(a.comp.maxLive, b.comp.maxLive);

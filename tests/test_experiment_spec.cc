@@ -25,7 +25,6 @@ TEST(ExperimentSpec, RegistersThePaperArtifacts)
     EXPECT_EQ(findExperimentSpec("table3"), nullptr);
 
     const ExperimentSpec &t1 = *findExperimentSpec("table1");
-    EXPECT_EQ(t1.kind, SpecKind::Table);
     EXPECT_EQ(t1.models.size(), 5u);
     EXPECT_EQ(t1.sections.size(), 6u);
 

@@ -184,9 +184,9 @@ TEST(IsaRoundTrip, AbsDiffMachineNameStaysResolvable)
 
 TEST(IsaEstimate, SchedulerEstimateEqualsEncoderGroundTruth)
 {
-    // The S1 invariant on real table cells: the composer's
-    // totalInstructions (scheduler estimate, asserted per section in
-    // buildSection) must equal the encoder's measured word count.
+    // The S1 invariant on real table cells: the scheduler's estimate,
+    // summed over the groups Composer::schedule forms on the cell's
+    // lowering, must equal the encoder's measured word count.
     struct Cell
     {
         const char *kernel;
@@ -210,7 +210,13 @@ TEST(IsaEstimate, SchedulerEstimateEqualsEncoderGroundTruth)
         EXPECT_TRUE(res.passed) << c.variant;
         EXPECT_GT(res.comp.codeWords, 0) << c.variant;
         EXPECT_GT(res.comp.codeBytes, res.comp.codeWords) << c.variant;
-        EXPECT_EQ(res.comp.codeWords, res.comp.totalInstructions)
+        MachineModel machine(variantConfig(*req.variant, req.model));
+        Function fn = lowerVariant(k, *req.variant, machine);
+        int64_t estimate = 0;
+        for (const ScheduledGroup &g :
+             Composer(machine, req.variant->mode).schedule(fn).groups)
+            estimate += g.sched.instructions;
+        EXPECT_EQ(estimate, res.comp.codeWords)
             << c.variant << ": estimate != encoder ground truth";
         int64_t region_words = 0;
         for (const RegionCost &r : res.comp.regions)

