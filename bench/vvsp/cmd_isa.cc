@@ -9,11 +9,12 @@
  *
  *   vvsp asm --kernel=NAME [--variant=NAME] [--machine=MODEL]
  *            [--out=FILE.bin]
- *       Run a kernel variant through the real pipeline (lowering,
- *       bytecode profiling, composition) and emit its encoded module:
- *       canonical assembly on stdout, or the binary image with --out.
- *       Kernels resolve by registered name or table alias
- *       (`vvsp list`); the machine defaults to I4C8S4.
+ *       Lower a kernel variant and schedule it (Composer::schedule,
+ *       the table cells' own scheduling path) and emit its encoded
+ *       module: canonical assembly on stdout, or the binary image
+ *       with --out. Code does not depend on a profile, so nothing is
+ *       interpreted or priced. Kernels resolve by registered name or
+ *       table alias (`vvsp list`); the machine defaults to I4C8S4.
  *
  *   vvsp disasm FILE.bin
  *       Decode a binary image back to canonical assembly. The decoder
@@ -33,7 +34,6 @@
 #include "core/experiment.hh"
 #include "isa/disassembler.hh"
 #include "isa/encoder.hh"
-#include "sim/bytecode.hh"
 
 namespace vvsp
 {
@@ -68,13 +68,9 @@ writeFileBytes(const std::string &path,
     return static_cast<bool>(out);
 }
 
-/**
- * Resolve a kernel by registered name or table-section alias; the
- * alias also carries the section's profile depth so the emitted
- * module matches the table cell exactly.
- */
+/** Resolve a kernel by registered name or table-section alias. */
 const KernelSpec *
-resolveKernel(const std::string &name, int *profile_units)
+resolveKernel(const std::string &name)
 {
     for (const KernelSpec &k : allKernels()) {
         if (k.name == name)
@@ -82,10 +78,8 @@ resolveKernel(const std::string &name, int *profile_units)
     }
     for (const ExperimentSpec &spec : experimentSpecs()) {
         for (const SpecSection &s : spec.sections) {
-            if (s.alias == name) {
-                *profile_units = s.profileUnits;
+            if (s.alias == name)
                 return &kernelByName(s.kernel);
-            }
         }
     }
     std::fprintf(stderr, "vvsp: no kernel '%s' (aliases:",
@@ -114,15 +108,10 @@ resolveVariant(const KernelSpec &kernel, const std::string &name)
     std::exit(2);
 }
 
-/**
- * The compose pipeline of core/experiment.cc runExperiment, with the
- * encoded module as the product instead of the cycle count: lower,
- * profile on the bytecode engine (no golden check), compose with
- * `emit` attached.
- */
+/** A table cell's encoded module: lower, then schedule. */
 IsaModule
 encodeKernelModule(const KernelSpec &kernel, const VariantSpec &variant,
-                   const DatapathConfig &cfg, int profile_units)
+                   const DatapathConfig &cfg)
 {
     DatapathConfig eff = variantConfig(variant, cfg);
     if (eff.cluster.hasAbsDiff != cfg.cluster.hasAbsDiff) {
@@ -133,20 +122,7 @@ encodeKernelModule(const KernelSpec &kernel, const VariantSpec &variant,
     MachineModel machine(eff);
 
     Function fn = lowerVariant(kernel, variant, machine);
-    AvgProfile avg(fn.numNodeIds());
-    FrameGeometry geom = FrameGeometry::ccir601();
-    BytecodeEngine engine(fn);
-    for (int u = 0; u < profile_units; ++u) {
-        MemoryImage mem(fn);
-        kernel.prepare(fn, mem, geom, u);
-        avg.accumulate(engine.run(mem));
-    }
-    avg.scale(1.0 / profile_units);
-
-    Composer composer(machine, variant.mode);
-    IsaModule module;
-    composer.compose(fn, avg, &module);
-    return module;
+    return Composer(machine, variant.mode).schedule(fn).module;
 }
 
 int
@@ -180,9 +156,7 @@ int
 cmdAsm(const DriverOptions &opts)
 {
     if (!opts.kernelName.empty()) {
-        int profile_units = 4;
-        const KernelSpec *kernel =
-            resolveKernel(opts.kernelName, &profile_units);
+        const KernelSpec *kernel = resolveKernel(opts.kernelName);
         const VariantSpec *variant =
             resolveVariant(*kernel, opts.variant);
         std::vector<DatapathConfig> machines =
@@ -190,8 +164,8 @@ cmdAsm(const DriverOptions &opts)
 
         Observability sinks(opts);
         sinks.setMachines(machines);
-        IsaModule module = encodeKernelModule(
-            *kernel, *variant, machines.front(), profile_units);
+        IsaModule module =
+            encodeKernelModule(*kernel, *variant, machines.front());
         return emitModule(module, opts);
     }
 

@@ -1,7 +1,6 @@
 #include "core/design_space.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/sweep.hh"
 #include "kernels/kernel.hh"
@@ -9,17 +8,6 @@
 
 namespace vvsp
 {
-
-std::string
-DesignPoint::str() const
-{
-    std::ostringstream os;
-    os << config.name << ": " << areaMm2 << " mm^2, " << clockMhz
-       << " MHz, " << peakGops << " GOPS peak";
-    if (framesPerSecond > 0)
-        os << ", " << framesPerSecond << " frames/s";
-    return os.str();
-}
 
 namespace
 {

@@ -16,7 +16,6 @@
 #define VVSP_CORE_DESIGN_SPACE_HH
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "arch/datapath_config.hh"
@@ -38,8 +37,6 @@ struct DesignPoint
     double peakGops = 0;
     /** Full-search frames per second when scored; 0 otherwise. */
     double framesPerSecond = 0;
-
-    std::string str() const;
 };
 
 /** Parameter ranges to enumerate. */

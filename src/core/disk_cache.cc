@@ -29,8 +29,11 @@ namespace
  *  v3: the key drops the request's seed and check flag, and the body
  *  drops the whole-kernel instruction count (always equal to
  *  codeWords). Without the bump the v2 entries would be orphans
- *  that fsck calls healthy. */
-constexpr int kSchemaVersion = 3;
+ *  that fsck calls healthy.
+ *  v4: same layout; a ganged variant's replication now divides by
+ *  the clusters its lowering partitions over (at most the machine's),
+ *  so a v3 entry may hold a cell priced by the old formula. */
+constexpr int kSchemaVersion = 4;
 constexpr const char *kMagic = "vvsp-experiment-cache";
 
 uint64_t

@@ -229,11 +229,12 @@ composeCell(const ExperimentRequest &req, const MachineModel &machine,
     res.comp = Composer(machine, variant.mode).compose(fn, profile.avg);
     res.cyclesPerUnit = res.comp.cyclesPerUnit;
 
-    int gang = variant.gangAllClusters ? machine.clusters()
-                                       : variant.gangClusters;
+    // A unit runs on the clusters its lowering partitioned it over,
+    // so a gang wider than the machine replicates once.
     res.replication =
         variant.replicate
-            ? static_cast<double>(machine.clusters()) / gang
+            ? static_cast<double>(machine.clusters()) /
+                  loweringTarget(variant, machine).partitionClusters
             : 1.0;
     res.unitsPerFrame = kernel.unitsPerFrame(req.geometry);
     res.cyclesPerFrame =

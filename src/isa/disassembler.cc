@@ -205,9 +205,9 @@ decodeModule(const std::vector<uint8_t> &bytes, IsaModule &out,
         }
 
         sec.ops.assign(num_ops, Operation{});
-        sec.placed.assign(num_ops, IsaPlacement{});
+        sec.placed.assign(num_ops, PlacedOp{});
         std::vector<bool> seen(num_ops, false);
-        std::vector<std::pair<Operation, IsaPlacement>> issued;
+        std::vector<std::pair<Operation, PlacedOp>> issued;
         issued.reserve(num_ops);
 
         for (int word = 0; word < words && rd.ok(); ++word) {
@@ -278,7 +278,7 @@ decodeModule(const std::vector<uint8_t> &bytes, IsaModule &out,
                     return fail(format("stage %d of %d at %s", stage,
                                        sec.stages, where.c_str()));
 
-                IsaPlacement p;
+                PlacedOp p;
                 p.cycle =
                     sec.modulo ? stage * sec.ii + word : word;
                 if (slot_idx < 0) {
@@ -893,7 +893,7 @@ class AsmParser
         inSection_ = false;
         size_t n = pend_.size();
         sec_.ops.assign(n, Operation{});
-        sec_.placed.assign(n, IsaPlacement{});
+        sec_.placed.assign(n, PlacedOp{});
         std::vector<bool> seen(n, false);
         for (const PendingOp &po : pend_) {
             if (po.seq >= static_cast<long long>(n) ||
@@ -930,7 +930,7 @@ class AsmParser
     struct PendingOp
     {
         Operation op;
-        IsaPlacement placed;
+        PlacedOp placed;
         long long seq = -1;
         int line = 0;
     };

@@ -96,7 +96,7 @@ wordMaps(const IsaSection &sec, const IsaFormat &fmt)
     for (WordMap &w : words)
         w.slotOp.assign(static_cast<size_t>(fmt.totalSlots()), -1);
     for (size_t i = 0; i < sec.ops.size(); ++i) {
-        const IsaPlacement &p = sec.placed[i];
+        const PlacedOp &p = sec.placed[i];
         vvsp_assert(p.cycle >= 0, "op %zu at negative cycle %d", i,
                     p.cycle);
         int w = sec.modulo ? p.cycle % sec.ii : p.cycle;
@@ -186,31 +186,20 @@ buildSection(const std::string &label,
     }
     sec.opsHash = isaOpsHash(sec.ops);
 
-    sec.placed.resize(ops.size());
-    if (!sec.modulo) {
-        for (size_t i = 0; i < ops.size(); ++i) {
-            const PlacedOp &p = sched.placed[i];
-            sec.placed[i] = IsaPlacement{p.cycle, p.cluster, p.slot};
-        }
-    } else {
-        // The modulo placer records cycles only (slot 0 everywhere);
-        // encode the witness slots the verifier also derives.
+    sec.placed = sched.placed;
+    if (sec.modulo) {
+        // The modulo placer records cycles only (slot 0 everywhere),
+        // so the section carries witness slots.
         std::vector<int> slots = witnessSlots(ops, sched.placed, sched.ii,
                                               machine, bank_of, width1);
         for (size_t i = 0; i < ops.size(); ++i) {
-            sec.placed[i] = IsaPlacement{sched.placed[i].cycle,
-                                         ops[i].cluster, slots[i]};
+            sec.placed[i].slot = slots[i];
             int stage = sec.placed[i].cycle / sec.ii;
             vvsp_assert(stage >= 0 && stage < sec.stages,
                         "op %zu stage %d outside %d stages", i, stage,
                         sec.stages);
         }
     }
-
-    vvsp_assert(sec.words() == sched.instructions,
-                "encoder emitted %d words but the scheduler "
-                "estimated %d for '%s'",
-                sec.words(), sched.instructions, label.c_str());
     return sec;
 }
 
@@ -326,7 +315,7 @@ putOperand(BitWriter &bw, const Operand &o,
 
 void
 putOp(BitWriter &bw, const Operation &op, const IsaSection &sec,
-      const IsaPlacement &p, const isa_detail::SectionWidths &w,
+      const PlacedOp &p, const isa_detail::SectionWidths &w,
       const IsaFormat &fmt)
 {
     const OpcodeInfo &info = op.info();

@@ -17,9 +17,12 @@
  * control slot); a modulo section occupies `ii` words (word w holds
  * the ops whose cycle maps to modulo row w, each carrying its stage
  * number, which is how real software-pipelined hardware replays the
- * kernel). Either way the word count equals the scheduler's
- * BlockSchedule::instructions estimate — buildSection asserts it, so
+ * kernel). IsaSection::words() is the one code-size count, so
  * icache-fit checks run against encoder ground truth.
+ *
+ * The section is a scheduled group's only record: pricing, the cycle
+ * simulator, telemetry and trace diagrams all read its placements,
+ * word count and fill/drain cycles, never a second copy.
  */
 
 #ifndef VVSP_ISA_ENCODER_HH
@@ -41,16 +44,6 @@ namespace vvsp
 /** Maps a buffer id to its memory bank (from the function). */
 using IsaBankOfFn = std::function<int(int buffer)>;
 
-/** Where one encoded operation sits in the word stream. */
-struct IsaPlacement
-{
-    int cycle = 0;   ///< absolute issue cycle within the section.
-    int cluster = 0; ///< executing cluster.
-    int slot = -1;   ///< issue slot; -1 = machine-wide control slot.
-
-    bool operator==(const IsaPlacement &) const = default;
-};
-
 /** One encoded schedule region (acyclic block or modulo kernel). */
 struct IsaSection
 {
@@ -70,11 +63,22 @@ struct IsaSection
 
     /** Operations in program order, immediates canonicalized. */
     std::vector<Operation> ops;
-    /** Placement per operation (parallel to `ops`). */
-    std::vector<IsaPlacement> placed;
+    /** Placement per operation (parallel to `ops`): absolute issue
+     *  cycle within the section, cluster, and issue slot (-1: the
+     *  machine-wide control slot). */
+    std::vector<PlacedOp> placed;
 
-    /** Long-instruction words this section occupies. */
+    /**
+     * Long-instruction words this section occupies. Kernel-only code
+     * for a modulo section: the machine's predicated execution fills
+     * and drains the pipeline from the same II words (the ramp costs
+     * cycles but no icache space).
+     */
     int words() const { return modulo ? ii : length; }
+
+    /** Modulo section: cycles one loop entry spends filling and
+     *  draining the pipeline, (stages - 1) * ii each (else 0). */
+    int rampCycles() const { return modulo ? 2 * (stages - 1) * ii : 0; }
 };
 
 /** An encodable unit: every scheduled section of one lowered fn. */
@@ -105,13 +109,12 @@ struct SectionStats
 uint64_t isaOpsHash(const std::vector<Operation> &ops);
 
 /**
- * Build a section from a scheduled group. Immediates are
- * canonicalized to their architectural 16-bit value (sign-extended
- * back to int32, matching simulator truncation). Modulo schedules
- * carry no slot assignment (the placer leaves slot 0 everywhere), so
- * the encoder takes the witness assignment CycleSim's verifier also
- * derives (witnessSlots in sched/reservation_table.hh). Asserts the
- * resulting word count equals sched.instructions.
+ * Build a section from a scheduled group: the schedule's shape and
+ * placements, with immediates canonicalized to their architectural
+ * 16-bit value (sign-extended back to int32, matching simulator
+ * truncation). Modulo schedules carry no slot assignment (the placer
+ * leaves slot 0 everywhere), so a modulo section's slots are the
+ * witness assignment (witnessSlots in sched/reservation_table.hh).
  */
 IsaSection buildSection(const std::string &label,
                         const std::vector<Operation> &ops,

@@ -220,7 +220,7 @@ struct Composer::Walker
     void
     addGroup(GroupSite site, int node, GroupCount count, int block_ops,
              const std::string &label, const std::vector<Operation> &ops,
-             BlockSchedule sched, bool width1)
+             const BlockSchedule &sched, bool width1)
     {
         int &slot = out.sites[siteIndex(node, site)];
         vvsp_assert(slot < 0, "two groups close at site %d of node %d",
@@ -234,13 +234,13 @@ struct Composer::Walker
         });
         if (!keepCode) {
             sec.ops = std::vector<Operation>();
-            sec.placed = std::vector<IsaPlacement>();
-            sched.placed = std::vector<PlacedOp>();
+            sec.placed = std::vector<PlacedOp>();
         }
         out.module.sections.push_back(std::move(sec));
         out.groups.push_back({site, node, count, block_ops,
                               static_cast<int>(ops.size()),
-                              std::move(sched), stats});
+                              sched.resMii, sched.recMii,
+                              sched.degraded, stats});
     }
 
     /** Close the pending group, if any, at `site`; its last
@@ -256,7 +256,7 @@ struct Composer::Walker
         });
         addGroup(site, node, pendingCount,
                  static_cast<int>(pending.size() - site_ops),
-                 pendingLabel, pending, std::move(sched), width1);
+                 pendingLabel, pending, sched, width1);
         pending.clear();
     }
 
@@ -331,7 +331,7 @@ struct Composer::Walker
         addGroup(GroupSite::SwpLoop, loop.id,
                  {GroupCount::Kind::LoopIters, loop.id},
                  static_cast<int>(body_ops), "swp:" + loop.label, ops,
-                 std::move(sched), false);
+                 sched, false);
     }
 
     void
@@ -436,29 +436,28 @@ Composer::price(const KernelSchedule &schedule,
     CompositionResult result;
     for (size_t i = 0; i < schedule.groups.size(); ++i) {
         const ScheduledGroup &g = schedule.groups[i];
-        const BlockSchedule &sched = g.sched;
+        const IsaSection &sec = schedule.module.sections[i];
         const SectionStats &stats = g.stats;
         isa.bump("sections");
         isa.bump("words", static_cast<uint64_t>(stats.words));
         isa.bump("bytes", static_cast<uint64_t>(stats.bytes));
         isa.bump("nop_slots", static_cast<uint64_t>(stats.nopSlots));
         RegionCost rc;
-        rc.label = schedule.module.sections[i].label;
+        rc.label = sec.label;
         rc.execCount = g.count.of(profile);
-        rc.ii = sched.ii;
-        rc.length = sched.length;
-        rc.degraded = sched.degraded;
+        rc.ii = sec.ii;
+        rc.length = sec.length;
+        rc.degraded = g.degraded;
         // A modulo loop pays its fill and drain once per entry. A
         // degraded fallback may be acyclic (ii == 0): cost it as a
         // plain loop body, length cycles per iteration.
-        rc.cycles = sched.isModulo()
+        rc.cycles = sec.modulo
                         ? at(profile.loopEntries, g.node) *
-                                  (sched.prologueCycles() +
-                                   sched.epilogueCycles()) +
-                              rc.execCount * sched.ii
-                        : sched.length * rc.execCount;
+                                  sec.rampCycles() +
+                              rc.execCount * sec.ii
+                        : sec.length * rc.execCount;
         rc.instructions = static_cast<int>(stats.words);
-        rc.maxLive = sched.maxLive;
+        rc.maxLive = sec.maxLive;
         rc.codeBytes = stats.bytes;
         rc.nopSlots = stats.nopSlots;
 
@@ -482,15 +481,10 @@ Composer::price(const KernelSchedule &schedule,
 }
 
 CompositionResult
-Composer::compose(Function &fn, const AvgProfile &profile,
-                  IsaModule *emit)
+Composer::compose(Function &fn, const AvgProfile &profile)
 {
     return obs::timedPhase(obs::globalScope("phase"), "compose", [&] {
-        KernelSchedule sched = walk(fn, emit != nullptr);
-        CompositionResult result = price(sched, profile);
-        if (emit)
-            *emit = std::move(sched.module);
-        return result;
+        return price(walk(fn, false), profile);
     });
 }
 

@@ -134,7 +134,10 @@ struct GroupCount
     double of(const AvgProfile &profile) const;
 };
 
-/** One scheduled group; its code is the parallel IsaSection. */
+/**
+ * One scheduled group. Its code, placements and shape are the
+ * parallel IsaSection; the group keeps only what the section lacks.
+ */
 struct ScheduledGroup
 {
     GroupSite site = GroupSite::FunctionEnd;
@@ -143,9 +146,14 @@ struct ScheduledGroup
     /** Ops that came from blocks; the rest are the site's branch or
      *  loop control. */
     int blockOps = 0;
-    int numOps = 0;      ///< all of the group's ops.
-    BlockSchedule sched; ///< placements parallel to the section's ops.
-    SectionStats stats;  ///< measured size of the encoded section.
+    int numOps = 0;     ///< all of the group's ops.
+    /** Modulo group: the II search's lower bounds (see
+     *  BlockSchedule::resMii); 0 for an acyclic group. */
+    int resMii = 0;
+    int recMii = 0;
+    /** The II search ran out of budget (BlockSchedule::degraded). */
+    bool degraded = false;
+    SectionStats stats; ///< measured size of the encoded section.
 };
 
 /** A kernel scheduled once, before any profile prices it. */
@@ -172,9 +180,8 @@ class Composer
     /**
      * Form, schedule and encode every group of one kernel unit. The
      * function gains fresh vregs/ops (materialized loop control);
-     * the tree itself is not restructured. Each section's word count
-     * is asserted equal to the scheduler's estimate. Records one run
-     * of the "compose" phase.
+     * the tree itself is not restructured. Reads no profile. Records
+     * one run of the "compose" phase.
      */
     KernelSchedule schedule(Function &fn);
 
@@ -185,13 +192,11 @@ class Composer
     /**
      * Compose the cost of one kernel unit: schedule, then price.
      * RegionCost::instructions and the code-size totals come from
-     * the encoder's actual word count. When `emit` is non-null it
-     * receives the encoded module; otherwise no group's code is kept
-     * past its measurement. Records one run of the "compose" phase,
-     * which nests list_sched, modulo_sched, encode and walk.
+     * the encoder's actual word count; no group's code is kept past
+     * its measurement. Records one run of the "compose" phase, which
+     * nests list_sched, modulo_sched, encode and walk.
      */
-    CompositionResult compose(Function &fn, const AvgProfile &profile,
-                              IsaModule *emit = nullptr);
+    CompositionResult compose(Function &fn, const AvgProfile &profile);
 
   private:
     struct Walker;

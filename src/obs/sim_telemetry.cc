@@ -1,7 +1,6 @@
 #include "obs/sim_telemetry.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "ir/dependence_graph.hh"
 #include "support/logging.hh"
@@ -136,39 +135,22 @@ GroupTelemetry::recordTo(const StatsScope &scope) const
     scope.bump("stall/no_pending_work", stallNoWork);
 }
 
-std::string
-GroupTelemetry::str() const
-{
-    std::ostringstream os;
-    os << "cycles " << cycles << ", slots " << slotCyclesBusy << "/"
-       << slotCyclesTotal << " ("
-       << static_cast<int>(slotUtilization() * 100 + 0.5) << "%)";
-    os << ", xbar " << xbarTransfers << "/" << xbarPortCycles;
-    os << ", stall[opnd " << stallOperand << " struct "
-       << stallStructural << " xfer " << stallTransfer << " idle "
-       << stallNoWork << "]";
-    if (ii > 0) {
-        os << ", II=" << ii << " (ResMII=" << resMii
-           << " RecMII=" << recMii << ")";
-    }
-    return os.str();
-}
-
 GroupTelemetry
-analyzeSchedule(const std::vector<Operation> &ops,
-                const BlockSchedule &sched,
+analyzeSchedule(const IsaSection &sec, int res_mii, int rec_mii,
                 const MachineModel &machine, const BankOfFn &bank_of)
 {
     GroupTelemetry t;
+    const std::vector<Operation> &ops = sec.ops;
+    const std::vector<PlacedOp> &placed = sec.placed;
     if (ops.empty())
         return t;
-    vvsp_assert(sched.placed.size() == ops.size(),
-                "schedule does not cover the op vector");
+    vvsp_assert(placed.size() == ops.size(),
+                "section does not place every op");
 
     const int clusters = machine.clusters();
     const int slots = machine.slotsPerCluster();
-    const bool modulo = sched.isModulo();
-    const int window = modulo ? sched.ii : sched.length;
+    const bool modulo = sec.modulo;
+    const int window = modulo ? sec.ii : sec.length;
     const int banks = machine.memBanks();
     const int portsPerBank = machine.config().cluster.memPortsPerBank;
 
@@ -192,8 +174,8 @@ analyzeSchedule(const std::vector<Operation> &ops,
 
     // Issue cycle within the analyzed window.
     auto windowCycle = [&](int i) {
-        int c = sched.placed[i].cycle;
-        return modulo ? c % sched.ii : c;
+        int c = placed[i].cycle;
+        return modulo ? c % sec.ii : c;
     };
 
     // Occupancy and port usage from the placements.
@@ -255,13 +237,13 @@ analyzeSchedule(const std::vector<Operation> &ops,
         // scheduler recorded: when the recurrence sets the II the
         // empty slots are dependence stalls; when resources do, they
         // are structural.
-        vvsp_assert(sched.resMii > 0 && sched.recMii > 0,
+        vvsp_assert(res_mii > 0 && rec_mii > 0,
                     "modulo schedule (II=%d) carries no II bounds",
-                    sched.ii);
-        t.ii = sched.ii;
-        t.resMii = sched.resMii;
-        t.recMii = sched.recMii;
-        if (t.recMii >= t.resMii && t.recMii >= sched.ii)
+                    sec.ii);
+        t.ii = sec.ii;
+        t.resMii = res_mii;
+        t.recMii = rec_mii;
+        if (t.recMii >= t.resMii && t.recMii >= sec.ii)
             t.stallOperand = emptySlots;
         else
             t.stallStructural = emptySlots;
@@ -279,7 +261,7 @@ analyzeSchedule(const std::vector<Operation> &ops,
             const DepEdge &e = ddg.edges()[ei];
             if (e.distance != 0)
                 continue;
-            int at = sched.placed[e.from].cycle + e.latency;
+            int at = placed[e.from].cycle + e.latency;
             if (at > ready[i]) {
                 ready[i] = at;
                 xferCritical[i] =
@@ -299,7 +281,7 @@ analyzeSchedule(const std::vector<Operation> &ops,
         const FuClass fu = op.info().fuClass;
         if (fu == FuClass::None || fu == FuClass::Branch)
             continue;
-        int c = sched.placed[i].cycle;
+        int c = placed[i].cycle;
         if (c >= 0 && c < window)
             ++busyAt[static_cast<size_t>(c) * clusters + op.cluster];
     }
@@ -315,7 +297,7 @@ analyzeSchedule(const std::vector<Operation> &ops,
             const FuClass fu = op.info().fuClass;
             if (fu == FuClass::None || fu == FuClass::Branch)
                 continue;
-            if (sched.placed[i].cycle <= cyc)
+            if (placed[i].cycle <= cyc)
                 continue; // already issued.
             if (ready[i] <= cyc) {
                 ++readyPend[op.cluster];
@@ -327,7 +309,7 @@ analyzeSchedule(const std::vector<Operation> &ops,
                         // was data-ready: a real bank conflict.
                         int used = 0;
                         for (int j = 0; j < n; ++j) {
-                            if (sched.placed[j].cycle != cyc)
+                            if (placed[j].cycle != cyc)
                                 continue;
                             const Operation &oj = ops[j];
                             if (oj.info().fuClass != FuClass::Mem ||
@@ -389,9 +371,7 @@ idleWindow(const MachineModel &machine, uint64_t cycles)
 
 void
 scheduleToTrace(TraceWriter &trace, int pid,
-                const std::string &group_name,
-                const std::vector<Operation> &ops,
-                const BlockSchedule &sched,
+                const std::string &group_name, const IsaSection &sec,
                 const MachineModel &machine)
 {
     const int slots = machine.slotsPerCluster();
@@ -407,11 +387,11 @@ scheduleToTrace(TraceWriter &trace, int pid,
         }
     }
     trace.threadName(pid, controlTid, "control");
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const Operation &op = ops[i];
+    for (size_t i = 0; i < sec.ops.size(); ++i) {
+        const Operation &op = sec.ops[i];
         if (op.info().fuClass == FuClass::None)
             continue;
-        const PlacedOp &p = sched.placed[i];
+        const PlacedOp &p = sec.placed[i];
         if (p.cycle < 0)
             continue;
         int tid = p.slot < 0 ? controlTid
@@ -419,9 +399,9 @@ scheduleToTrace(TraceWriter &trace, int pid,
         uint64_t dur = std::max(1, machine.latency(op));
         std::vector<std::pair<std::string, std::string>> args;
         args.emplace_back("op", op.str());
-        if (sched.isModulo()) {
+        if (sec.modulo) {
             args.emplace_back(
-                "modulo_row", std::to_string(p.cycle % sched.ii));
+                "modulo_row", std::to_string(p.cycle % sec.ii));
         }
         trace.slice(opcodeName(op.op), "schedule",
                     static_cast<uint64_t>(p.cycle), dur, pid, tid,

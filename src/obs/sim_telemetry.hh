@@ -2,7 +2,7 @@
  * @file
  * Utilization and stall analysis of scheduled code groups.
  *
- * `analyzeSchedule()` turns one (ops, BlockSchedule) pair into a
+ * `analyzeSchedule()` turns one encoded group (an IsaSection) into a
  * GroupTelemetry: per-cluster issue-slot occupancy, busy cycles per
  * functional-unit class, crossbar port usage, memory-bank port usage
  * and conflicts, register-file port pressure, and per-cycle stall
@@ -26,8 +26,9 @@
  * For modulo schedules the steady-state window is attributed by the
  * binding lower bound: recurrence-bound IIs (RecMII >= ResMII) charge
  * empty slots to operand_not_ready, resource-bound IIs to structural.
- * The bounds are the ones the modulo scheduler recorded on the
- * BlockSchedule; a modulo schedule without them is a caller bug.
+ * The caller passes the bounds the modulo scheduler recorded (the
+ * composer keeps them on each ScheduledGroup); a modulo section
+ * without them is a caller bug.
  */
 
 #ifndef VVSP_OBS_SIM_TELEMETRY_HH
@@ -38,10 +39,10 @@
 #include <vector>
 
 #include "arch/machine_model.hh"
+#include "isa/encoder.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace.hh"
 #include "sched/reservation_table.hh"
-#include "sched/schedule.hh"
 
 namespace vvsp
 {
@@ -105,19 +106,16 @@ struct GroupTelemetry
 
     /** Write every field as counters under `scope`. */
     void recordTo(const StatsScope &scope) const;
-
-    /** Human-readable multi-line summary. */
-    std::string str() const;
 };
 
 /**
- * Analyze one scheduled group. For acyclic schedules the window is
- * [0, length); for modulo schedules it is the steady-state II window
- * (each operation issuing once per II).
+ * Analyze one scheduled group. For acyclic sections the window is
+ * [0, length); for modulo sections it is the steady-state II window
+ * (each operation issuing once per II), split by the II bounds
+ * `res_mii` and `rec_mii` (ignored for acyclic sections).
  */
-GroupTelemetry analyzeSchedule(const std::vector<Operation> &ops,
-                               const BlockSchedule &sched,
-                               const MachineModel &machine,
+GroupTelemetry analyzeSchedule(const IsaSection &sec, int res_mii,
+                               int rec_mii, const MachineModel &machine,
                                const BankOfFn &bank_of);
 
 /**
@@ -131,16 +129,14 @@ GroupTelemetry idleWindow(const MachineModel &machine,
                           uint64_t cycles);
 
 /**
- * Render a schedule as a pipeline diagram in `trace`: one thread
+ * Render a section as a pipeline diagram in `trace`: one thread
  * track per (cluster, slot), one slice per operation spanning its
  * latency, 1 cycle = 1 us. Branches land on a dedicated control
  * track. Suitable for chrome://tracing / Perfetto.
  */
 void scheduleToTrace(TraceWriter &trace, int pid,
                      const std::string &group_name,
-                     const std::vector<Operation> &ops,
-                     const BlockSchedule &sched,
-                     const MachineModel &machine);
+                     const IsaSection &sec, const MachineModel &machine);
 
 } // namespace obs
 } // namespace vvsp

@@ -257,7 +257,6 @@ ListScheduler::schedule(const std::vector<Operation> &ops,
         result.length = std::max(issue_max + 1, completion_max);
     }
 
-    result.instructions = result.length;
     result.maxLive = maxLivePerCluster(ops, result, machine_, 0);
     return result;
 }

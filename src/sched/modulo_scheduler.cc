@@ -332,10 +332,6 @@ ModuloScheduler::scheduleBudgeted(const std::vector<Operation> &ops,
         }
         result.stages = max_start / ii + 1;
         result.length = max_start + 1;
-        // Kernel-only code: the machine's predicated execution fills
-        // and drains the pipeline from the same II instruction words
-        // (prologue/epilogue cost cycles but no icache space).
-        result.instructions = ii;
         result.maxLive = maxLivePerCluster(ops, result, machine_, ii);
         return result;
     };

@@ -4,15 +4,15 @@
  *
  * Acyclic (list) schedules report their length in cycles including
  * the closing branch and its delay slots. Modulo schedules report
- * the initiation interval, stage count, and prologue/epilogue
- * lengths. Both report instruction-word counts (for the icache-fit
- * check) and the peak register pressure per cluster.
+ * the initiation interval and stage count. Both report the peak
+ * register pressure per cluster. The composer encodes each schedule
+ * as an IsaSection (isa/encoder.hh), which is then the group's only
+ * record: its word count, fill/drain cycles and placements.
  */
 
 #ifndef VVSP_SCHED_SCHEDULE_HH
 #define VVSP_SCHED_SCHEDULE_HH
 
-#include <string>
 #include <vector>
 
 #include "ir/operation.hh"
@@ -26,6 +26,8 @@ struct PlacedOp
     int cycle = -1;   ///< issue cycle (absolute, from block start).
     int cluster = 0;  ///< executing cluster.
     int slot = -1;    ///< issue slot within the cluster (-1: control).
+
+    bool operator==(const PlacedOp &) const = default;
 };
 
 /** A scheduled block. */
@@ -68,9 +70,6 @@ struct BlockSchedule
      *  schedule the retry picks, so its headroom counts too. */
     long maxFeasiblePlacements = 0;
 
-    /** Long-instruction words occupied in the instruction cache. */
-    int instructions = 0;
-
     /** Peak simultaneously-live values in any one cluster. */
     int maxLive = 0;
 
@@ -85,21 +84,6 @@ struct BlockSchedule
 
     /** True when this is a software-pipelined (modulo) schedule. */
     bool isModulo() const { return ii > 0; }
-
-    /** Prologue cycles before the kernel reaches steady state. */
-    int prologueCycles() const { return isModulo() ? (stages - 1) * ii : 0; }
-
-    /** Epilogue cycles draining the pipeline after the last start. */
-    int epilogueCycles() const { return prologueCycles(); }
-
-    /**
-     * Total cycles to run `trips` iterations of a modulo-scheduled
-     * loop, or trips * length for an acyclic loop-body schedule.
-     */
-    double loopCycles(double trips) const;
-
-    /** Human-readable summary line. */
-    std::string str() const;
 };
 
 } // namespace vvsp

@@ -60,39 +60,30 @@ struct CycleSim::Engine
     uint16_t value(const Operand &o) const { return operandValue(o, regs); }
 
     /**
-     * Independently re-verify a group's schedule: resource legality
-     * by deriving a witness slot for every op (panics if one finds
-     * none) and dependence timing via a rebuilt dependence graph.
-     * Returns the witness slots, parallel to the section's ops.
+     * Independently re-verify the section a group runs: resource
+     * legality by deriving a witness slot for every placement (panics
+     * if one finds none) and dependence timing via a rebuilt
+     * dependence graph.
      */
-    std::vector<int>
-    verify(const IsaSection &sec, const BlockSchedule &sched)
+    void
+    verify(const IsaSection &sec)
     {
         const std::vector<Operation> &ops = sec.ops;
-        vvsp_assert(ops.size() == sched.placed.size(),
-                    "section '%s' holds %zu ops, its schedule %zu",
-                    sec.label.c_str(), ops.size(), sched.placed.size());
-        for (size_t i = 0; i < ops.size(); ++i) {
-            vvsp_assert(sec.placed[i].cycle == sched.placed[i].cycle,
-                        "section '%s' issues op %zu at cycle %d, its "
-                        "schedule at %d",
-                        sec.label.c_str(), i, sec.placed[i].cycle,
-                        sched.placed[i].cycle);
-        }
-        std::vector<int> slots = witnessSlots(
-            ops, sched.placed, sched.ii, machine, bankOf, sec.width1);
-        DependenceGraph ddg(ops, machine.latencyFn(), sched.ii > 0);
-        int ii = sched.ii > 0 ? sched.ii : 1 << 20;
+        vvsp_assert(ops.size() == sec.placed.size(),
+                    "section '%s' holds %zu ops and %zu placements",
+                    sec.label.c_str(), ops.size(), sec.placed.size());
+        witnessSlots(ops, sec.placed, sec.ii, machine, bankOf, sec.width1);
+        DependenceGraph ddg(ops, machine.latencyFn(), sec.modulo);
+        int ii = sec.modulo ? sec.ii : 1 << 20;
         for (const auto &e : ddg.edges()) {
-            int tf = sched.placed[static_cast<size_t>(e.from)].cycle;
-            int tt = sched.placed[static_cast<size_t>(e.to)].cycle;
+            int tf = sec.placed[static_cast<size_t>(e.from)].cycle;
+            int tt = sec.placed[static_cast<size_t>(e.to)].cycle;
             vvsp_assert(tt + ii * e.distance >= tf + e.latency,
                         "timing violation %d -> %d (lat %d dist %d, "
                         "t %d -> %d, ii %d)",
                         e.from, e.to, e.latency, e.distance, tf, tt,
-                        sched.ii);
+                        sec.ii);
         }
-        return slots;
     }
 
     /**
@@ -109,22 +100,15 @@ struct CycleSim::Engine
         c.done = true;
         const ScheduledGroup &group = ks.groups[static_cast<size_t>(g)];
         const IsaSection &sec = ks.module.sections[static_cast<size_t>(g)];
-        const BlockSchedule &sched = group.sched;
-        std::vector<int> slots = verify(sec, sched);
+        verify(sec);
         if (trace) {
-            // The modulo placer records no slots; draw the witness
-            // ones. Named by section label and module position, as
-            // `vvsp asm` prints them.
-            BlockSchedule drawn = sched;
-            if (sched.isModulo()) {
-                for (size_t i = 0; i < slots.size(); ++i)
-                    drawn.placed[i].slot = slots[i];
-            }
+            // Named by section label and module position, as `vvsp
+            // asm` prints them.
             std::string name = *traceLabel + "/" +
                                (sec.label.empty() ? "section" : sec.label) +
                                "#" + std::to_string(g);
-            obs::scheduleToTrace(*trace, (*nextPid)++, name, sec.ops,
-                                 drawn, machine);
+            obs::scheduleToTrace(*trace, (*nextPid)++, name, sec,
+                                 machine);
         }
         if (group.site != GroupSite::SwpLoop) {
             // By placed cycle, program order within a cycle
@@ -133,15 +117,16 @@ struct CycleSim::Engine
             c.issue.resize(sec.ops.size());
             std::iota(c.issue.begin(), c.issue.end(), 0u);
             std::stable_sort(c.issue.begin(), c.issue.end(),
-                             [&sched](uint32_t a, uint32_t b) {
-                                 return sched.placed[a].cycle <
-                                        sched.placed[b].cycle;
+                             [&sec](uint32_t a, uint32_t b) {
+                                 return sec.placed[a].cycle <
+                                        sec.placed[b].cycle;
                              });
             simStats.bump("acyclic_group_sorts");
         }
         if (telem)
-            c.telemetry =
-                obs::analyzeSchedule(sec.ops, sched, machine, bankOf);
+            c.telemetry = obs::analyzeSchedule(sec, group.resMii,
+                                               group.recMii, machine,
+                                               bankOf);
         return c;
     }
 
@@ -178,15 +163,14 @@ struct CycleSim::Engine
                     pendingOps, g, group.blockOps);
         pendingOps = 0;
         const Checked &c = check(g);
-        const std::vector<Operation> &ops =
-            ks.module.sections[static_cast<size_t>(g)].ops;
+        const IsaSection &sec = ks.module.sections[static_cast<size_t>(g)];
         for (uint32_t i : c.issue)
-            step(ops[i]);
+            step(sec.ops[i]);
         simStats.bump("acyclic_group_execs");
         if (telem)
             telem->addScaled(c.telemetry, 1);
-        report.cycles += static_cast<uint64_t>(group.sched.length);
-        report.instructions += static_cast<uint64_t>(group.sched.length);
+        report.cycles += static_cast<uint64_t>(sec.length);
+        report.instructions += static_cast<uint64_t>(sec.length);
     }
 
     /** A site that only closes the pending ops runs when there are
@@ -202,27 +186,24 @@ struct CycleSim::Engine
     runSwpLoop(const LoopNode &loop, int g)
     {
         const Checked &c = check(g);
-        const BlockSchedule &sched = ks.groups[static_cast<size_t>(g)].sched;
+        const IsaSection &sec = ks.module.sections[static_cast<size_t>(g)];
         // Trip bodies execute in program order (iteration overlap is
         // accounted analytically).
-        const std::vector<Operation> &body =
-            ks.module.sections[static_cast<size_t>(g)].ops;
         uint16_t base = value(loop.ivInit);
         for (long k = 0; k < loop.tripCount; ++k) {
             if (loop.inductionVar != kNoVreg) {
                 regs.at(loop.inductionVar) = static_cast<uint16_t>(
                     base + k * loop.step);
             }
-            for (const Operation &op : body)
+            for (const Operation &op : sec.ops)
                 step(op);
         }
         // A budget-degraded fallback is acyclic: length cycles per
         // trip, no fill or drain.
         const uint64_t trips = static_cast<uint64_t>(loop.tripCount);
-        const uint64_t ramp = static_cast<uint64_t>(
-            sched.prologueCycles() + sched.epilogueCycles());
-        const uint64_t per_trip = static_cast<uint64_t>(
-            sched.isModulo() ? sched.ii : sched.length);
+        const uint64_t ramp = static_cast<uint64_t>(sec.rampCycles());
+        const uint64_t per_trip =
+            static_cast<uint64_t>(sec.modulo ? sec.ii : sec.length);
         if (telem) {
             telem->addScaled(c.telemetry, trips);
             if (ramp > 0)

@@ -21,7 +21,6 @@
 #include "core/experiment.hh"
 #include "isa/disassembler.hh"
 #include "isa/encoder.hh"
-#include "sim/bytecode.hh"
 #include "support/random.hh"
 
 using namespace vvsp;
@@ -32,9 +31,8 @@ namespace
 constexpr int kMutations = 10000;
 
 /**
- * The `vvsp asm --kernel` pipeline: lower, profile on the bytecode
- * engine, compose with the module emitter attached — a realistic
- * multi-section seed input for the fuzzers.
+ * The `vvsp asm --kernel` pipeline: lower, then schedule — a
+ * realistic multi-section seed input for the fuzzers.
  */
 IsaModule
 seedModule()
@@ -45,17 +43,7 @@ seedModule()
     MachineModel machine(models::i4c8s4());
 
     Function fn = lowerVariant(kernel, variant, machine);
-    AvgProfile avg(fn.numNodeIds());
-    FrameGeometry geom = FrameGeometry::ccir601();
-    BytecodeEngine engine(fn);
-    MemoryImage mem(fn);
-    kernel.prepare(fn, mem, geom, 0);
-    avg.accumulate(engine.run(mem));
-
-    Composer composer(machine, variant.mode);
-    IsaModule module;
-    composer.compose(fn, avg, &module);
-    return module;
+    return Composer(machine, variant.mode).schedule(fn).module;
 }
 
 /**

@@ -160,5 +160,52 @@ TEST(LoweringTarget, EqualTargetsLowerToOneFunction)
     EXPECT_GT(composed, 36u);
 }
 
+/**
+ * A ganged unit runs on the clusters its target partitions it over,
+ * at most the machine's, so a four-cluster gang on a two-cluster
+ * machine replicates once: its frame costs units * cycles per unit.
+ */
+TEST(LoweringTarget, GangWiderThanTheMachineReplicatesOnce)
+{
+    DatapathConfig two = models::i4c8s4();
+    two.name = "I4C2S4";
+    two.clusters = 2;
+    two.cluster.localMemBytes = 16 * 1024;
+    two.validate();
+    struct Cell
+    {
+        const char *kernel;
+        DatapathConfig model;
+        int partition;
+        double replication;
+        double cyclesPerFrame;
+    } cells[] = {
+        {"DCT - traditional", two, 2, 1, 82'134'000},
+        {"DCT - row/column", two, 2, 1, 22'874'400},
+        {"DCT - row/column", models::i4c8s4(), 4, 2, 0},
+    };
+    for (const Cell &c : cells) {
+        SCOPED_TRACE(std::string(c.kernel) + " on " + c.model.name);
+        const KernelSpec &k = kernelByName(c.kernel);
+        ExperimentRequest req;
+        req.kernel = &k;
+        req.variant = &k.variant("+unroll 2 levels & widen");
+        req.model = c.model;
+        req.profileUnits = 1;
+        MachineModel machine(variantConfig(*req.variant, c.model));
+        EXPECT_EQ(loweringTarget(*req.variant, machine).partitionClusters,
+                  c.partition);
+        ExperimentResult r = runExperiment(req);
+        EXPECT_TRUE(r.passed) << r.note;
+        EXPECT_EQ(r.replication, c.replication);
+        EXPECT_DOUBLE_EQ(r.cyclesPerFrame, r.cyclesPerUnit *
+                                               r.unitsPerFrame /
+                                               c.replication);
+        if (c.cyclesPerFrame > 0) {
+            EXPECT_DOUBLE_EQ(r.cyclesPerFrame, c.cyclesPerFrame);
+        }
+    }
+}
+
 } // namespace
 } // namespace vvsp

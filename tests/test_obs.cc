@@ -303,8 +303,8 @@ TEST(SimTelemetry, AccountingIdentity)
 
 /**
  * The modulo stall split reads the ResMII/RecMII the scheduler
- * recorded on the schedule, and refuses a modulo schedule without
- * them rather than re-deriving them.
+ * recorded, passed beside the encoded section, and refuses a modulo
+ * section without them rather than re-deriving them.
  */
 TEST(SimTelemetry, ModuloSplitReadsTheScheduleBounds)
 {
@@ -322,15 +322,16 @@ TEST(SimTelemetry, ModuloSplitReadsTheScheduleBounds)
     BlockSchedule s = ModuloScheduler(machine, bank_of).schedule(ops);
     ASSERT_EQ(s.recMii, 3);
     ASSERT_EQ(s.ii, 3);
+    IsaSection sec = buildSection("swp", ops, s, false, machine, bank_of);
     obs::GroupTelemetry t =
-        obs::analyzeSchedule(ops, s, machine, bank_of);
+        obs::analyzeSchedule(sec, s.resMii, s.recMii, machine, bank_of);
+    EXPECT_EQ(t.ii, s.ii);
     EXPECT_EQ(t.resMii, s.resMii);
     EXPECT_EQ(t.recMii, s.recMii);
     EXPECT_EQ(t.stallOperand, t.slotCyclesTotal - t.slotCyclesBusy);
     EXPECT_EQ(t.stallStructural, 0u);
 
-    s.recMii = 0;
-    EXPECT_DEATH(obs::analyzeSchedule(ops, s, machine, bank_of),
+    EXPECT_DEATH(obs::analyzeSchedule(sec, s.resMii, 0, machine, bank_of),
                  "carries no II bounds");
 }
 

@@ -643,17 +643,23 @@ TEST(ModuloScheduler, KernelOnlyCodeSize)
         ops.push_back(mk(Opcode::Add, static_cast<Vreg>(i + 1), K(i),
                          K(1)));
     BlockSchedule s = sched.schedule(ops);
-    EXPECT_EQ(s.instructions, s.ii);
     EXPECT_EQ(s.ii, 3); // 12 ops / 4 slots.
+    // Kernel-only code: the encoded section is II words long.
+    EXPECT_EQ(buildSection("k", ops, s, false, machine, bankZero()).words(),
+              s.ii);
 }
 
 TEST(ModuloScheduler, LoopCyclesFormula)
 {
-    BlockSchedule s;
+    IsaSection s;
+    s.modulo = true;
     s.ii = 4;
     s.stages = 3;
-    // prologue (2*4) + 10 iterations * 4 + epilogue (2*4).
-    EXPECT_DOUBLE_EQ(s.loopCycles(10), 8 + 40 + 8);
+    // Each loop entry pays prologue (2*4) + epilogue (2*4) on top of
+    // one II per iteration.
+    EXPECT_EQ(s.rampCycles(), 8 + 8);
+    s.modulo = false;
+    EXPECT_EQ(s.rampCycles(), 0);
 }
 
 /** One software-pipelined loop body as the composer schedules it:
